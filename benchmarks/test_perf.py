@@ -20,6 +20,7 @@ import time
 from repro.evalx.experiments.common import BENCHMARKS
 from repro.evalx.experiments.table4 import SCHEMES, _make_predictor
 from repro.evalx.registry import run_experiment
+from repro.predictors.automata import make_automaton_factory
 from repro.predictors.folding import DolcSpec
 from repro.predictors.ideal import (
     IdealGlobalPredictor,
@@ -36,6 +37,7 @@ from repro.sim.relaxed import simulate_speculative_exit_prediction
 from repro.sim.timing import TimingConfig, simulate_timing
 from repro.sim.timing.detailed import simulate_timing_detailed
 from repro.synth.workloads import load_workload
+from repro.utils.rng import DeterministicRng
 
 _TASKS = 100_000
 
@@ -82,6 +84,35 @@ def test_exit_kernel_speedup():
             total_slow += slow
             total_fast += fast
     _report("exit_kernel[gcc-100k]", total_slow, total_fast)
+
+
+def test_vc_kernel_speedup():
+    """Factored voting-counter replay vs the generic loop, ideal PATH.
+
+    The four voting-counter automata of Figure 6, each run forking its
+    tie-break stream the way Figure 6 does, so the random variants draw
+    identically both ways.
+    """
+    workload = load_workload("gcc", n_tasks=_TASKS)
+    total_slow = total_fast = 0.0
+    for spec in ("VC2-MRU", "VC2-RANDOM", "VC3-MRU", "VC3-RANDOM"):
+        for depth in (0, 4, 7):
+            def run(vectorize: bool):
+                factory = make_automaton_factory(
+                    spec, DeterministicRng(depth).fork(spec)
+                )
+                return simulate_exit_prediction(
+                    workload,
+                    IdealPathPredictor(depth, automaton=factory),
+                    vectorize=vectorize,
+                )
+
+            looped, slow = _time(lambda: run(False))
+            batched, fast = _time(lambda: run(True))
+            assert batched == looped
+            total_slow += slow
+            total_fast += fast
+    _report("vc_kernel[gcc-100k]", total_slow, total_fast)
 
 
 def test_target_kernel_speedup():

@@ -19,6 +19,12 @@ Algorithm (per function, reachable blocks only):
    non-leader block to a leader and regrow. Promotion strictly shrinks a
    region and a single-block region has at most two exit points, so this
    terminates.
+
+Step 3 is a worklist. A promoted block's only predecessor lies in its own
+region, so promotion changes just that region — it splits in two — and
+only those two halves are regrown and rechecked. Regions are a pure
+function of the leader set, and splits of different regions commute, so
+the order in which violations are fixed does not change the result.
 """
 
 from __future__ import annotations
@@ -90,13 +96,21 @@ class TaskPartitioner:
         discovery (BFS over the region graph) order.
         """
         leaders = self._initial_leaders()
-        while True:
-            regions = self._grow_regions(leaders)
-            oversized = self._find_violation(regions)
-            if oversized is None:
-                return self._layout_order(regions)
-            promoted = self._pick_split_block(oversized)
+        regions = self._grow_regions(leaders)
+        pending = list(regions)
+        while pending:
+            region = regions[pending.pop()]
+            if not self._violates(region):
+                continue
+            promoted = self._pick_split_block(region)
             leaders.add(promoted)
+            kept = self._grow_one(region.leader, leaders)
+            split = self._grow_one(promoted, leaders)
+            _check_split(region, kept, split)
+            regions[region.leader] = kept
+            regions[promoted] = split
+            pending += [region.leader, promoted]
+        return self._layout_order(regions)
 
     def _initial_leaders(self) -> set[str]:
         """Blocks that must start a task, before any split promotions."""
@@ -192,15 +206,12 @@ class TaskPartitioner:
             internal_branch_blocks=internal_branches,
         )
 
-    def _find_violation(self, regions: dict[str, Region]) -> Region | None:
-        """Return some region violating the exit or size limit, else None."""
-        for leader in sorted(regions):
-            region = regions[leader]
-            if len(region.exit_descriptors) > self._config.max_exits_per_task:
-                return region
-            if len(region.blocks) > self._config.max_blocks_per_task:
-                return region
-        return None
+    def _violates(self, region: Region) -> bool:
+        """Whether ``region`` breaks the exit or size limit."""
+        return (
+            len(region.exit_descriptors) > self._config.max_exits_per_task
+            or len(region.blocks) > self._config.max_blocks_per_task
+        )
 
     def _pick_split_block(self, region: Region) -> str:
         """Choose the block to promote to leader when splitting ``region``.
@@ -239,3 +250,20 @@ class TaskPartitioner:
                 order.append(regions[leader])
                 visited.add(leader)
         return order
+
+
+def _check_split(old: Region, kept: Region, split: Region) -> None:
+    """The two halves of a split hold exactly the old region's blocks.
+
+    The local form of :meth:`TaskPartitioner._grow_regions`' check that
+    every reachable block is assigned to exactly one region.
+    """
+    remaining = set(old.blocks)
+    for label in kept.blocks + split.blocks:
+        if label not in remaining:
+            raise PartitionError(f"block {label!r} assigned to two regions")
+        remaining.remove(label)
+    if remaining:
+        raise PartitionError(
+            f"blocks never assigned to a region: {sorted(remaining)}"
+        )

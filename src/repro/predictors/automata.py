@@ -23,6 +23,7 @@ import numpy as np
 from repro.errors import PredictorConfigError
 from repro.isa.controlflow import MAX_EXITS_PER_TASK
 from repro.utils.rng import DeterministicRng
+from repro.utils.scan import MAX_SCAN_STATES, group_segments, sorted_fsm_scan
 
 
 class MultiwayAutomaton(abc.ABC):
@@ -173,7 +174,11 @@ class VotingCounters(MultiwayAutomaton):
     def state_key(self) -> tuple | None:
         # The random tie-break draws from a stream shared across every
         # entry of the predictor, so a per-entry key cannot capture its
-        # behaviour; only the MRU variant tabulates.
+        # behaviour. The batched exit predictors do not tabulate voting
+        # counters at all (batch_replay factors the state into four
+        # counters and an MRU register, which also covers the 437-state
+        # VC3-MRU no int8 table holds); the key serves the speculative
+        # replay, which still tabulates.
         if self._tie_break != "mru":
             return None
         return (*self._counters, self._mru)
@@ -181,6 +186,17 @@ class VotingCounters(MultiwayAutomaton):
     def bits_per_entry(self) -> int:
         mru_bits = 2 if self._tie_break == "mru" else 0
         return MAX_EXITS_PER_TASK * self._bits + mru_bits
+
+    def batch_replay(
+        self, draw_on_first_touch: bool
+    ) -> VotingCountersReplay:
+        """Exact batched form of a table of entries configured like this.
+
+        ``draw_on_first_touch`` is the owning table's first-touch rule
+        (see :class:`VotingCountersReplay`).
+        """
+        rng = self._rng if self._tie_break == "random" else None
+        return VotingCountersReplay(self._bits, rng, draw_on_first_touch)
 
 
 #: The seven automata of Figure 6, keyed by the paper's labels.
@@ -255,7 +271,6 @@ class AutomatonTable:
 def tabulate_automaton(
     factory: Callable[[], MultiwayAutomaton],
     n_inputs: int,
-    max_states: int = 64,
 ) -> AutomatonTable | None:
     """Enumerate an automaton's state machine by probing a live instance.
 
@@ -267,8 +282,9 @@ def tabulate_automaton(
     bit-identical to the object by construction.
 
     Returns None when the automaton declines tabulation (``state_key() is
-    None``) or the reachable space exceeds ``max_states`` — the callers
-    then fall back to object-at-a-time replay.
+    None``) or the reachable space exceeds
+    :data:`repro.utils.scan.MAX_SCAN_STATES`, the segmented scan's int8
+    state ceiling.
     """
     if factory().state_key() is None:
         return None
@@ -294,7 +310,7 @@ def tabulate_automaton(
             key = successor.state_key()
             state = ids.get(key)
             if state is None:
-                if len(recipes) >= max_states:
+                if len(recipes) >= MAX_SCAN_STATES:
                     return None
                 state = ids[key] = len(recipes)
                 recipes.append(recipe + (value,))
@@ -305,3 +321,130 @@ def tabulate_automaton(
         transitions=np.array(transitions, dtype=np.int8),
         predictions=np.array(predictions, dtype=np.int64),
     )
+
+
+#: Bit of each exit in a tie mask.
+_EXIT_BITS = np.array([1 << i for i in range(MAX_EXITS_PER_TASK)])
+#: Exits tied for the highest counter, per tie mask (bit i set: exit i).
+_TIED_EXITS = tuple(
+    tuple(i for i in range(MAX_EXITS_PER_TASK) if mask >> i & 1)
+    for mask in range(1 << MAX_EXITS_PER_TASK)
+)
+#: Lowest exit of each tie mask: the prediction unless the MRU exit or a
+#: random draw overrides it.
+_FIRST_TIED = np.array([tied[0] if tied else 0 for tied in _TIED_EXITS])
+#: Whether a tie mask holds more than one exit.
+_IS_TIE = np.array([len(tied) > 1 for tied in _TIED_EXITS])
+
+
+class VotingCountersReplay:
+    """Exact batched replay of a table of :class:`VotingCounters` entries.
+
+    An entry's state factors into parts that never interact:
+
+    * each exit's counter is its own saturating counter, stepped up by
+      ``actual == i`` and down otherwise — a ``2**bits``-state automaton
+      the segmented FSM scan replays, one scan per exit over one shared
+      group sort;
+    * the MRU register is just the entry's previous input.
+
+    The prediction is then a vectorised argmax over the four pre-update
+    counters, ties going to the MRU exit when it is tied and to the
+    lowest tied exit otherwise. A prediction never feeds back into the
+    counters, so the random tie-break is exact too: ``rng.choice(tied)``
+    is called on the predictor's shared stream at the tie steps only, in
+    trace order, exactly as the stepped loop calls it — the stream ends
+    in the same state.
+
+    ``rng`` is the predictor's shared tie-break stream, or None for the
+    MRU tie-break. ``draw_on_first_touch`` carries the owning table's
+    first-touch rule. A PHT creates its entry in ``predict``, so an
+    entry's first prediction comes from a fresh automaton, whose four
+    zero counters tie (a draw, for the random variant). An ideal table
+    answers 0 for a key it has never updated without consulting an
+    automaton (no draw).
+    """
+
+    __slots__ = ("_transitions", "_rng", "_draw_on_first_touch")
+
+    def __init__(
+        self,
+        counter_bits: int,
+        rng: DeterministicRng | None,
+        draw_on_first_touch: bool,
+    ) -> None:
+        top = (1 << counter_bits) - 1
+        counts = np.arange(top + 1)
+        # Input 0: another exit was taken; input 1: this exit was taken.
+        self._transitions = np.stack(
+            [np.maximum(counts - 1, 0), np.minimum(counts + 1, top)],
+            axis=1,
+        ).astype(np.int8)
+        self._rng = rng
+        self._draw_on_first_touch = draw_on_first_touch
+
+    def replay(
+        self, group_ids: np.ndarray, inputs: np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        """Predict and train every step of a grouped trace.
+
+        ``group_ids[i]`` names the entry step ``i`` touches and
+        ``inputs[i]`` is the exit it trains on. Returns the exit each
+        step predicts before its update, in trace order, and the number
+        of distinct entries touched.
+        """
+        n = len(group_ids)
+        if n == 0:
+            return np.zeros(0, dtype=np.int64), 0
+        order, starts = group_segments(group_ids)
+        exits = inputs[order]
+        # Pre-update counter values, one column per exit.
+        counters = np.column_stack(
+            [
+                sorted_fsm_scan(
+                    starts, (exits == i).view(np.int8), self._transitions
+                )
+                for i in range(MAX_EXITS_PER_TASK)
+            ]
+        )
+        tied = counters == counters.max(axis=1, keepdims=True)
+        tie_masks = tied @ _EXIT_BITS
+        predicted = np.empty(n, dtype=np.int64)
+        rng = self._rng
+        if rng is None:
+            # MRU tie-break: the MRU exit if it is tied, else the lowest.
+            mru = np.empty(n, dtype=np.int64)
+            mru[1:] = exits[:-1]
+            mru[starts] = 0  # a fresh entry's register reads exit 0
+            predicted[order] = np.where(
+                tied[np.arange(n), mru], mru, _FIRST_TIED[tie_masks]
+            )
+        else:
+            predicted[order] = _FIRST_TIED[tie_masks]
+            draws = _IS_TIE[tie_masks]
+            if not self._draw_on_first_touch:
+                draws &= ~starts
+            masks = np.empty(n, dtype=np.int64)
+            masks[order] = np.where(draws, tie_masks, 0)
+            steps = np.flatnonzero(masks)
+            choice = rng.choice
+            predicted[steps] = [
+                choice(_TIED_EXITS[mask]) for mask in masks[steps].tolist()
+            ]
+        return predicted, int(starts.sum())
+
+
+def batch_automaton(
+    factory: Callable[[], MultiwayAutomaton], draw_on_first_touch: bool
+) -> AutomatonTable | VotingCountersReplay | None:
+    """The exact batched form of the automaton ``factory`` builds.
+
+    Voting counters replay factored (:class:`VotingCountersReplay`,
+    which takes the table's ``draw_on_first_touch`` rule); every other
+    automaton tabulates (:func:`tabulate_automaton`), or returns None
+    when it cannot.
+    """
+    sample = factory()
+    if type(sample) is VotingCounters:
+        return sample.batch_replay(draw_on_first_touch)
+    return tabulate_automaton(factory, MAX_EXITS_PER_TASK)

@@ -31,12 +31,12 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.errors import PredictorConfigError
-from repro.isa.controlflow import MAX_EXITS_PER_TASK
 from repro.predictors.automata import (
     AutomatonTable,
     MultiwayAutomaton,
+    VotingCountersReplay,
+    batch_automaton,
     make_automaton_factory,
-    tabulate_automaton,
 )
 from repro.predictors.base import ExitPredictor
 from repro.predictors.folding import DolcSpec
@@ -140,6 +140,18 @@ def _per_key_history_column(
     return history
 
 
+def _pht_batch_automaton(
+    pht: PatternHistoryTable,
+) -> AutomatonTable | VotingCountersReplay | None:
+    """Batched form of a PHT's entries (see :func:`batch_automaton`).
+
+    ``predict`` creates a missing entry, so a first touch predicts from a
+    fresh automaton — for random voting counters, a draw over all four
+    tied exits.
+    """
+    return batch_automaton(pht.factory, draw_on_first_touch=True)
+
+
 class PathExitPredictor(ExitPredictor):
     """Path-based exit predictor with DOLC index construction (§6)."""
 
@@ -194,23 +206,23 @@ class PathExitPredictor(ExitPredictor):
 
     def batch_plan(
         self, task_addrs: np.ndarray, actual_exits: np.ndarray
-    ) -> tuple[np.ndarray, AutomatonTable] | None:
-        """Plan a vectorized run: ``(per-step PHT indices, automaton table)``.
+    ) -> tuple[np.ndarray, AutomatonTable | VotingCountersReplay] | None:
+        """Plan a vectorized run: ``(per-step PHT indices, automaton)``.
 
         Same contract as the ideal predictors' ``batch_plan`` (see
         :mod:`repro.predictors.ideal`): only valid for a freshly
-        constructed predictor, and None when the automaton cannot be
-        tabulated or single-exit tasks train the table. The path register
+        constructed predictor, and None when the automaton has no batched
+        form or single-exit tasks train the table. The path register
         shifts on every retired task, so the per-step indices are exactly
         :meth:`DolcSpec.index_column` over the full address column.
         """
         if self._update_on_single_exit:
             return None
-        table = tabulate_automaton(self._pht.factory, MAX_EXITS_PER_TASK)
-        if table is None:
+        automaton = _pht_batch_automaton(self._pht)
+        if automaton is None:
             return None
         addrs = int64_column(task_addrs)
-        return self._spec.index_column(addrs), table
+        return self._spec.index_column(addrs), automaton
 
 
 class SimpleExitPredictor(PathExitPredictor):
@@ -284,8 +296,8 @@ class GlobalExitPredictor(ExitPredictor):
 
     def batch_plan(
         self, task_addrs: np.ndarray, actual_exits: np.ndarray
-    ) -> tuple[np.ndarray, AutomatonTable] | None:
-        """Plan a vectorized run: ``(per-step PHT indices, automaton table)``.
+    ) -> tuple[np.ndarray, AutomatonTable | VotingCountersReplay] | None:
+        """Plan a vectorized run: ``(per-step PHT indices, automaton)``.
 
         Same fresh-predictor contract as :meth:`PathExitPredictor.batch_plan`.
         The history register shifts on every update, so each step's index
@@ -295,20 +307,20 @@ class GlobalExitPredictor(ExitPredictor):
             return None
         if 2 * self._depth + self._index_bits > 62:
             return None  # combined key would not fit an int64 column
-        table = tabulate_automaton(self._pht.factory, MAX_EXITS_PER_TASK)
-        if table is None:
+        automaton = _pht_batch_automaton(self._pht)
+        if automaton is None:
             return None
         addrs = int64_column(task_addrs)
         addr_bits = (addrs >> _ALIGN_SHIFT) & bit_mask(self._index_bits)
         if not self._depth:
-            return addr_bits, table
+            return addr_bits, automaton
         exits = int64_column(actual_exits)
         history = _global_history_column(exits, self._depth)
         combined = (history << self._index_bits) | addr_bits
         indices = _fold_column(
             combined, 2 * self._depth + self._index_bits, self._index_bits
         )
-        return indices, table
+        return indices, automaton
 
 
 class PerTaskExitPredictor(ExitPredictor):
@@ -379,8 +391,8 @@ class PerTaskExitPredictor(ExitPredictor):
 
     def batch_plan(
         self, task_addrs: np.ndarray, actual_exits: np.ndarray
-    ) -> tuple[np.ndarray, AutomatonTable] | None:
-        """Plan a vectorized run: ``(per-step PHT indices, automaton table)``.
+    ) -> tuple[np.ndarray, AutomatonTable | VotingCountersReplay] | None:
+        """Plan a vectorized run: ``(per-step PHT indices, automaton)``.
 
         Same fresh-predictor contract as :meth:`PathExitPredictor.batch_plan`.
         Each step reads the history register its task address selects, so
@@ -390,13 +402,13 @@ class PerTaskExitPredictor(ExitPredictor):
             return None
         if 2 * self._depth + self._index_bits > 62:
             return None  # combined key would not fit an int64 column
-        table = tabulate_automaton(self._pht.factory, MAX_EXITS_PER_TASK)
-        if table is None:
+        automaton = _pht_batch_automaton(self._pht)
+        if automaton is None:
             return None
         addrs = int64_column(task_addrs)
         addr_bits = (addrs >> _ALIGN_SHIFT) & bit_mask(self._index_bits)
         if not self._depth:
-            return addr_bits, table
+            return addr_bits, automaton
         keys = (addrs >> _ALIGN_SHIFT) & bit_mask(self._hrt_index_bits)
         exits = int64_column(actual_exits)
         history = _HISTORY_CACHE.get(
@@ -408,4 +420,4 @@ class PerTaskExitPredictor(ExitPredictor):
         indices = _fold_column(
             combined, 2 * self._depth + self._index_bits, self._index_bits
         )
-        return indices, table
+        return indices, automaton

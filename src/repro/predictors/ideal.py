@@ -25,12 +25,12 @@ from collections.abc import Callable
 import numpy as np
 
 from repro.errors import PredictorConfigError
-from repro.isa.controlflow import MAX_EXITS_PER_TASK
 from repro.predictors.automata import (
     AutomatonTable,
     MultiwayAutomaton,
+    VotingCountersReplay,
+    batch_automaton,
     make_automaton_factory,
-    tabulate_automaton,
 )
 from repro.predictors.base import ExitPredictor
 from repro.utils.memo import int64_column
@@ -109,29 +109,31 @@ class _IdealPredictorBase(ExitPredictor):
 
     def batch_plan(
         self, task_addrs: np.ndarray, actual_exits: np.ndarray
-    ) -> tuple[np.ndarray, AutomatonTable] | None:
-        """Plan a vectorized run: ``(per-step key ids, automaton table)``.
+    ) -> tuple[np.ndarray, AutomatonTable | VotingCountersReplay] | None:
+        """Plan a vectorized run: ``(per-step key ids, batched automaton)``.
 
         The batched exit-prediction kernel in
         :mod:`repro.sim.functional` uses the dense key ids in place of
         this predictor's key tuples and replays the automaton through
-        its tabulated state machine. Returns None when the configuration
-        has no exact batched equivalent (automata whose state cannot be
-        tabulated, or updating on single-exit tasks), in which case the
-        caller falls back to the step-by-step loop. Only valid for a
-        freshly constructed predictor: the kernel does not read or write
-        ``self._table``.
+        its batched form (:func:`batch_automaton`). Returns None when the
+        configuration has no exact batched equivalent (an automaton that
+        can be neither tabulated nor factored, or updating on single-exit
+        tasks), in which case the caller falls back to the step-by-step
+        loop. Only valid for a freshly constructed predictor: the kernel
+        does not read or write ``self._table``.
         """
         if self._update_on_single_exit:
             return None
-        table = tabulate_automaton(self._factory, MAX_EXITS_PER_TASK)
-        if table is None:
+        # predict() answers 0 for a key it has never updated, without
+        # consulting (or building) an automaton: no tie-break draw.
+        automaton = batch_automaton(self._factory, draw_on_first_touch=False)
+        if automaton is None:
             return None
         ids = self._batch_group_ids(
             int64_column(task_addrs),
             int64_column(actual_exits),
         )
-        return ids, table
+        return ids, automaton
 
 
 class IdealGlobalPredictor(_IdealPredictorBase):

@@ -19,17 +19,29 @@ statistics:
 * a **generic loop** that drives any predictor through its
   ``predict``/``update`` interface, one trace record at a time; and
 * a **batched kernel** used when the predictor advertises an exact
-  vectorized equivalent — the ideal (alias-free) predictors and target
-  buffers expose their per-step table keys as dense integer ids
-  (``batch_plan`` / ``batch_slot_ids``), and stateless predictors expose
-  whole-column predictions (``predict_column``). The kernels replace
-  per-step tuple hashing and method dispatch with numpy preprocessing
-  plus a tight integer loop over only the steps that can miss.
+  vectorized equivalent — the ideal (alias-free) and PHT exit predictors
+  and the target buffers expose their per-step table keys as dense
+  integer ids (``batch_plan`` / ``batch_slot_ids``), and stateless
+  predictors expose whole-column predictions (``predict_column``). The
+  kernels replace per-step tuple hashing and method dispatch with numpy
+  preprocessing plus a tight integer loop over only the steps that can
+  miss.
+
+Every exit predictor's plan goes through one replay, :func:`_replay_plan`,
+which serves both the statistics and the prediction column. A plan pairs
+the key ids with the automaton's batched form: a tabulated state machine
+for LE/LEH, or the factored voting-counter replay
+(:class:`~repro.predictors.automata.VotingCountersReplay`) for all four
+VC automata, so none of Figure 6's automata runs the per-task loop.
 
 Pass ``vectorize=False`` to force the generic loop (the equivalence tests
 do exactly that). Batched kernels never mutate the predictor object; a
 predictor that must be inspected after simulation should be driven with
-``vectorize=False``.
+``vectorize=False``. The one shared effect is the random tie-break
+stream of VC-RANDOM automata: the batched replay draws from it exactly
+as the loop would — the same ``choice`` calls, at the same steps, in
+trace order — so a run consumes the stream either way and leaves it in
+the same state.
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.predictors.automata import AutomatonTable
+from repro.predictors.automata import AutomatonTable, VotingCountersReplay
 from repro.predictors.base import ExitPredictor, NextTaskPredictor
 from repro.predictors.pht import PackedPatternTable
 from repro.sim.result import (
@@ -123,34 +135,47 @@ def _check_single_exit_legality(
         )
 
 
-def _automaton_scan_kernel(
-    group_ids: np.ndarray,
+def _replay_plan(
+    plan: tuple[np.ndarray, AutomatonTable | VotingCountersReplay],
+    task_addrs: np.ndarray,
     actual_exits: np.ndarray,
-    prediction_caps: np.ndarray,
-    table: AutomatonTable,
-) -> tuple[int, int]:
-    """Replay tabulated automata over pre-grouped multiway steps.
+    n_exits_col: np.ndarray,
+) -> tuple[np.ndarray, int]:
+    """Run a predictor's ``batch_plan`` over a whole trace.
 
-    ``group_ids`` are dense table-key ids (one automaton per id);
-    ``prediction_caps`` holds ``n_exits - 1`` per step (predictions are
-    clamped into the task's legal exit range); ``table`` is the
-    automaton's enumerated state machine. Every entry starts in the
-    tabulated initial state, which is also what an untouched entry
-    predicts — a first touch reads prediction 0 exactly like the
-    dict-of-automata reference, whether the entry was pre-created by a
-    ``predict`` or is made on the fly by ``update``. Returns
-    ``(misses, states_touched)`` — bit-identical to the step-by-step
-    loop.
+    The plan is ``(group_ids, automaton)``: a dense table-entry id per
+    step (one automaton per id) and the automaton's batched form. Only
+    multiway steps touch the table. Returns the full int64 column a
+    sequence of ``predict``/``update`` pairs would produce — 0 at
+    single-exit steps, clamped into the task's legal exit range at
+    multiway ones — and the number of entries touched, bit-identical to
+    the step-by-step loop.
+
+    A tabulated automaton replays through :class:`PackedPatternTable`.
+    Every entry starts in the tabulated initial state, which is also what
+    an untouched entry predicts — a first touch reads prediction 0
+    exactly like the dict-of-automata reference, whether the entry was
+    pre-created by a ``predict`` or is made on the fly by ``update``.
+    Voting counters replay factored (:class:`VotingCountersReplay`),
+    which applies the plan's own first-touch rule.
     """
-    if not len(group_ids):
-        return 0, 0
-    packed = PackedPatternTable(table, int(group_ids.max()) + 1)
-    pre_states = packed.replay(group_ids, actual_exits)
-    predictions = np.minimum(
-        packed.predictions_of(pre_states), prediction_caps
-    )
-    misses = int((predictions != actual_exits).sum())
-    return misses, packed.states_touched()
+    multiway = np.asarray(n_exits_col) > 1
+    _check_single_exit_legality(task_addrs, actual_exits, multiway)
+    group_ids, automaton = plan
+    steps = np.flatnonzero(multiway)
+    predicted = np.zeros(len(task_addrs), dtype=np.int64)
+    if not steps.size:
+        return predicted, 0
+    ids = group_ids[steps]
+    exits = int64_column(actual_exits)[steps]
+    if isinstance(automaton, AutomatonTable):
+        packed = PackedPatternTable(automaton, int(ids.max()) + 1)
+        raw = packed.predictions_of(packed.replay(ids, exits))
+        touched = packed.states_touched()
+    else:
+        raw, touched = automaton.replay(ids, exits)
+    predicted[steps] = np.minimum(raw, int64_column(n_exits_col)[steps] - 1)
+    return predicted, touched
 
 
 def batched_exit_prediction_column(
@@ -167,29 +192,12 @@ def batched_exit_prediction_column(
     it advertises no exact batched form. This is the exit-choice half of
     the batched task predictors and the timing simulator's fast path.
     """
-    multiway = np.asarray(n_exits_col) > 1
     plan_fn = getattr(predictor, "batch_plan", None)
     if plan_fn is not None:
         plan = plan_fn(task_addrs, actual_exits)
         if plan is None:
             return None
-        _check_single_exit_legality(task_addrs, actual_exits, multiway)
-        group_ids, table = plan
-        steps = np.flatnonzero(multiway)
-        predicted = np.zeros(len(task_addrs), dtype=np.int64)
-        if steps.size:
-            packed = PackedPatternTable(
-                table, int(group_ids[steps].max()) + 1
-            )
-            pre_states = packed.replay(
-                group_ids[steps],
-                int64_column(actual_exits)[steps],
-            )
-            predicted[steps] = np.minimum(
-                packed.predictions_of(pre_states),
-                int64_column(n_exits_col)[steps] - 1,
-            )
-        return predicted
+        return _replay_plan(plan, task_addrs, actual_exits, n_exits_col)[0]
     column_fn = getattr(predictor, "predict_column", None)
     if column_fn is not None:
         return np.asarray(
@@ -211,19 +219,14 @@ def _batched_exit_stats(
         plan = plan_fn(task_addrs, actual_exits)
         if plan is None:
             return None
-        _check_single_exit_legality(task_addrs, actual_exits, multiway)
-        group_ids, table = plan
-        steps = np.flatnonzero(multiway)
-        misses, states = _automaton_scan_kernel(
-            group_ids[steps],
-            actual_exits[steps].astype(np.int64),
-            n_exits_col[steps].astype(np.int64) - 1,
-            table,
+        predicted, states = _replay_plan(
+            plan, task_addrs, actual_exits, n_exits_col
         )
+        misses = int((predicted != int64_column(actual_exits)).sum())
         return ExitPredictionStats(
             trials=len(task_addrs),
             misses=misses,
-            multiway_trials=int(steps.size),
+            multiway_trials=int(multiway.sum()),
             multiway_misses=misses,
             states_touched=states,
             storage_bits=predictor.storage_bits(),

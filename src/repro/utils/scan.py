@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import numpy as np
 
-#: State-space ceiling for tabulation; above this a scan's memory traffic
-#: (an ``(n, S)`` composition array) outweighs the Python loop it replaces.
+#: State-space ceiling for tabulation. It keeps every state id inside the
+#: scan's int8 function table, and above it a scan's memory traffic (an
+#: ``(n, S)`` composition array) outweighs the Python loop it replaces.
 MAX_SCAN_STATES = 64
 
 
@@ -44,6 +45,22 @@ def stable_argsort(keys: np.ndarray) -> np.ndarray:
     if keys.size and 0 <= int(keys.min()) and int(keys.max()) < (1 << 16):
         keys = keys.astype(np.uint16)
     return np.argsort(keys, kind="stable")
+
+
+def group_segments(group_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group a trace's steps for the segmented scans: ``(order, starts)``.
+
+    ``order`` stably sorts the steps by group, so each group's steps form
+    one contiguous segment in trace order; ``starts[k]`` is True where
+    sorted step ``k`` opens its group's segment. Scans of several
+    automata over the same grouping share one sort this way.
+    """
+    order = stable_argsort(group_ids)
+    grouped = group_ids[order]
+    starts = np.empty(len(grouped), dtype=bool)
+    starts[:1] = True
+    starts[1:] = grouped[1:] != grouped[:-1]
+    return order, starts
 
 
 def segmented_fsm_scan(
@@ -72,12 +89,34 @@ def segmented_fsm_scan(
     n = len(group_ids)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
+    order, starts = group_segments(group_ids)
+    start_states: np.ndarray | None = None
+    if initial_states is not None:
+        start_states = initial_states[group_ids[order][starts]]
+    states = np.empty(n, dtype=np.int64)
+    states[order] = sorted_fsm_scan(
+        starts, inputs[order], transitions, start_states
+    )
+    return states
+
+
+def sorted_fsm_scan(
+    starts: np.ndarray,
+    inputs: np.ndarray,
+    transitions: np.ndarray,
+    start_states: np.ndarray | None = None,
+) -> np.ndarray:
+    """:func:`segmented_fsm_scan` over steps already sorted by group.
+
+    ``starts`` and ``inputs`` are in the sorted order of
+    :func:`group_segments`; ``start_states`` holds each segment's initial
+    state, one per True in ``starts`` (state 0 when omitted). Returns the
+    pre-update states in the same sorted order.
+    """
+    n = len(starts)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
     n_states = transitions.shape[0]
-    order = stable_argsort(group_ids)
-    grouped = group_ids[order]
-    starts = np.empty(n, dtype=bool)
-    starts[0] = True
-    starts[1:] = grouped[1:] != grouped[:-1]
 
     # Chunk geometry: the Python-iteration count is 2K + n/K, but each
     # pass-1/3 iteration also moves O(n/K) data, so the optimum sits
@@ -91,15 +130,13 @@ def segmented_fsm_scan(
     # start is a constant function (the group's initial state), so a
     # composition never leaks state across segments; pads are identity.
     funcs = np.empty((padded, n_states), dtype=np.int8)
-    inp = inputs[order]
     if n > 1:
-        funcs[1:n] = transitions[:, inp[:-1]].T
+        funcs[1:n] = transitions[:, inputs[:-1]].T
     start_rows = np.flatnonzero(starts)
-    if initial_states is None:
+    if start_states is None:
         funcs[start_rows] = 0
     else:
-        init_col = initial_states[grouped].astype(np.int8)
-        funcs[start_rows] = init_col[start_rows][:, None]
+        funcs[start_rows] = start_states.astype(np.int8)[:, None]
     funcs[n:] = np.arange(n_states, dtype=np.int8)
 
     # Gathers below address funcs flat: element (m, k, s) lives at
@@ -129,10 +166,7 @@ def segmented_fsm_scan(
     for k in range(chunk):
         current = flat.take(base + k * n_states + current)
         states_sorted[:, k] = current
-
-    states = np.empty(n, dtype=np.int64)
-    states[order] = states_sorted.reshape(-1)[:n]
-    return states
+    return states_sorted.reshape(-1)[:n]
 
 
 def final_fsm_states(

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import PartitionConfig, compile_program
+from repro.compiler.partitioner import TaskPartitioner
 from repro.isa.controlflow import MAX_EXITS_PER_TASK
 from repro.synth.executor import TraceExecutor
 from repro.synth.generator import SyntheticProgramGenerator
@@ -54,6 +55,49 @@ def _compile(profile):
             max_blocks_per_task=profile.max_blocks_per_task
         ),
     )
+
+
+def _full_regrow_partition(partitioner):
+    """Reference partition: regrow every region after each promotion.
+
+    The partitioner's original fixpoint loop, kept as the oracle for its
+    worklist: fix the first violating region in leader order, then
+    rebuild the whole function's regions from the new leader set.
+    """
+    leaders = partitioner._initial_leaders()
+    while True:
+        regions = partitioner._grow_regions(leaders)
+        oversized = next(
+            (
+                regions[leader]
+                for leader in sorted(regions)
+                if partitioner._violates(regions[leader])
+            ),
+            None,
+        )
+        if oversized is None:
+            return partitioner._layout_order(regions)
+        leaders.add(partitioner._pick_split_block(oversized))
+
+
+class TestPartitionerWorklist:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(tiny_profiles(), st.integers(min_value=2, max_value=4))
+    def test_matches_full_regrow(self, profile, max_exits):
+        config = PartitionConfig(
+            max_blocks_per_task=profile.max_blocks_per_task,
+            max_exits_per_task=max_exits,
+        )
+        program_cfg = SyntheticProgramGenerator(profile).generate()
+        for cfg in program_cfg.functions():
+            partitioner = TaskPartitioner(cfg, config)
+            assert partitioner.partition() == _full_regrow_partition(
+                partitioner
+            )
 
 
 class TestCompiledInvariants:

@@ -2,15 +2,33 @@
 
 Hypothesis strategies generate valid D-O-L-C(F) specifications and outcome
 streams; the tests check invariants that must hold for every instance,
-plus reference-model equivalence for the LEH automaton.
+plus reference-model equivalence for the LEH automaton and the batched
+voting-counter replay.
 """
 
+from types import SimpleNamespace
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.predictors.automata import LastExitHysteresis
-from repro.predictors.exit_predictors import PathExitPredictor
+from repro.predictors.automata import (
+    LastExitHysteresis,
+    make_automaton_factory,
+)
+from repro.predictors.exit_predictors import (
+    GlobalExitPredictor,
+    PathExitPredictor,
+    PerTaskExitPredictor,
+)
 from repro.predictors.folding import DolcSpec
+from repro.predictors.ideal import (
+    IdealGlobalPredictor,
+    IdealPathPredictor,
+    IdealPerTaskPredictor,
+)
+from repro.sim.functional import simulate_exit_prediction
+from repro.utils.rng import DeterministicRng
 
 _ADDRESSES = st.integers(min_value=0, max_value=(1 << 32) - 4).map(
     lambda a: a & ~0x3
@@ -135,3 +153,95 @@ class TestPathPredictorProperties:
             predictor.predict(addr, 3)
             predictor.update(addr, 3, 1)
         assert predictor.states_touched() <= predictor.spec.table_entries
+
+class _TraceWorkload:
+    """The slice of a workload :func:`simulate_exit_prediction` reads."""
+
+    def __init__(self, task_addrs, exits, n_exits_of):
+        self.trace = SimpleNamespace(
+            task_addr=np.array(task_addrs, dtype=np.uint32),
+            exit_index=np.array(exits, dtype=np.uint8),
+        )
+        self._n_exits_of = n_exits_of
+
+    def exit_counts(self):
+        return self._n_exits_of
+
+
+@st.composite
+def exit_traces(draw):
+    """A short legal trace over a few tasks with 1–4 exits each.
+
+    Few tasks and few distinct exits make voting-counter ties common.
+    """
+    addrs = draw(st.lists(_ADDRESSES, min_size=1, max_size=5, unique=True))
+    n_exits_of = {
+        addr: draw(st.integers(min_value=1, max_value=4)) for addr in addrs
+    }
+    steps = draw(
+        st.lists(
+            st.tuples(st.sampled_from(addrs), st.integers(0, 3)),
+            max_size=80,
+        )
+    )
+    task_addrs = [addr for addr, _ in steps]
+    exits = [choice % n_exits_of[addr] for addr, choice in steps]
+    return _TraceWorkload(task_addrs, exits, n_exits_of)
+
+
+_VOTING_SPECS = st.sampled_from(
+    ["VC2-MRU", "VC2-RANDOM", "VC3-MRU", "VC3-RANDOM"]
+)
+
+
+@st.composite
+def voting_predictors(draw):
+    """``(make, spec)``: builds one exit predictor around an automaton."""
+    spec = draw(_VOTING_SPECS)
+    depth = draw(st.integers(min_value=0, max_value=3))
+    kind = draw(
+        st.sampled_from(
+            ["ideal-global", "ideal-per", "ideal-path",
+             "path", "global", "pertask"]
+        )
+    )
+    dolc = draw(dolc_specs())
+    index_bits = draw(st.integers(min_value=2, max_value=8))
+
+    def make(automaton):
+        if kind == "ideal-global":
+            return IdealGlobalPredictor(depth, automaton=automaton)
+        if kind == "ideal-per":
+            return IdealPerTaskPredictor(depth, automaton=automaton)
+        if kind == "ideal-path":
+            return IdealPathPredictor(depth, automaton=automaton)
+        if kind == "path":
+            return PathExitPredictor(dolc, automaton=automaton)
+        if kind == "global":
+            return GlobalExitPredictor(
+                depth, index_bits=index_bits, automaton=automaton
+            )
+        return PerTaskExitPredictor(
+            depth, index_bits=index_bits, hrt_index_bits=2,
+            automaton=automaton,
+        )
+
+    return make, spec
+
+
+class TestVotingCounterReplay:
+    @settings(max_examples=150, deadline=None)
+    @given(exit_traces(), voting_predictors(), st.integers(0, 1 << 20))
+    def test_batched_matches_loop(self, workload, predictor, seed):
+        make, spec = predictor
+        outcomes = []
+        for vectorize in (False, True):
+            rng = DeterministicRng(seed).fork(spec)
+            stats = simulate_exit_prediction(
+                workload,
+                make(make_automaton_factory(spec, rng)),
+                vectorize=vectorize,
+            )
+            # The random tie-break must draw exactly what the loop draws.
+            outcomes.append((stats, rng._random.getstate()))
+        assert outcomes[0] == outcomes[1]

@@ -10,6 +10,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.predictors.automata import AUTOMATON_SPECS, make_automaton_factory
+from repro.predictors.exit_predictors import (
+    GlobalExitPredictor,
+    PathExitPredictor,
+    PerTaskExitPredictor,
+)
+from repro.predictors.folding import DolcSpec
 from repro.predictors.ideal import (
     IdealGlobalPredictor,
     IdealPathPredictor,
@@ -24,9 +31,33 @@ from repro.sim.functional import (
     simulate_exit_prediction,
     simulate_indirect_target_prediction,
 )
+from repro.utils.rng import DeterministicRng
 
 _SCHEMES = (IdealGlobalPredictor, IdealPerTaskPredictor, IdealPathPredictor)
 _DEPTHS = (0, 1, 3, 7)
+_VOTING = ("VC2-MRU", "VC2-RANDOM", "VC3-MRU", "VC3-RANDOM")
+
+#: Every exit predictor with a batch plan, built around an automaton.
+_PLANNED = {
+    "ideal-global": lambda automaton: IdealGlobalPredictor(
+        3, automaton=automaton
+    ),
+    "ideal-per": lambda automaton: IdealPerTaskPredictor(
+        3, automaton=automaton
+    ),
+    "ideal-path": lambda automaton: IdealPathPredictor(
+        3, automaton=automaton
+    ),
+    "pht-path": lambda automaton: PathExitPredictor(
+        DolcSpec.parse("3-4-6-8(2)"), automaton=automaton
+    ),
+    "pht-global": lambda automaton: GlobalExitPredictor(
+        4, index_bits=10, automaton=automaton
+    ),
+    "pht-pertask": lambda automaton: PerTaskExitPredictor(
+        4, index_bits=10, hrt_index_bits=8, automaton=automaton
+    ),
+}
 
 
 def _assert_exit_stats_equal(workload, make_predictor):
@@ -61,30 +92,46 @@ class TestIdealExitKernels:
             lambda: IdealPathPredictor(3, automaton=automaton),
         )
 
-    def test_vc2_mru_tabulates(self, gcc_workload):
-        # VC2-MRU's reachable state space is small (49 states), so its
-        # batched replay goes through the tabulated FSM scan.
-        _assert_exit_stats_equal(
-            gcc_workload,
-            lambda: IdealPathPredictor(2, automaton="VC2-MRU"),
-        )
-
-    @pytest.mark.parametrize("automaton", ["VC2-RANDOM", "VC3-MRU"])
-    def test_untabulatable_automata_fall_back(self, gcc_workload, automaton):
-        # RANDOM tie-breaking shares an rng across entries and VC3-MRU's
-        # state space exceeds the tabulation cap; batch_plan must refuse.
-        predictor = IdealPathPredictor(2, automaton=automaton)
-        plan = predictor.batch_plan(
-            gcc_workload.trace.task_addr, gcc_workload.trace.exit_index
-        )
-        assert plan is None
-
     def test_update_on_single_exit_falls_back(self, gcc_workload):
         predictor = IdealPathPredictor(2, update_on_single_exit=True)
         plan = predictor.batch_plan(
             gcc_workload.trace.task_addr, gcc_workload.trace.exit_index
         )
         assert plan is None
+
+
+class TestVotingCounterReplay:
+    """Voting counters replay factored, never on the per-task loop."""
+
+    @pytest.mark.parametrize("spec", AUTOMATON_SPECS)
+    @pytest.mark.parametrize("scheme", sorted(_PLANNED))
+    def test_every_automaton_has_a_plan(self, gcc_workload, scheme, spec):
+        predictor = _PLANNED[scheme](
+            make_automaton_factory(spec, DeterministicRng(1).fork(spec))
+        )
+        plan = predictor.batch_plan(
+            gcc_workload.trace.task_addr, gcc_workload.trace.exit_index
+        )
+        assert plan is not None
+
+    @pytest.mark.parametrize("spec", _VOTING)
+    @pytest.mark.parametrize("scheme", sorted(_PLANNED))
+    @pytest.mark.parametrize("name", ["gcc", "xlisp"])
+    def test_matches_loop(
+        self, gcc_workload, xlisp_workload, name, scheme, spec
+    ):
+        workload = gcc_workload if name == "gcc" else xlisp_workload
+        results = []
+        for vectorize in (False, True):
+            # Each run owns a stream forked the way figure 6 forks it;
+            # the random variants must leave it in the same state.
+            rng = DeterministicRng(3).fork(spec)
+            predictor = _PLANNED[scheme](make_automaton_factory(spec, rng))
+            stats = simulate_exit_prediction(
+                workload, predictor, vectorize=vectorize
+            )
+            results.append((stats, rng._random.getstate()))
+        assert results[0] == results[1]
 
 
 class TestStaticHintColumn:

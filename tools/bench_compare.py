@@ -51,6 +51,7 @@ DEFAULT_FLOORS = {
     "table4_sweep_warm[100k]": 8.0,
     "speculative_perfect[gcc-100k]": 5.0,
     "exit_kernel[gcc-100k]": 1.5,
+    "vc_kernel[gcc-100k]": 1.5,
     "detailed_event_skip[gcc-8k]": 1.2,
 }
 
