@@ -1,8 +1,7 @@
 """Per-function control-flow graphs for the flow-sensitive rules.
 
 The statement-local rules (DET/NPW/CKP) get away with ``ast.walk``; the
-concurrency rules cannot. Whether a checkpoint record is published
-after an ownership re-check, whether an env-var handoff happens before
+concurrency rules cannot. Whether an env-var handoff happens before
 or between executor submissions, whether a temp file is fsynced on
 *every* path into its ``os.replace`` — these are questions about
 orderings along paths, so they need a CFG.
@@ -12,7 +11,7 @@ simple statement, plus a node for each branch condition, loop header
 and ``with`` header, and synthetic entry/exit nodes. Edges out of a
 branch carry the condition expression and the polarity of the taken
 arm, which is what lets the dataflow engine do path-sensitive
-refinement (``if lost.is_set(): return`` proves ownership on the
+refinement (``if path is None: return`` proves ``path`` is set on the
 fall-through edge).
 
 Exception flow is over-approximated the standard way: every statement

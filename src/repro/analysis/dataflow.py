@@ -6,7 +6,7 @@ Two layers:
   an :class:`Analysis` supplies the initial state, a transfer function
   over one CFG node, a join, and an optional edge refinement hook that
   sees branch conditions with their polarity — the mechanism behind
-  "ownership is confirmed on the fall-through of ``if lost.is_set():
+  "``path`` is set on the fall-through of ``if path is None:
   return``". States must come from a finite lattice (tag sets keyed by
   variable name, in practice), so the fixpoint terminates.
 
@@ -21,10 +21,10 @@ Two layers:
 
 Name resolution is deliberately the same local flavour as the rest of
 the analyzer: summaries are keyed by the callee's final dotted segment,
-so ``self.store.lease_path_for(...)`` matches the summary of any
-project function named ``lease_path_for``. Collisions merge
-conservatively (union of effects); the rules accept that imprecision
-in exchange for never executing anything.
+so ``self.store.path_for(...)`` matches the summary of any project
+function named ``path_for``. Collisions merge conservatively (union of
+effects); the rules accept that imprecision in exchange for never
+executing anything.
 """
 
 from __future__ import annotations
@@ -118,21 +118,10 @@ def strip_not(cond: ast.expr) -> tuple[ast.expr, bool]:
 # -- call summaries ---------------------------------------------------
 
 #: Functions whose *name* seeds the shared-path-producer set: these are
-#: the repo's actual shared-root constructors (checkpoint store records
-#: and leases, job records and results, queue manifests and fail
-#: markers, the trace cache). Summaries extend the set transitively to
-#: wrappers that return one of these.
-SEED_PRODUCERS = frozenset(
-    {
-        "path_for",
-        "lease_path_for",
-        "result_path",
-        "manifest_path",
-        "fail_path",
-        "queue_dir",
-        "trace_cache_path",
-    }
-)
+#: the repo's actual shared-root constructors (checkpoint store records,
+#: the trace cache). Summaries extend the set transitively to wrappers
+#: that return one of these.
+SEED_PRODUCERS = frozenset({"path_for", "trace_cache_path"})
 
 
 @dataclass

@@ -9,11 +9,10 @@ registry (see :func:`repro.analysis.core.register_rule`):
 * :mod:`repro.analysis.rules.bitwidth` — ``NPW001..NPW003``
 * :mod:`repro.analysis.rules.checkpointing` — ``CKP001..CKP002``
 * :mod:`repro.analysis.rules.vectorization` — ``VEC001..VEC002``
-* :mod:`repro.analysis.rules.atomicity` — ``FS001..FS004``
-* :mod:`repro.analysis.rules.lease` — ``LSE001..LSE003``
+* :mod:`repro.analysis.rules.atomicity` — ``FS001``, ``FS002``, ``FS004``
 * :mod:`repro.analysis.rules.envorder` — ``ENV001..ENV002``
 
-The FS/LSE/ENV families are flow-sensitive: they run the CFG +
+The FS/ENV families are flow-sensitive: they run the CFG +
 dataflow engine (:mod:`repro.analysis.cfg`,
 :mod:`repro.analysis.dataflow`) instead of a flat AST walk.
 """
@@ -24,7 +23,6 @@ from repro.analysis.rules import (  # noqa: F401  (register on import)
     checkpointing,
     determinism,
     envorder,
-    lease,
     protocol,
     purity,
     vectorization,

@@ -1,15 +1,14 @@
-"""FS rules: atomic-write discipline for shared service directories.
+"""FS rules: atomic-write discipline for on-disk stores.
 
-Every durable artifact the distributed sweep service shares between
-processes — checkpoint records, leases, job records and results, queue
-manifests, fail markers, trace-cache entries — must be published with
-one of exactly two idioms:
+Every durable artifact the engine shares between processes — checkpoint
+records and trace-cache entries — must be published with one of
+exactly two idioms:
 
 * **tmp + replace**: write a pid-unique *sibling* temp file, then
   ``os.replace`` it over the destination (atomic on POSIX, same
   filesystem by construction when the temp is a sibling);
 * **O_EXCL create**: ``open(path, "x")`` for claim-style files where
-  exactly one creator must win (leases).
+  exactly one creator must win.
 
 A bare ``open(path, "w")``/``write_text`` on a shared path is a torn
 read waiting to happen: any concurrent reader can observe a truncated
@@ -24,9 +23,6 @@ branches and loops via the CFG/dataflow engine, and helper effects
   fsynced (durability-critical modules only): after a crash+power cut
   the rename can survive while the data does not, publishing an empty
   record.
-* **FS003** — read-modify-write of a shared file with no lease
-  acquire/renew in sight: two concurrent writers silently drop one
-  update.
 * **FS004** — ``os.replace`` onto a shared path whose source is not a
   pid-unique sibling temp (cross-filesystem rename, or concurrent
   writers truncating each other's temp).
@@ -56,15 +52,11 @@ from repro.analysis.dataflow import (
 from repro.analysis.rules._shared import dotted_call_name
 
 # Abstract tags a path variable can carry.
-SHARED = "shared"  #: under a shared service root
+SHARED = "shared"  #: under a shared store root
 TMP = "tmp"  #: sibling temp derived from a shared path
 TMP_NOPID = "tmp-nopid"  #: sibling temp whose name is not pid-unique
 WRITTEN = "written"  #: file content written through this path
 SYNCED = "synced"  #: os.fsync'd after the write
-
-#: Whole-state flags (keyed under names no Python identifier can shadow).
-_READ_FLAG = "<read-shared>"
-_LEASE_FLAG = "<lease-held>"
 
 #: Writer calls that truncate/overwrite their target.
 _WRITE_METHODS = frozenset({"write_text", "write_bytes"})
@@ -247,14 +239,6 @@ class PathFlow(Analysis):
                         add_tags(path_var, {WRITTEN})
             elif name == "fsync":
                 self._apply_fsync(call, new, path_var_of_handle)
-            elif name in ("read_text", "read_bytes") and isinstance(
-                receiver, ast.Name
-            ):
-                kinds = self.kind_of(receiver, state)
-                if SHARED in kinds:
-                    add_tags(_READ_FLAG, {SHARED})
-            elif name in ("acquire", "renew"):
-                add_tags(_LEASE_FLAG, {"held"})
             else:
                 summary = self.summaries.get(name)
                 if summary is not None:
@@ -382,10 +366,10 @@ class _FSRule(Rule):
 @register_rule
 class NonAtomicSharedWrite(_FSRule):
     id = "FS001"
-    title = "overwrite-mode write to a shared service path"
+    title = "overwrite-mode write to a shared store path"
     rationale = (
-        "Shared-directory artifacts (checkpoint records, job records, "
-        "manifests, leases) are read concurrently by other processes; "
+        "Shared-directory artifacts (checkpoint records, trace-cache "
+        "entries) are read concurrently by other processes; "
         "open(path, 'w')/write_text on the destination lets readers "
         "observe truncated or half-written files. Publish via a "
         "pid-unique sibling temp + os.replace, or open(path, 'x') for "
@@ -435,7 +419,7 @@ class NonAtomicSharedWrite(_FSRule):
                     module,
                     qualname,
                     call,
-                    f"{how} overwrites a shared service path in place; "
+                    f"{how} overwrites a shared store path in place; "
                     "concurrent readers can observe a torn file — write "
                     "a pid-unique sibling temp and os.replace it, or "
                     "use open(path, 'x') for claim files",
@@ -450,14 +434,12 @@ class ReplaceWithoutFsync(_FSRule):
         "The rename can be durable while the temp's data blocks are "
         "not: after a crash + power loss the store can hold a "
         "zero-length or partial record under a committed name. "
-        "Durability-critical records (checkpoint store, job state "
-        "machine, queue manifests, fail markers) must flush+fsync the "
-        "temp before os.replace."
+        "Durability-critical records (the checkpoint store) must "
+        "flush+fsync the temp before os.replace."
     )
-    #: Only the modules whose records are durable state; the trace
-    #: cache (checksummed, regenerated on damage) and lease files
-    #: (advisory liveness, rewritten every heartbeat) are exempt.
-    scope = ("evalx.checkpoint", "evalx.service")
+    #: Only the module whose records are durable state; the trace
+    #: cache (checksummed, regenerated on damage) is exempt.
+    scope = ("evalx.checkpoint",)
 
     def check_node(
         self,
@@ -487,67 +469,6 @@ class ReplaceWithoutFsync(_FSRule):
                     "an empty/partial file under a committed name — "
                     "flush and os.fsync the handle before the rename "
                     "(see repro.utils.fsio)",
-                )
-
-
-@register_rule
-class SharedReadModifyWrite(_FSRule):
-    id = "FS003"
-    title = "read-modify-write of a shared file without a lease"
-    rationale = (
-        "Reading a shared record, deciding, and writing it back is a "
-        "lost-update race unless the writer holds a lease (or is the "
-        "protocol's designated single writer). Acquire/renew a lease "
-        "around the cycle, or restructure so each writer owns its own "
-        "file."
-    )
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        for finding in super().check_project(project):
-            # The lease queue itself implements the claim protocol its
-            # read/replace cycle exists to provide.
-            if finding.path.endswith("evalx/service/queue.py"):
-                continue
-            yield finding
-
-    def check_node(
-        self,
-        module: ModuleInfo,
-        qualname: str,
-        cfg: CFG,
-        analysis: PathFlow,
-        node: CFGNode,
-        state: State,
-    ) -> Iterator[Finding]:
-        if SHARED not in state.get(_READ_FLAG, frozenset()):
-            return
-        if "held" in state.get(_LEASE_FLAG, frozenset()):
-            return
-        for call in node_calls(node):
-            is_write = False
-            if _is_os_replace(call) and len(call.args) >= 2:
-                is_write = SHARED in analysis.kind_of(
-                    call.args[1], state
-                )
-            else:
-                dotted = dotted_call_name(call.func)
-                if dotted is not None:
-                    name = dotted.rpartition(".")[2]
-                    if name in _WRITE_METHODS and isinstance(
-                        call.func, ast.Attribute
-                    ):
-                        is_write = SHARED in analysis.kind_of(
-                            call.func.value, state
-                        )
-            if is_write:
-                yield self._finding(
-                    module,
-                    qualname,
-                    call,
-                    "this function reads a shared file and writes one "
-                    "back without acquiring or renewing a lease; "
-                    "concurrent writers lose updates — hold a lease "
-                    "across the read-modify-write cycle",
                 )
 
 

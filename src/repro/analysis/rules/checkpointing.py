@@ -35,12 +35,11 @@ from repro.analysis.rules._shared import (
 
 #: Modules allowed to arm the fault injector: the injector itself and
 #: the CLI entry points that implement the explicit ``--inject-faults``
-#: opt-in (single-host evalx and the sweep-service worker). Tests live
-#: outside the scanned roots.
+#: opt-in (the experiment CLI and the tuner). Tests live outside the
+#: scanned roots.
 _FAULT_INSTALL_ALLOWED = (
     "repro.evalx.faults",
     "repro.evalx.__main__",
-    "repro.evalx.service.__main__",
     "repro.evalx.tune",
 )
 

@@ -51,7 +51,6 @@ _KEY_ALIASES = {
 _ARMING_ALLOWED = (
     "evalx.faults",
     "evalx.__main__",
-    "evalx.service.__main__",
     "evalx.tune",
 )
 

@@ -61,6 +61,19 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type for sizes (``--tasks``): an int >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _nonnegative_int(text: str) -> int:
     """Argparse type for count flags (``--retries``): an int >= 0."""
     try:
@@ -104,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--tasks", type=int, default=None,
+        "--tasks", type=_positive_int, default=None,
         help="override the dynamic task count (trace length)",
     )
     parser.add_argument(

@@ -55,11 +55,6 @@ CHECKPOINT_FORMAT_VERSION = 1
 #: Completed-cell records are ``<fingerprint>.ckpt.json``.
 RECORD_SUFFIX = ".ckpt.json"
 
-#: In-progress claims by sweep-service workers are
-#: ``<fingerprint>.lease.json`` next to the record they will become
-#: (see :mod:`repro.evalx.service.queue`); record listings ignore them.
-LEASE_SUFFIX = ".lease.json"
-
 
 class CheckpointKeyError(ReproError):
     """A cell's kwargs cannot be canonically fingerprinted.
@@ -201,47 +196,6 @@ class CheckpointStore:
     def path_for(self, fingerprint: str) -> Path:
         """Record path for a fingerprint."""
         return self.directory / f"{fingerprint}{RECORD_SUFFIX}"
-
-    def lease_path_for(self, fingerprint: str) -> Path:
-        """Lease-file path for a fingerprint (sweep-service claims)."""
-        return self.directory / f"{fingerprint}{LEASE_SUFFIX}"
-
-    def has(self, fingerprint: str) -> bool:
-        """Whether a (not-yet-verified) record exists for a fingerprint.
-
-        Existence only — cheap enough to poll over a whole grid. Use
-        :meth:`load` when the payload (and its verification) is needed.
-        """
-        return self.path_for(fingerprint).exists()
-
-    def fingerprints(self) -> set[str]:
-        """Fingerprints of every completed record in the store.
-
-        Lease files, in-flight temp files, and anything else that is not
-        a ``*.ckpt.json`` record are excluded — this is the "what work
-        is durably done" view the sweep service polls.
-        """
-        if not self.directory.is_dir():
-            return set()
-        return {
-            path.name[: -len(RECORD_SUFFIX)]
-            for path in self.directory.glob(f"*{RECORD_SUFFIX}")
-            if not path.name.startswith(".")
-        }
-
-    def leases(self) -> set[str]:
-        """Fingerprints that currently have a lease file on disk.
-
-        Liveness (expiry, ownership) is the lease queue's concern —
-        this only lists which claims exist.
-        """
-        if not self.directory.is_dir():
-            return set()
-        return {
-            path.name[: -len(LEASE_SUFFIX)]
-            for path in self.directory.glob(f"*{LEASE_SUFFIX}")
-            if not path.name.startswith(".")
-        }
 
     def load(
         self, fingerprint: str, label: str = "?"

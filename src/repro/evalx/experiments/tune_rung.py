@@ -4,7 +4,7 @@ A rung evaluates a population of :class:`~repro.predictors.design_space.
 TuneConfig` candidates on a set of benchmarks at one trace length. It is
 an ordinary cells/combine driver — one cell per (benchmark, candidate) —
 so every engine facility (``--jobs``, retries, checkpoint resume, fault
-injection, the sweep service) applies to a rung with no new machinery.
+injection) applies to a rung with no new machinery.
 The tune driver passes ``configs=`` explicitly; the default population
 is empty, because a rung without a population is not an experiment.
 

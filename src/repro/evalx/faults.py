@@ -20,7 +20,7 @@ Spec grammar — comma-separated clauses::
 
     SPEC    := CLAUSE ("," CLAUSE)*
     CLAUSE  := ACTION ["(" SECONDS ")"] ["@" GLOB] ["#" COUNT] ["~" ATTEMPT]
-    ACTION  := "raise" | "hang" | "kill" | "kill-worker"
+    ACTION  := "raise" | "hang" | "kill"
              | "corrupt-checkpoint" | "corrupt-trace"
 
 ``GLOB`` is an fnmatch pattern over cell labels (default ``*``);
@@ -30,8 +30,8 @@ seeded draw over the *sorted* labels, so the same spec + seed + grid
 always picks the same cells regardless of scheduling order; ``ATTEMPT``
 is the 1-based attempt the fault fires on (default 1, so retries
 succeed), and ``~0`` is the any-attempt wildcard — the fault fires on
-*every* attempt, which is how a chaos campaign models a poison cell
-that kills each worker that ever leases it (``kill-worker@gcc~0``).
+*every* attempt, which models a poison cell that no retry can rescue
+(``raise@gcc:*~0``).
 ``SECONDS`` is required for ``hang`` and ignored elsewhere.
 
 Examples::
@@ -45,10 +45,7 @@ Worker-side actions (``raise``, ``hang``, ``kill``) fire inside
 :func:`fire` at the top of the cell runner; store-side actions
 (``corrupt-checkpoint``, ``corrupt-trace``) are applied by the parent
 scheduler, which corrupts the matching record on disk so checksum
-detection and regeneration run for real. The sweep service adds
-``kill-worker``, fired from :func:`fire_worker` in the remote worker
-loop just after the victim cell is leased — it hard-kills the whole
-worker process so the lease-expiry/steal recovery path is exercised.
+detection and regeneration run for real.
 """
 
 from __future__ import annotations
@@ -73,13 +70,6 @@ WORKER_ACTIONS = frozenset({"raise", "hang", "kill"})
 
 #: Actions the parent applies to on-disk records before execution.
 STORE_ACTIONS = frozenset({"corrupt-checkpoint", "corrupt-trace"})
-
-#: Actions fired by the sweep-service worker loop (not the cell
-#: runner): ``kill-worker`` hard-kills the whole remote worker process
-#: right after it leases the matching cell — mid-lease, before any
-#: result exists — so the lease-expiry/steal recovery path runs for
-#: real (see :func:`fire_worker` and :mod:`repro.evalx.service.worker`).
-SERVICE_ACTIONS = frozenset({"kill-worker"})
 
 #: Exit status of a ``kill``-faulted worker (distinctive in waitpid logs).
 KILL_EXIT_STATUS = 41
@@ -127,7 +117,7 @@ def parse_spec(spec: str) -> tuple[FaultClause, ...]:
                 "ACTION[(SECONDS)][@GLOB][#COUNT][~ATTEMPT]"
             )
         action = match.group("action")
-        known = WORKER_ACTIONS | STORE_ACTIONS | SERVICE_ACTIONS
+        known = WORKER_ACTIONS | STORE_ACTIONS
         if action not in known:
             raise FaultSpecError(
                 f"unknown fault action {action!r}; known: {sorted(known)}"
@@ -304,32 +294,6 @@ def fire(label: str, attempt: int) -> None:
                 return
             if trigger.action == "kill":
                 os._exit(KILL_EXIT_STATUS)
-
-
-def fire_worker(label: str, attempt: int = 1) -> None:
-    """Sweep-service hook: kill this worker if the cell is a victim.
-
-    Called by the service worker loop right after it leases a cell and
-    before the cell runs — the distributed analogue of a remote host
-    dying mid-task. The worker's lease stays on disk, expires, and is
-    stolen by a surviving worker, which is exactly the recovery path the
-    chaos harness needs to drive. ``attempt`` is the lease generation
-    (the cross-steal attempt counter), so ``~N`` targets the Nth worker
-    to lease the cell and ``~0`` targets every one — a poison cell.
-    Inert unless a plan is installed.
-    """
-    if not os.environ.get(ENV_VAR):
-        return
-    plan = active_plan()
-    if plan is None:
-        return
-    for trigger in plan.triggers:
-        if (
-            trigger.label == label
-            and trigger.attempt in (0, attempt)
-            and trigger.action == "kill-worker"
-        ):
-            os._exit(KILL_EXIT_STATUS)
 
 
 def corrupt_file(path: str | Path, flip_bytes: int = 16) -> bool:

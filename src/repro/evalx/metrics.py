@@ -37,32 +37,6 @@ Metrics JSONL schema (one record per line, ``event`` discriminates):
     (the plan targets this cell in this experiment) or ``fired``
     (parent-side store corruption applied). Worker-side faults show up
     as ordinary ``cell`` failure records.
-``lease``
-    ``{"event", "ts", "experiment", "cell", "action", "fingerprint",
-    "worker", "job"}`` — one record per sweep-service lease
-    interaction (:mod:`repro.evalx.service.queue`); ``action`` is
-    ``leased`` (fresh claim), ``steal`` (an expired lease was taken
-    over), ``heartbeat`` (renewal), ``released``, ``completed`` (the
-    lease resolved into a checkpoint record), ``failed`` (the cell's
-    failure became final and a fail marker was written), ``abandoned``
-    (the worker lost lease ownership mid-cell and published nothing),
-    or ``quarantined`` (the lease attempt counter hit the poison-cell
-    threshold and the cell was finalised as failed instead of
-    re-leased).
-``job``
-    ``{"event", "ts", "experiment", "job", "action", "reason"}`` — one
-    record per job-lifecycle transition the coordinator drives outside
-    the normal expand/finalise flow; ``action`` is ``cancelled`` (an
-    operator cancelled the job), ``deadline_expired`` (the job outlived
-    its ``timeout_seconds``), ``requeued`` (startup reconciliation
-    demoted a manifest-less ``running`` job to ``submitted``), or
-    ``refinalise`` (reconciliation found a ``done`` job with an
-    unreadable result and demoted it to ``running`` for a rebuild).
-``drain``
-    ``{"event", "ts", "experiment", "role", "signal", "served"}`` — a
-    sweep-service worker or coordinator caught SIGTERM/SIGINT, finished
-    (or abandoned) its in-flight work, released leases, and is about to
-    exit cleanly; ``served`` counts cells completed before the drain.
 ``interrupt``
     ``{"event", "ts", "experiment", "signal"}`` — the run caught
     SIGINT/SIGTERM, flushed, and is about to re-raise; everything
@@ -211,81 +185,6 @@ class RunMetrics:
             self._done += 1
             self._resumed += 1
             self._draw_progress()
-
-    def lease_event(
-        self,
-        label: str,
-        action: str,
-        fingerprint: str = "",
-        worker: str = "",
-        job: str = "",
-    ) -> None:
-        """Record one sweep-service lease interaction for one cell.
-
-        ``action``: ``leased`` / ``steal`` / ``heartbeat`` /
-        ``released`` / ``completed`` / ``failed`` / ``abandoned`` /
-        ``quarantined``.
-        """
-        record: dict[str, Any] = {
-            "event": "lease",
-            "ts": time.time(),
-            "experiment": self._experiment,
-            "cell": label,
-            "action": action,
-        }
-        if fingerprint:
-            record["fingerprint"] = fingerprint
-        if worker:
-            record["worker"] = worker
-        if job:
-            record["job"] = job
-        self._emit(record)
-
-    def job_event(
-        self, job_id: str, action: str, reason: str = ""
-    ) -> None:
-        """Record one job-lifecycle transition (sweep service).
-
-        ``action``: ``cancelled`` / ``deadline_expired`` /
-        ``requeued`` / ``refinalise`` — the coordinator-driven
-        transitions that happen outside the normal expand/finalise
-        flow, so operators can audit why a job left the queue.
-        """
-        record: dict[str, Any] = {
-            "event": "job",
-            "ts": time.time(),
-            "experiment": self._experiment,
-            "job": job_id,
-            "action": action,
-        }
-        if reason:
-            record["reason"] = reason
-        self._emit(record)
-
-    def drain_event(
-        self, role: str, signal_name: str, served: int | None = None
-    ) -> None:
-        """Record a graceful sweep-service drain and flush.
-
-        Emitted by the worker/coordinator CLIs after a SIGTERM/SIGINT
-        drained the loop: in-flight work finished or was abandoned,
-        leases were released, and the process is about to exit cleanly.
-        """
-        record: dict[str, Any] = {
-            "event": "drain",
-            "ts": time.time(),
-            "experiment": self._experiment,
-            "role": role,
-            "signal": signal_name,
-        }
-        if served is not None:
-            record["served"] = served
-        self._emit(record)
-        if self._progress:
-            sys.stderr.write(
-                f"\n[{role} drained after {signal_name}]\n"
-            )
-            sys.stderr.flush()
 
     def fault_event(
         self, label: str, action: str, attempt: int, phase: str

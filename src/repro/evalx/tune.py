@@ -12,9 +12,8 @@ budget is spent only on configurations that earned it.
 Each rung is one batch of the :mod:`~repro.evalx.experiments.tune_rung`
 driver dispatched through the ordinary engine — so ``--jobs`` fans the
 rung over worker processes, ``--checkpoint-dir/--resume`` makes the
-search crash-safe, ``--metrics`` records every cell, ``--inject-faults``
-applies the chaos harness, and ``--service-dir`` submits each rung as a
-distributed sweep-service job instead of running locally.
+search crash-safe, ``--metrics`` records every cell, and
+``--inject-faults`` applies the chaos harness.
 
 The determinism contract
 ------------------------
@@ -58,12 +57,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ReproError
+from repro.evalx.__main__ import (
+    _fault_spec,
+    _jobs_arg,
+    _nonnegative_int,
+    _positive_float,
+    _positive_int,
+)
 from repro.evalx.experiments.common import BENCHMARKS
 from repro.evalx.registry import run_experiment
 from repro.evalx.report import render_frontier
@@ -221,118 +226,19 @@ def pareto_frontier(
     return frontier
 
 
-# -- rung execution ---------------------------------------------------
-
-
-class LocalRungRunner:
-    """Run each rung in-process through :func:`run_experiment`."""
-
-    def __init__(
-        self,
-        jobs: int | None = None,
-        keep_going: bool = False,
-        retry=None,
-        metrics=None,
-        checkpoint=None,
-    ) -> None:
-        self.jobs = jobs
-        self.keep_going = keep_going
-        self.retry = retry
-        self.metrics = metrics
-        self.checkpoint = checkpoint
-
-    def run_rung(
-        self,
-        tasks: int,
-        population: Sequence[str],
-        benchmarks: Sequence[str],
-    ):
-        return run_experiment(
-            "tune_rung",
-            n_tasks=tasks,
-            jobs=self.jobs,
-            keep_going=self.keep_going,
-            retry=self.retry,
-            metrics=self.metrics,
-            checkpoint=self.checkpoint,
-            configs=tuple(population),
-            benchmarks=tuple(benchmarks),
-        )
-
-
-class ServiceRungRunner:
-    """Submit each rung as a sweep-service job and await its result.
-
-    Requires a coordinator and at least one worker serving ``root``;
-    the rung parameters travel in the job spec's ``params`` so the
-    coordinator expands exactly the cells a local rung would build.
-    """
-
-    def __init__(
-        self,
-        root: str | Path,
-        tenant: str = "tune",
-        keep_going: bool = False,
-        retries: int = 0,
-        poll_seconds: float = 0.2,
-        timeout_seconds: float = 600.0,
-    ) -> None:
-        self.root = Path(root)
-        self.tenant = tenant
-        self.keep_going = keep_going
-        self.retries = retries
-        self.poll_seconds = poll_seconds
-        self.timeout_seconds = timeout_seconds
-
-    def run_rung(
-        self,
-        tasks: int,
-        population: Sequence[str],
-        benchmarks: Sequence[str],
-    ):
-        from repro.evalx.service.jobs import JobSpec, JobStore
-
-        store = JobStore(self.root)
-        job_id = store.submit(
-            JobSpec(
-                experiment="tune_rung",
-                n_tasks=tasks,
-                keep_going=self.keep_going,
-                retries=self.retries,
-                tenant=self.tenant,
-                params={
-                    "configs": list(population),
-                    "benchmarks": list(benchmarks),
-                },
-            )
-        )
-        deadline = time.monotonic() + self.timeout_seconds
-        while True:
-            record = store.get(job_id)
-            if record.state == "done":
-                return store.fetch(job_id)
-            if record.state == "failed":
-                raise TuneError(
-                    f"rung job {job_id} failed: {record.error}"
-                )
-            if time.monotonic() >= deadline:
-                raise TuneError(
-                    f"rung job {job_id} still {record.state} after "
-                    f"{self.timeout_seconds:.0f}s; is the service up?"
-                )
-            time.sleep(self.poll_seconds)
-
-
 # -- the search -------------------------------------------------------
 
 
 def run_search(
     spec: TuneSpec,
-    runner,
     progress: Callable[[str], None] | None = None,
+    **engine,
 ) -> dict:
     """Run the full search; returns the frontier artifact dict.
 
+    Each rung is one :func:`run_experiment` call of the ``tune_rung``
+    experiment; ``engine`` keywords (``jobs``, ``keep_going``,
+    ``retry``, ``metrics``, ``checkpoint``) pass straight through to it.
     Raises :class:`TuneError` when a rung leaves no live candidate.
     The returned dict is a pure function of the spec and the rung cell
     results — serialising it with :func:`dump_artifact` yields the
@@ -349,7 +255,13 @@ def run_search(
             f"rung {number}: {len(population)} candidate(s) x "
             f"{len(spec.benchmarks)} benchmark(s) at {tasks} tasks"
         )
-        result = runner.run_rung(tasks, population, spec.benchmarks)
+        result = run_experiment(
+            "tune_rung",
+            n_tasks=tasks,
+            configs=tuple(population),
+            benchmarks=tuple(spec.benchmarks),
+            **engine,
+        )
         grid = result.data["grid"]
         scored = score_rung(grid, population, spec.benchmarks)
         survivors = sum(1 for _, score in scored if score is not None)
@@ -434,18 +346,6 @@ def render_report(artifact: dict) -> str:
 # -- CLI --------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _eta_arg(text: str) -> int:
     value = _positive_int(text)
     if value < 2:
@@ -456,13 +356,6 @@ def _eta_arg(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    from repro.evalx.__main__ import (
-        _fault_spec,
-        _jobs_arg,
-        _nonnegative_int,
-        _positive_float,
-    )
-
     parser = argparse.ArgumentParser(
         prog="repro-tune",
         description=(
@@ -560,22 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fault-seed", type=_nonnegative_int, default=0, metavar="N",
         help="seed for the fault injector's victim choice (default 0)",
     )
-    service = parser.add_argument_group("sweep-service dispatch")
-    service.add_argument(
-        "--service-dir", metavar="DIR", default=None,
-        help="submit each rung as a job to this sweep-service "
-        "directory instead of running locally (needs a coordinator "
-        "and workers serving it)",
-    )
-    service.add_argument(
-        "--service-tenant", default="tune", metavar="NAME",
-        help="tenant name for rung jobs (default 'tune')",
-    )
-    service.add_argument(
-        "--service-timeout", type=_positive_float, default=600.0,
-        metavar="SECONDS",
-        help="give up on a rung job after this long (default 600)",
-    )
     parser.add_argument(
         "--out", metavar="FILE", default=None,
         help="write the frontier artifact JSON to FILE",
@@ -588,11 +465,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.resume and not args.checkpoint_dir:
         parser.error("--resume requires --checkpoint-dir")
-    if args.service_dir and (args.jobs is not None or args.checkpoint_dir):
-        parser.error(
-            "--service-dir dispatches rungs to the service; "
-            "--jobs/--checkpoint-dir apply to its workers, not here"
-        )
     try:
         spec = TuneSpec(
             benchmarks=tuple(args.benchmarks),
@@ -645,16 +517,12 @@ def main(argv: list[str] | None = None) -> int:
         )
     metrics = RunMetrics(path=args.metrics)
     with metrics:
-        if args.service_dir:
-            runner = ServiceRungRunner(
-                args.service_dir,
-                tenant=args.service_tenant,
-                keep_going=args.keep_going,
-                retries=args.retries,
-                timeout_seconds=args.service_timeout,
-            )
-        else:
-            runner = LocalRungRunner(
+        try:
+            artifact = run_search(
+                spec,
+                progress=lambda message: print(
+                    f"[{message}]", file=sys.stderr
+                ),
                 jobs=args.jobs,
                 keep_going=args.keep_going,
                 retry=RetryPolicy(
@@ -663,14 +531,6 @@ def main(argv: list[str] | None = None) -> int:
                 ),
                 metrics=metrics,
                 checkpoint=checkpoint,
-            )
-        try:
-            artifact = run_search(
-                spec,
-                runner,
-                progress=lambda message: print(
-                    f"[{message}]", file=sys.stderr
-                ),
             )
         except TuneError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -27,8 +27,8 @@ from repro.errors import PredictorConfigError
 from repro.predictors.base import ExitPredictor
 from repro.predictors.folding import DolcSpec
 from repro.synth.workloads import Workload
-from repro.utils.scan import MAX_SCAN_STATES, segmented_fsm_scan
 from repro.utils.memo import int64_column
+from repro.utils.scan import group_segments
 
 
 class ResettingConfidenceEstimator:
@@ -91,31 +91,28 @@ class ResettingConfidenceEstimator:
 
     def batch_gate_columns(
         self, task_addrs: np.ndarray, correct: np.ndarray
-    ) -> np.ndarray | None:
+    ) -> np.ndarray:
         """Per-step high-confidence flags for a whole prediction run.
 
         ``correct[i]`` is the outcome fed to ``update`` at step ``i``;
         the returned boolean column holds what ``is_high_confidence``
-        would have answered just before that update. The counter table is
-        a family of tiny reset/saturate automata, so the whole run is one
-        segmented FSM scan over the path-indexed slots. Only valid for a
-        freshly constructed estimator; the object is not mutated. Returns
-        None when the counter range is too wide to tabulate.
+        would have answered just before that update. A slot's counter is
+        its run of correct outcomes since its last miss, saturated at
+        ``counter_max >= threshold``, so the flag is simply "that run is
+        at least ``threshold``" — exact for any counter width. Only valid
+        for a freshly constructed estimator; the object is not mutated.
         """
-        n_states = self._counter_max + 1
-        if n_states > MAX_SCAN_STATES:
-            return None
-        addrs = int64_column(task_addrs)
-        slots = self._spec.index_column(addrs)
-        transitions = np.empty((n_states, 2), dtype=np.int8)
-        transitions[:, 0] = 0  # a miss resets the counter
-        transitions[:, 1] = np.minimum(
-            np.arange(n_states) + 1, self._counter_max
-        )
-        pre_counts = segmented_fsm_scan(
-            slots, int64_column(correct), transitions
-        )
-        return pre_counts >= self._threshold
+        slots = self._spec.index_column(int64_column(task_addrs))
+        order, starts = group_segments(slots)
+        hits = np.asarray(correct, dtype=bool)[order]
+        # A run restarts at a slot's first step and after each miss.
+        restarts = starts.copy()
+        restarts[1:] |= ~hits[:-1]
+        positions = np.arange(len(hits), dtype=np.int64)
+        run_start = np.maximum.accumulate(np.where(restarts, positions, 0))
+        flags = np.empty(len(hits), dtype=bool)
+        flags[order] = positions - run_start >= self._threshold
+        return flags
 
 
 @dataclass(frozen=True)
@@ -222,8 +219,6 @@ def _batched_confidence_stats(
         return None
     correct = predicted == int64_column(trace.exit_index)
     confident = estimator.batch_gate_columns(trace.task_addr, correct)
-    if confident is None:
-        return None
     trials = len(correct)
     high = int(confident.sum())
     high_correct = int((confident & correct).sum())

@@ -99,19 +99,20 @@ def _batched_timing(
     evaluates the timing recurrences in one max-plus scan
     (:mod:`repro.sim.timing.scan`). Bit-identical to the stepped loop.
     """
+    gate_fn = None
+    if confidence_gate is not None:
+        # Checked before the prediction column, whose replay may draw
+        # from a shared tie-break stream the stepped loop needs intact.
+        gate_fn = getattr(confidence_gate, "batch_gate_columns", None)
+        if gate_fn is None:
+            return None
     predicted = batched_task_prediction_column(workload, predictor, trace)
     if predicted is None:
         return None
     correct = predicted == int64_column(trace.next_addr)
     gated = None
-    if confidence_gate is not None:
-        gate_fn = getattr(confidence_gate, "batch_gate_columns", None)
-        if gate_fn is None:
-            return None
-        confident = gate_fn(trace.task_addr, correct)
-        if confident is None:
-            return None
-        gated = ~confident
+    if gate_fn is not None:
+        gated = ~gate_fn(trace.task_addr, correct)
 
     instructions = int64_column(trace.instructions)
     intra_misses = int64_column(trace.internal_mispredicts)

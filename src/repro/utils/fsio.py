@@ -4,15 +4,15 @@
 or the new one, never a mix), but not *durable*: after a crash plus
 power loss the rename can survive while the temp's data blocks never
 hit the platter, leaving a zero-length or partial file under a
-committed name. Durability-critical records — checkpoint records, job
-records and results, queue manifests, fail markers — must therefore
-flush and ``os.fsync`` the temp before renaming it.
+committed name. Durability-critical records — the checkpoint store's
+per-cell records — must therefore flush and ``os.fsync`` the temp
+before renaming it.
 
-These helpers are byte-for-byte equivalent to ``Path.write_text`` /
-``Path.write_bytes`` plus the fsync; callers keep their own
-pid-unique sibling-temp naming and ``os.replace`` so the publication
-idiom stays visible (and checkable) at the call site. The FS002
-analysis rule recognises them through its call summaries.
+The helper is byte-for-byte equivalent to ``Path.write_text`` plus the
+fsync; callers keep their own pid-unique sibling-temp naming and
+``os.replace`` so the publication idiom stays visible (and checkable)
+at the call site. The FS002 analysis rule recognises it through its
+call summaries.
 """
 
 from __future__ import annotations
@@ -30,10 +30,3 @@ def fsync_write_text(
         handle.flush()
         os.fsync(handle.fileno())
 
-
-def fsync_write_bytes(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` and fsync before returning."""
-    with open(path, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())

@@ -1,8 +1,8 @@
 """Segmented finite-state-machine scans over grouped trace columns.
 
 The realistic predictors keep their state in tables of small automata —
-LE/LEH entries in a PHT, resetting confidence counters — and the scalar
-simulators advance that state one trace record at a time. When an
+LE/LEH entries in a PHT, voting counters — and the scalar simulators
+advance that state one trace record at a time. When an
 automaton's reachable state space is small, its whole per-entry history
 can instead be replayed as a *function-composition scan*: each trace step
 is a state-transition function ``f_i(s) = T[s, input_i]``, and the state

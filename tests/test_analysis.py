@@ -54,8 +54,7 @@ class TestRuleRegistry:
             "CKP001", "CKP002",
             "DET001", "DET002", "DET003", "DET004",
             "ENV001", "ENV002",
-            "FS001", "FS002", "FS003", "FS004",
-            "LSE001", "LSE002", "LSE003",
+            "FS001", "FS002", "FS004",
             "NPW001", "NPW002", "NPW003",
             "PROT001", "PROT002", "PROT003",
             "PUR001", "PUR002",
@@ -691,9 +690,9 @@ class TestAtomicityRules:
 
     def test_exclusive_create_for_claim_files_passes(self, tmp_path):
         _project(tmp_path, {
-            "evalx/leases.py": """\
+            "evalx/claims.py": """\
                 def claim(store, cell):
-                    path = store.lease_path_for(cell)
+                    path = store.path_for(cell)
                     with open(path, "x") as handle:
                         handle.write("claimed")
                 """,
@@ -788,39 +787,6 @@ class TestAtomicityRules:
         findings, _ = _run(tmp_path, ["FS002"])
         assert findings == []
 
-    def test_read_modify_write_without_lease_flagged(self, tmp_path):
-        _project(tmp_path, {
-            "evalx/registry.py": """\
-                import json
-
-
-                def bump(store, cell):
-                    path = store.path_for(cell)
-                    data = json.loads(path.read_text())
-                    data["count"] += 1
-                    path.write_text(json.dumps(data))
-                """,
-        })
-        findings, _ = _run(tmp_path, ["FS003"])
-        assert _rule_ids(findings) == ["FS003"]
-
-    def test_read_modify_write_under_lease_passes(self, tmp_path):
-        _project(tmp_path, {
-            "evalx/registry.py": """\
-                import json
-
-
-                def bump(store, queue, cell):
-                    queue.renew(cell)
-                    path = store.path_for(cell)
-                    data = json.loads(path.read_text())
-                    data["count"] += 1
-                    path.write_text(json.dumps(data))
-                """,
-        })
-        findings, _ = _run(tmp_path, ["FS003"])
-        assert findings == []
-
     def test_replace_from_unknown_source_flagged(self, tmp_path):
         _project(tmp_path, {
             "evalx/store.py": """\
@@ -855,7 +821,7 @@ class TestAtomicityRules:
         assert _rule_ids(findings) == ["FS004"]
         assert "pid" in findings[0].message
 
-    def test_fs_rules_scoped_to_service_code(self, tmp_path):
+    def test_fs_rules_scoped_to_store_code(self, tmp_path):
         _project(tmp_path, {
             "scripts/report.py": """\
                 def publish(store, cell, text):
@@ -863,123 +829,7 @@ class TestAtomicityRules:
                     path.write_text(text)
                 """,
         })
-        findings, _ = _run(
-            tmp_path, ["FS001", "FS002", "FS003", "FS004"]
-        )
-        assert findings == []
-
-
-class TestLeaseRules:
-    def test_publish_without_reconfirm_flagged(self, tmp_path):
-        _project(tmp_path, {
-            "evalx/worker.py": """\
-                def execute(store, cell):
-                    result = _run_cell_instrumented(cell)
-                    store.save(cell, result)
-                """,
-        })
-        findings, _ = _run(tmp_path, ["LSE001"])
-        assert _rule_ids(findings) == ["LSE001"]
-        assert findings[0].symbol == "execute"
-
-    def test_lost_event_guard_confirms_ownership(self, tmp_path):
-        _project(tmp_path, {
-            "evalx/worker.py": """\
-                def execute(store, cell, lost):
-                    result = _run_cell_instrumented(cell)
-                    if lost.is_set():
-                        return
-                    store.save(cell, result)
-                """,
-        })
-        findings, _ = _run(tmp_path, ["LSE001"])
-        assert findings == []
-
-    def test_truthy_renew_confirms_ownership(self, tmp_path):
-        _project(tmp_path, {
-            "evalx/worker.py": """\
-                def execute(store, queue, cell):
-                    result = _run_cell_instrumented(cell)
-                    if queue.renew(cell):
-                        store.save(cell, result)
-                """,
-        })
-        findings, _ = _run(tmp_path, ["LSE001"])
-        assert findings == []
-
-    def test_guard_on_one_path_only_still_flagged(self, tmp_path):
-        # The unguarded except arm may publish with a stolen lease.
-        _project(tmp_path, {
-            "evalx/worker.py": """\
-                def execute(store, queue, cell, lost):
-                    result = _run_cell_instrumented(cell)
-                    try:
-                        value = result.unwrap()
-                    except ValueError:
-                        queue.write_fail(cell)
-                        return
-                    if lost.is_set():
-                        return
-                    store.save(cell, value)
-                """,
-        })
-        findings, _ = _run(tmp_path, ["LSE001"])
-        assert _rule_ids(findings) == ["LSE001"]
-        # The flagged publication is the unguarded fail marker.
-        assert findings[0].line == 6
-
-    def test_release_before_publish_flagged(self, tmp_path):
-        _project(tmp_path, {
-            "evalx/worker.py": """\
-                def finish(store, queue, cell, result):
-                    queue.release(cell)
-                    store.save(cell, result)
-                """,
-        })
-        findings, _ = _run(tmp_path, ["LSE002"])
-        assert _rule_ids(findings) == ["LSE002"]
-
-    def test_publish_then_release_passes(self, tmp_path):
-        _project(tmp_path, {
-            "evalx/worker.py": """\
-                def finish(store, queue, cell, result):
-                    try:
-                        store.save(cell, result)
-                    finally:
-                        queue.release(cell)
-                """,
-        })
-        findings, _ = _run(tmp_path, ["LSE002"])
-        assert findings == []
-
-    def test_renew_outside_heartbeat_thread_flagged(self, tmp_path):
-        _project(tmp_path, {
-            "evalx/worker.py": """\
-                def tick(queue, cell):
-                    queue.renew(cell)
-                """,
-        })
-        findings, _ = _run(tmp_path, ["LSE003"])
-        assert _rule_ids(findings) == ["LSE003"]
-
-    def test_renew_inside_registered_heartbeat_passes(self, tmp_path):
-        _project(tmp_path, {
-            "evalx/worker.py": """\
-                import threading
-
-
-                class Worker:
-                    def start(self):
-                        thread = threading.Thread(
-                            target=self._heartbeat, daemon=True
-                        )
-                        thread.start()
-
-                    def _heartbeat(self):
-                        self.queue.renew(self.cell)
-                """,
-        })
-        findings, _ = _run(tmp_path, ["LSE003"])
+        findings, _ = _run(tmp_path, ["FS001", "FS002", "FS004"])
         assert findings == []
 
 

@@ -196,8 +196,8 @@ class TestEarlyExits:
         assert cfg.reaches(cfg.entry, {live.index})
 
     def test_guard_return_makes_tail_unconditional_only_on_one_arm(self):
-        # The shape the lease rules refine on: after the guard, only
-        # the polarity-False edge flows into the publish site.
+        # The shape a path-sensitive rule refines on: after the guard,
+        # only the polarity-False edge flows into the publish site.
         cfg = _cfg("""\
             def fn(lost):
                 if lost.is_set():

@@ -449,13 +449,12 @@ class TestAnyAttemptWildcard:
     """``~0`` fires on *every* attempt — the poison-cell grammar.
 
     A default clause (``~1``) lets retries succeed; ``~0`` models a
-    cell that misbehaves no matter which attempt (or, for
-    ``kill-worker``, which lease generation) touches it.
+    cell that misbehaves no matter which attempt touches it.
     """
 
     def test_parse_attempt_zero(self):
-        (clause,) = parse_spec("kill-worker@gcc~0")
-        assert clause.action == "kill-worker"
+        (clause,) = parse_spec("kill@gcc~0")
+        assert clause.action == "kill"
         assert clause.glob == "gcc"
         assert clause.attempt == 0
 

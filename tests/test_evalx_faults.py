@@ -367,6 +367,12 @@ class TestRobustnessFlagValidation:
         assert code == 2
         assert ">= 0" in err
 
+    @pytest.mark.parametrize("tasks", ["0", "-5"])
+    def test_nonpositive_tasks_rejected(self, tasks, capsys):
+        code, err = self._run(["table2", "--tasks", tasks], capsys)
+        assert code == 2
+        assert "--tasks" in err and ">= 1" in err
+
 
 def _cells_combine_ids():
     """Every registered driver that speaks the cells/combine protocol."""

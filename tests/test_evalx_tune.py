@@ -27,9 +27,6 @@ from repro.errors import PredictorConfigError
 from repro.evalx.checkpoint import CheckpointStore
 from repro.evalx.registry import run_experiment
 from repro.evalx.tune import (
-    LocalRungRunner,
-    ServiceRungRunner,
-    TuneError,
     TuneSpec,
     dump_artifact,
     initial_population,
@@ -213,16 +210,11 @@ class TestSearchResumeIdentity:
         self, tmp_path, benchmarks
     ):
         spec = _tiny_spec(benchmarks)
-        baseline = dump_artifact(
-            run_search(spec, LocalRungRunner())
-        )
+        baseline = dump_artifact(run_search(spec))
         ckpt = tmp_path / "ckpt"
         checkpointed = dump_artifact(
             run_search(
-                spec,
-                LocalRungRunner(
-                    checkpoint=CheckpointStore(ckpt, resume=False)
-                ),
+                spec, checkpoint=CheckpointStore(ckpt, resume=False)
             )
         )
         assert checkpointed == baseline
@@ -234,18 +226,15 @@ class TestSearchResumeIdentity:
             record.unlink()
         resumed = dump_artifact(
             run_search(
-                spec,
-                LocalRungRunner(
-                    checkpoint=CheckpointStore(ckpt, resume=True)
-                ),
+                spec, checkpoint=CheckpointStore(ckpt, resume=True)
             )
         )
         assert resumed == baseline
 
     def test_artifact_promotions_match_across_jobs_modes(self, tmp_path):
         spec = _tiny_spec(("gcc",))
-        serial = run_search(spec, LocalRungRunner())
-        pooled = run_search(spec, LocalRungRunner(jobs=2))
+        serial = run_search(spec)
+        pooled = run_search(spec, jobs=2)
         assert dump_artifact(pooled) == dump_artifact(serial)
         assert [r["promoted"] for r in pooled["rungs"]] == [
             r["promoted"] for r in serial["rungs"]
@@ -253,77 +242,10 @@ class TestSearchResumeIdentity:
 
     def test_report_renders_every_benchmark(self):
         spec = _tiny_spec(("gcc", "compress"))
-        artifact = run_search(spec, LocalRungRunner())
+        artifact = run_search(spec)
         report = render_report(artifact)
         assert "GCC" in report and "COMPRESS" in report
         assert "Final ranking" in report
-
-
-class TestSearchThroughService:
-    """A rung submitted as a service job equals the local rung."""
-
-    def test_service_rung_matches_local(self, tmp_path):
-        from repro.evalx.service.coordinator import Coordinator
-        from repro.evalx.service.worker import Worker
-
-        spec = _tiny_spec(("gcc",))
-        population = initial_population(spec)
-        local = run_experiment(
-            "tune_rung",
-            n_tasks=800,
-            configs=tuple(population),
-            benchmarks=("gcc",),
-        )
-        runner = ServiceRungRunner(tmp_path, timeout_seconds=120.0)
-        coordinator = Coordinator(tmp_path, n_shards=2)
-        import threading
-
-        done = threading.Event()
-
-        def drive():
-            while not done.is_set():
-                coordinator.run_once()
-                Worker(tmp_path, worker_id="w1").serve(
-                    poll_seconds=0.01, idle_rounds=1
-                )
-                time.sleep(0.02)
-
-        thread = threading.Thread(target=drive, daemon=True)
-        thread.start()
-        try:
-            result = runner.run_rung(800, population, ("gcc",))
-        finally:
-            done.set()
-            thread.join(timeout=10.0)
-        assert result.text == local.text
-        assert result.data == local.data
-
-    def test_failed_rung_job_raises(self, tmp_path):
-        from repro.evalx.service.jobs import JobStore
-
-        runner = ServiceRungRunner(
-            tmp_path, timeout_seconds=5.0, poll_seconds=0.01
-        )
-        # No coordinator is serving: fail the job by hand to check the
-        # error path without waiting out the timeout.
-        import threading
-
-        def fail_it():
-            store = JobStore(tmp_path)
-            for _ in range(200):
-                jobs = store.list_jobs()
-                if jobs:
-                    store.update(
-                        jobs[0], state="failed", error="no workers"
-                    )
-                    return
-                time.sleep(0.01)
-
-        thread = threading.Thread(target=fail_it, daemon=True)
-        thread.start()
-        with pytest.raises(TuneError, match="no workers"):
-            runner.run_rung(500, ["0-0-0-10(1)/LE"], ("gcc",))
-        thread.join(timeout=5.0)
 
 
 @pytest.mark.slow

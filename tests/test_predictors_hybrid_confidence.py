@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import PredictorConfigError
+from repro.predictors.automata import make_automaton_factory
 from repro.predictors.confidence import (
     ResettingConfidenceEstimator,
     simulate_confidence,
@@ -11,7 +12,12 @@ from repro.predictors.exit_predictors import PathExitPredictor
 from repro.predictors.folding import DolcSpec
 from repro.predictors.hybrid import TournamentExitPredictor
 from repro.predictors.ideal import IdealPathPredictor, IdealPerTaskPredictor
+from repro.predictors.ras import ReturnAddressStack
+from repro.predictors.task_predictor import HeaderTaskPredictor
+from repro.predictors.ttb import CorrelatedTaskTargetBuffer
 from repro.sim.functional import simulate_exit_prediction
+from repro.sim.timing import simulate_timing
+from repro.utils.rng import DeterministicRng
 
 _SPEC = DolcSpec.parse("4-5-6-7(2)")
 
@@ -206,3 +212,79 @@ class TestSimulateConfidence:
             high.high_confidence_accuracy
             >= low.high_confidence_accuracy - 0.002
         )
+
+
+class TestGateKeepsTieBreakStream:
+    """A gated batched run draws the VC-RANDOM ties the loop draws.
+
+    A gate that declines batching *after* the exit replay has drawn its
+    ties leaves the stepped fallback an advanced stream. Wide counters
+    (``counter_max=64``, past the FSM scan's state cap) once did that;
+    now the batched gate is total, and a gate with no batched form
+    declines before the replay.
+    """
+
+    _GATE = "6-5-8-9(3)"
+
+    def _gate(self):
+        return ResettingConfidenceEstimator(
+            DolcSpec.parse(self._GATE), threshold=4, counter_max=64
+        )
+
+    def test_confidence_run_matches_loop(self, gcc_workload):
+        outcomes = []
+        for vectorize in (False, True):
+            rng = DeterministicRng(0).fork("vc-random")
+            stats = simulate_confidence(
+                gcc_workload,
+                IdealPathPredictor(
+                    4, make_automaton_factory("VC2-RANDOM", rng)
+                ),
+                self._gate(),
+                vectorize=vectorize,
+            )
+            outcomes.append((stats, rng._random.getstate()))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("stepped_only", [False, True])
+    def test_gated_timing_matches_loop(self, gcc_workload, stepped_only):
+        outcomes = []
+        for vectorize in (False, True):
+            rng = DeterministicRng(0).fork("vc-random")
+            predictor = HeaderTaskPredictor(
+                program=gcc_workload.compiled.program,
+                exit_predictor=PathExitPredictor(
+                    DolcSpec.parse(self._GATE),
+                    make_automaton_factory("VC2-RANDOM", rng),
+                ),
+                cttb=CorrelatedTaskTargetBuffer(
+                    DolcSpec.parse("5-5-6-7(3)")
+                ),
+                ras=ReturnAddressStack(depth=32),
+            )
+            gate = self._gate()
+            if stepped_only:
+                # A duck-typed gate with no batched form: the run must
+                # decline before the exit replay draws any ties.
+                gate = _SteppedGate(gate)
+            result = simulate_timing(
+                gcc_workload,
+                predictor,
+                confidence_gate=gate,
+                vectorize=vectorize,
+            )
+            outcomes.append((result, rng._random.getstate()))
+        assert outcomes[0] == outcomes[1]
+
+
+class _SteppedGate:
+    """A confidence gate offering only the stepped interface."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def is_high_confidence(self, task_addr):
+        return self._inner.is_high_confidence(task_addr)
+
+    def update(self, task_addr, correct):
+        self._inner.update(task_addr, correct)

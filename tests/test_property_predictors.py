@@ -2,8 +2,8 @@
 
 Hypothesis strategies generate valid D-O-L-C(F) specifications and outcome
 streams; the tests check invariants that must hold for every instance,
-plus reference-model equivalence for the LEH automaton and the batched
-voting-counter replay.
+plus reference-model equivalence for the LEH automaton, the batched
+voting-counter replay and the batched confidence gate.
 """
 
 from types import SimpleNamespace
@@ -16,6 +16,7 @@ from repro.predictors.automata import (
     LastExitHysteresis,
     make_automaton_factory,
 )
+from repro.predictors.confidence import ResettingConfidenceEstimator
 from repro.predictors.exit_predictors import (
     GlobalExitPredictor,
     PathExitPredictor,
@@ -245,3 +246,55 @@ class TestVotingCounterReplay:
             # The random tie-break must draw exactly what the loop draws.
             outcomes.append((stats, rng._random.getstate()))
         assert outcomes[0] == outcomes[1]
+
+
+@st.composite
+def gate_streams(draw):
+    """``(task_addrs, correct)``: blocks of repeated steps.
+
+    Long same-task, same-outcome blocks build the correct runs that high
+    thresholds need; short blocks interleave slots finely.
+    """
+    addrs = draw(st.lists(_ADDRESSES, min_size=1, max_size=4, unique=True))
+    blocks = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(addrs),
+                st.booleans(),
+                st.integers(min_value=1, max_value=120),
+            ),
+            max_size=10,
+        )
+    )
+    task_addrs = [addr for addr, _, repeat in blocks for _ in range(repeat)]
+    correct = [hit for _, hit, repeat in blocks for _ in range(repeat)]
+    return task_addrs, correct
+
+
+_GATE_LIMITS = st.integers(min_value=1, max_value=100).flatmap(
+    lambda threshold: st.tuples(
+        st.just(threshold), st.integers(min_value=threshold, max_value=200)
+    )
+)
+
+
+class TestConfidenceGate:
+    @settings(max_examples=150, deadline=None)
+    @given(dolc_specs(), gate_streams(), _GATE_LIMITS)
+    def test_batched_matches_stepping(self, spec, stream, limits):
+        task_addrs, correct = stream
+        threshold, counter_max = limits
+        flags = ResettingConfidenceEstimator(
+            spec, threshold=threshold, counter_max=counter_max
+        ).batch_gate_columns(
+            np.array(task_addrs, dtype=np.uint32),
+            np.array(correct, dtype=bool),
+        )
+        estimator = ResettingConfidenceEstimator(
+            spec, threshold=threshold, counter_max=counter_max
+        )
+        expected = []
+        for addr, hit in zip(task_addrs, correct):
+            expected.append(estimator.is_high_confidence(addr))
+            estimator.update(addr, hit)
+        assert flags.tolist() == expected

@@ -1,47 +1,33 @@
-"""Durable-write helpers and the fsync-before-replace regression suite.
+"""Durable-write helper and the fsync-before-replace regression suite.
 
 ``repro.utils.fsio`` closes the durability gap FS002 flags: an
 ``os.replace`` publication whose temp was never fsynced can survive a
 crash as a committed name over zero-length data. The first half tests
-the helpers in isolation (byte-identity with ``Path.write_text`` /
-``write_bytes`` plus a real fsync); the second half pins every
-durability-critical publication site — checkpoint records, job
-records, job results, queue manifests, fail markers — to the
-fsync-before-rename ordering, so a refactor that drops the fsync fails
-here before it fails in a power-loss postmortem.
+the helper in isolation (byte-identity with ``Path.write_text`` plus a
+real fsync); the second half pins the durability-critical publication
+site — checkpoint records — to the fsync-before-rename ordering, so a
+refactor that drops the fsync fails here before it fails in a
+power-loss postmortem.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from types import SimpleNamespace
 
 import pytest
 
 from repro.evalx.checkpoint import CheckpointStore
-from repro.evalx.parallel import Cell, CellFailure
-from repro.evalx.result import ExperimentResult
-from repro.evalx.service.jobs import JobSpec, JobStore
-from repro.evalx.service.manifest import write_fail, write_manifest
-from repro.utils.fsio import fsync_write_bytes, fsync_write_text
+from repro.utils.fsio import fsync_write_text
 
 
 class _FsyncSpy:
-    """Counts fsyncs and asserts no publication precedes them.
-
-    A "publication" is either ``os.replace`` (last-writer-wins
-    records) or ``os.link`` (the fail markers' first-writer-wins
-    commit) — both atomically bind a committed name to the temp's
-    contents, so both need the temp fsynced first.
-    """
+    """Counts fsyncs and asserts no ``os.replace`` precedes them."""
 
     def __init__(self, monkeypatch):
         self.synced = 0
         self.synced_at_publish: list[int] = []
         real_fsync = os.fsync
         real_replace = os.replace
-        real_link = os.link
 
         def fsync(fd):
             self.synced += 1
@@ -51,13 +37,8 @@ class _FsyncSpy:
             self.synced_at_publish.append(self.synced)
             return real_replace(src, dst)
 
-        def link(src, dst, **kwargs):
-            self.synced_at_publish.append(self.synced)
-            return real_link(src, dst, **kwargs)
-
         monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(os, "replace", replace)
-        monkeypatch.setattr(os, "link", link)
 
     def assert_fsync_before_every_replace(self):
         assert self.synced_at_publish, "no publication ran"
@@ -76,27 +57,10 @@ class TestHelpers:
         plain.write_text(text, encoding="utf-8")
         assert durable.read_bytes() == plain.read_bytes()
 
-    def test_bytes_identical_to_write_bytes(self, tmp_path):
-        data = b"\x00\x01binary\xff"
-        durable = tmp_path / "durable.bin"
-        plain = tmp_path / "plain.bin"
-        fsync_write_bytes(durable, data)
-        plain.write_bytes(data)
-        assert durable.read_bytes() == plain.read_bytes()
-
     def test_text_helper_fsyncs(self, tmp_path, monkeypatch):
         spy = _FsyncSpy(monkeypatch)
         fsync_write_text(tmp_path / "x.txt", "payload")
         assert spy.synced == 1
-
-    def test_bytes_helper_fsyncs(self, tmp_path, monkeypatch):
-        spy = _FsyncSpy(monkeypatch)
-        fsync_write_bytes(tmp_path / "x.bin", b"payload")
-        assert spy.synced == 1
-
-
-def _cell_payload(x):
-    return x + 1
 
 
 class TestPublicationSitesAreDurable:
@@ -106,66 +70,6 @@ class TestPublicationSitesAreDurable:
         spy = _FsyncSpy(monkeypatch)
         store = CheckpointStore(tmp_path)
         assert store.save("a" * 40, "cell", "table2", {"value": 7})
-        spy.assert_fsync_before_every_replace()
-
-    def test_job_record_fsynced_before_replace(
-        self, tmp_path, monkeypatch
-    ):
-        spy = _FsyncSpy(monkeypatch)
-        store = JobStore(tmp_path)
-        store.submit(JobSpec(experiment="table2"))
-        spy.assert_fsync_before_every_replace()
-
-    def test_job_result_fsynced_before_replace(
-        self, tmp_path, monkeypatch
-    ):
-        store = JobStore(tmp_path)
-        job_id = store.submit(JobSpec(experiment="table2"))
-        spy = _FsyncSpy(monkeypatch)
-        store.save_result(
-            job_id,
-            ExperimentResult(
-                experiment_id="table2", title="t", text="body"
-            ),
-        )
-        spy.assert_fsync_before_every_replace()
-
-    def test_queue_manifest_fsynced_before_replace(
-        self, tmp_path, monkeypatch
-    ):
-        spy = _FsyncSpy(monkeypatch)
-        cell = Cell(label="c0", fn=_cell_payload, kwargs={"x": 1})
-        shard = SimpleNamespace(
-            index=0, cell_indices=(0,), estimated_cost=1.0
-        )
-        path = write_manifest(
-            tmp_path,
-            "job-1",
-            "table2",
-            [cell],
-            ["f" * 40],
-            [1.0],
-            [shard],
-        )
-        assert json.loads(path.read_text())["job"] == "job-1"
-        spy.assert_fsync_before_every_replace()
-
-    def test_fail_marker_fsynced_before_replace(
-        self, tmp_path, monkeypatch
-    ):
-        spy = _FsyncSpy(monkeypatch)
-        write_fail(
-            tmp_path,
-            "job-1",
-            "f" * 40,
-            CellFailure(
-                label="c0",
-                kind="error",
-                error="boom",
-                attempts=1,
-                wall_seconds=0.1,
-            ),
-        )
         spy.assert_fsync_before_every_replace()
 
 

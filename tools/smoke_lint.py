@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Lint CI smoke scripts for kill-window discipline.
 
-The chaos/tune/service smoke jobs SIGKILL a live run mid-sweep to
-prove checkpoint/lease recovery. That only tests what it claims to
-when the kill window is deterministic and the kill hits exactly the
-intended process:
+The chaos/tune smoke jobs SIGKILL a live run mid-sweep to prove
+checkpoint recovery. That only tests what it claims to when the kill
+window is deterministic and the kill hits exactly the intended
+process:
 
 * **Pinned victims** — a step that ``kill -9``s a run must first wedge
   it with a ``hang(...)`` fault glob (``--inject-faults 'hang(...)'``).
@@ -14,7 +14,7 @@ intended process:
 * **PID targeting** — the kill must target a shell variable captured
   from ``$!`` (``victim=$!`` ... ``kill -9 "$victim"``). Pattern kills
   are banned: ``pkill -f <pattern>`` famously matches its own
-  invoking shell or an unrelated tenant's run (the pattern appears in
+  invoking shell or an unrelated concurrent run (the pattern appears in
   the command line of more processes than the intended one).
 
 The workflow file is parsed line-wise on purpose: the CI analysis job
