@@ -22,7 +22,10 @@ Metrics JSONL schema (one record per line, ``event`` discriminates):
     one record per *attempt*; ``status`` is ``ok`` / ``error`` /
     ``timeout`` / ``crash``; ``final`` is false when a retry follows;
     ``cache`` holds the :func:`repro.synth.workloads.cache_counters`
-    deltas observed by that attempt (trace/program hits and builds).
+    deltas observed by that attempt (trace/program hits and builds) and
+    the :func:`repro.utils.memo.memo_counters` deltas (``memo_hits``,
+    ``memo_misses`` and ``memo_evictions`` summed over every
+    derived-column cache); counters that did not move are omitted.
 ``checkpoint``
     ``{"event", "ts", "experiment", "cell", "action", "fingerprint",
     "reason"}`` — one record per checkpoint-store interaction;

@@ -53,7 +53,7 @@ Two durability layers sit on top of the retry machinery:
 
 Observability threads through the same path: pass a
 :class:`~repro.evalx.metrics.RunMetrics` and every attempt is recorded
-(wall time, worker pid, workload-cache deltas) as JSON lines.
+(wall time, worker pid, workload- and memo-cache deltas) as JSON lines.
 
 Fault injection (:mod:`repro.evalx.faults`) hooks the same choke
 points: the worker-side cell runner fires planned ``raise``/``hang``/
@@ -98,6 +98,7 @@ from repro.synth.workloads import (
     prewarm_workload,
     trace_cache_path,
 )
+from repro.utils.memo import memo_counters
 
 
 @dataclass(frozen=True)
@@ -197,6 +198,11 @@ class _CellOutcome:
     cache: dict[str, int]
 
 
+def _cache_snapshot() -> dict[str, int]:
+    """This process's workload-cache and derived-column-cache counters."""
+    return {**cache_counters(), **memo_counters()}
+
+
 def _run_cell_instrumented(cell: Cell, attempt: int = 1) -> _CellOutcome:
     """Run one cell and measure it (executes inside the worker).
 
@@ -205,11 +211,11 @@ def _run_cell_instrumented(cell: Cell, attempt: int = 1) -> _CellOutcome:
     attempt raises, hangs, or hard-kills this worker right here.
     """
     faults.fire(cell.label, attempt)
-    before = cache_counters()
+    before = _cache_snapshot()
     started = time.perf_counter()
     payload = cell.fn(**cell.kwargs)
     wall = time.perf_counter() - started
-    after = cache_counters()
+    after = _cache_snapshot()
     return _CellOutcome(
         payload=payload,
         worker_pid=os.getpid(),
@@ -237,6 +243,18 @@ def _prewarm(cells: Sequence[Cell]) -> None:
         if cell.workload is not None and cell.workload not in seen:
             seen.add(cell.workload)
             prewarm_workload(*cell.workload)
+
+
+def _default_sigterm() -> None:
+    """Pool-worker initializer: let SIGTERM kill the worker outright.
+
+    Forked workers inherit the scheduler's handler (see
+    :func:`_graceful_interrupts`), which turns SIGTERM into a
+    ``KeyboardInterrupt``. A broken pool's teardown SIGTERMs its
+    surviving workers, and one that raised instead of dying could hang
+    in its exit handlers, and the scheduler's process with it at exit.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 @dataclass
@@ -391,7 +409,9 @@ class _PooledRun:
         ]
         self.in_flight: dict[Future, _CellState] = {}
         self.isolated = False  # post-crash degraded mode
-        self.pool = ProcessPoolExecutor(max_workers=self.max_workers)
+        self.pool = ProcessPoolExecutor(
+            max_workers=self.max_workers, initializer=_default_sigterm
+        )
 
     # -- pool management ----------------------------------------------
 
@@ -423,7 +443,8 @@ class _PooledRun:
         self.queued.sort(key=lambda s: s.index)
         self.isolated = self.isolated or isolate
         self.pool = ProcessPoolExecutor(
-            max_workers=1 if self.isolated else self.max_workers
+            max_workers=1 if self.isolated else self.max_workers,
+            initializer=_default_sigterm,
         )
 
     # -- scheduling ---------------------------------------------------

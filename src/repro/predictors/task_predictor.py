@@ -354,6 +354,19 @@ class HeaderTaskPredictor(NextTaskPredictor):
             + self._ras.storage_bits()
         )
 
+    def batch_slot_ids(self, task_addrs: np.ndarray) -> np.ndarray | None:
+        """The CTTB's batched slot ids over a trace column, or None.
+
+        None means the address side has no batched form. The batched
+        simulators ask *before* replaying the exit predictor, whose
+        VC-RANDOM tie-breaks draw from a shared stream (see
+        :func:`repro.sim.functional.batched_task_prediction_column`).
+        """
+        slot_fn = getattr(self._cttb, "batch_slot_ids", None)
+        if slot_fn is None:
+            return None
+        return slot_fn(int64_column(task_addrs))
+
     def batch_predicted_addrs(
         self,
         task_addrs: np.ndarray,
@@ -373,13 +386,10 @@ class HeaderTaskPredictor(NextTaskPredictor):
         """
         if predicted_exits is None:
             return None
-        slot_fn = getattr(self._cttb, "batch_slot_ids", None)
-        if slot_fn is None:
-            return None
-        addrs = int64_column(task_addrs)
-        slot_ids = slot_fn(addrs)
+        slot_ids = self.batch_slot_ids(task_addrs)
         if slot_ids is None:
             return None
+        addrs = int64_column(task_addrs)
         program = self._program
         table = _DERIVED.get(
             (program,), "task-table", lambda: _TaskTable(program)

@@ -59,22 +59,26 @@ from repro.sim.result import (
 )
 from repro.synth.trace import CF_TYPE_FROM_CODE
 from repro.synth.workloads import Workload
-from repro.utils.memo import DerivedColumnCache, int64_column
+from repro.utils.memo import REUSE_BYTES, DerivedColumnCache, int64_column
 
 #: Exit-count columns per (workload, trace address column) — shared by
 #: every predictor scheme swept over the same trace.
 _EXIT_COUNT_CACHE = DerivedColumnCache()
+
+#: Multiway-step group ids per (group-id column, exit-count column): every
+#: automaton replayed over one grouping reads the same ids object, so the
+#: replays also share its segment sort (``repro.utils.scan.group_segments``).
+#: Only groupings replayed more than once are kept: a one-off replay's
+#: ids, and the sort anchored on them, die with the replay.
+_MULTIWAY_IDS = DerivedColumnCache(
+    max_bytes=REUSE_BYTES, admit_on_repeat=True
+)
 
 #: Codes of INDIRECT_BRANCH / INDIRECT_CALL in trace arrays.
 _INDIRECT_CODES = (3, 4)
 
 #: Hysteresis bounds of a target-buffer entry (see ``_TargetEntry``).
 _TARGET_COUNTER_MAX = 3
-
-
-def _exit_counts(workload: Workload) -> dict[int, int]:
-    """Map task address -> number of header exits."""
-    return workload.exit_counts()
 
 
 def exit_count_column(
@@ -101,7 +105,7 @@ def _exit_count_column(
     addrs = int64_column(task_addrs)
     if addrs.size == 0:
         return np.zeros(0, dtype=np.int64)
-    counts = _exit_counts(workload)
+    counts = workload.exit_counts()
     if not counts:
         raise SimulationError(
             f"trace references unknown task {int(addrs[0]):#x}"
@@ -166,7 +170,9 @@ def _replay_plan(
     predicted = np.zeros(len(task_addrs), dtype=np.int64)
     if not steps.size:
         return predicted, 0
-    ids = group_ids[steps]
+    ids = _MULTIWAY_IDS.get(
+        (group_ids, n_exits_col), "multiway-ids", lambda: group_ids[steps]
+    )
     exits = int64_column(actual_exits)[steps]
     if isinstance(automaton, AutomatonTable):
         packed = PackedPatternTable(automaton, int(ids.max()) + 1)
@@ -436,6 +442,12 @@ def batched_task_prediction_column(
     only freshly constructed predictors may be batched. Shared by
     :func:`simulate_task_prediction` and the timing simulator's fast
     path.
+
+    Every decline happens before the exit replay: that replay draws
+    VC-RANDOM tie-breaks from the predictor's shared stream, and the
+    stepped loop a decline falls back to must start from an unused one.
+    So a predictor with an exit predictor must first show that its
+    address side batches (its ``batch_slot_ids``).
     """
     batch_fn = getattr(predictor, "batch_predicted_addrs", None)
     if batch_fn is None:
@@ -443,6 +455,9 @@ def batched_task_prediction_column(
     predicted_exits = None
     exit_predictor = getattr(predictor, "exit_predictor", None)
     if exit_predictor is not None:
+        slot_fn = getattr(predictor, "batch_slot_ids", None)
+        if slot_fn is None or slot_fn(trace.task_addr) is None:
+            return None
         n_exits_col = exit_count_column(workload, trace.task_addr)
         predicted_exits = batched_exit_prediction_column(
             exit_predictor, trace.task_addr, trace.exit_index, n_exits_col

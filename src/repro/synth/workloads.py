@@ -61,7 +61,9 @@ class Workload:
 
 
 _program_cache: dict[str, CompiledProgram] = {}
-_trace_cache: dict[tuple[str, int], TaskTrace] = {}
+#: One Workload per (benchmark, length): identity-keyed derived-column
+#: caches anchored on it then hit in every cell that loads it.
+_trace_cache: dict[tuple[str, int], Workload] = {}
 
 #: Monotonically increasing per-process cache accounting. The parallel
 #: scheduler snapshots these around each cell and reports the deltas in
@@ -209,19 +211,25 @@ def load_workload(name: str, n_tasks: int | None = None) -> Workload:
 
     ``n_tasks`` defaults to the profile's ``default_dynamic_tasks``. Traces
     are cached in memory and on disk keyed by (benchmark, length, seed).
+    Repeated calls return the *same* ``Workload`` object until the
+    program is rebuilt (e.g. after :func:`clear_caches`).
     """
     profile = get_profile(name)
     if n_tasks is None:
         n_tasks = profile.default_dynamic_tasks
     compiled = build_program(name)
 
-    trace = _trace_cache.get((name, n_tasks))
-    if trace is not None:
+    workload = _trace_cache.get((name, n_tasks))
+    if workload is not None:
         _cache_stats["trace_memory_hits"] += 1
+        if workload.compiled is compiled and workload.profile is profile:
+            return workload
+        trace = workload.trace
     else:
         trace = _load_or_run(profile, compiled, n_tasks)
-        _trace_cache[(name, n_tasks)] = trace
-    return Workload(profile=profile, compiled=compiled, trace=trace)
+    workload = Workload(profile=profile, compiled=compiled, trace=trace)
+    _trace_cache[(name, n_tasks)] = workload
+    return workload
 
 
 def _profile_fingerprint(profile: BenchmarkProfile) -> str:

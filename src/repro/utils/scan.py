@@ -29,6 +29,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.memo import REUSE_BYTES, DerivedColumnCache
+
+_SEGMENTS = DerivedColumnCache(max_bytes=REUSE_BYTES)
+
 #: State-space ceiling for tabulation. It keeps every state id inside the
 #: scan's int8 function table, and above it a scan's memory traffic (an
 #: ``(n, S)`` composition array) outweighs the Python loop it replaces.
@@ -52,9 +56,16 @@ def group_segments(group_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``order`` stably sorts the steps by group, so each group's steps form
     one contiguous segment in trace order; ``starts[k]`` is True where
-    sorted step ``k`` opens its group's segment. Scans of several
-    automata over the same grouping share one sort this way.
+    sorted step ``k`` opens its group's segment. The result is memoised
+    per group-id column (by identity), so scans of several automata over
+    the same grouping share one sort. It is shared: do not mutate it.
     """
+    return _SEGMENTS.get(
+        (group_ids,), "segments", lambda: _sort_segments(group_ids)
+    )
+
+
+def _sort_segments(group_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = stable_argsort(group_ids)
     grouped = group_ids[order]
     starts = np.empty(len(grouped), dtype=bool)

@@ -19,11 +19,22 @@ The pipeline, chosen for speed on hundreds of thousands of steps:
    (:func:`group_columns`): with dense codes, a depth-7 exit history plus
    the task address usually fits one word, so grouping costs a single
    argsort instead of a lexicographic sort over eight columns.
+
+The three ideal groupings are memoised per (trace columns, depth), and
+so are their building blocks (each column's codes, every trailing
+address window): a sweep keys every automaton at one depth (Figure 6),
+every depth-matched ideal predictor (Figure 7) and the ideal CTTB
+(Figure 8) by the same grouping of the same trace. The ids are shared:
+do not mutate them.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.utils.memo import REUSE_BYTES, DerivedColumnCache
+
+_GROUPINGS = DerivedColumnCache(max_bytes=REUSE_BYTES)
 
 
 def factorize(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -184,22 +195,50 @@ def group_by_path(addrs: np.ndarray, depth: int) -> np.ndarray:
     Address cardinality is too high for the bit-packing of
     :func:`group_columns`, and ~log2(depth) factorize passes over small-
     cardinality ids beat a lexicographic sort over depth + 1 columns.
+    Every window is memoised per (address column, length), so depths
+    share their power-of-two prefixes.
     """
-    codes, cardinality = factorize(np.asarray(addrs))
-    length = 1
-    while length < depth + 1:
-        step = min(length, depth + 1 - length)
-        codes, cardinality = _combine_windows(codes, cardinality, step)
-        length += step
-    return codes
+    return _path_window(addrs, depth + 1)[0]
+
+
+def _path_window(addrs: np.ndarray, length: int) -> tuple[np.ndarray, int]:
+    """Ids and cardinality of each step's trailing ``length``-address
+    window: the largest shorter power-of-two window paired with an
+    earlier one, exactly as the doubling recursion builds it."""
+    if length <= 1:
+        return _codes(addrs)
+    half = 1 << ((length - 1).bit_length() - 1)
+    return _GROUPINGS.get(
+        (addrs,),
+        ("path", length),
+        lambda: _combine_windows(*_path_window(addrs, half), length - half),
+    )
+
+
+def _codes(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """:func:`factorize` of a trace column, memoised per column."""
+    return _GROUPINGS.get((values,), "codes", lambda: factorize(values))
 
 
 def group_by_global_history(
     addrs: np.ndarray, outcomes: np.ndarray, depth: int
 ) -> np.ndarray:
-    """Dense ids of ``(addr_i, last depth outcomes before step i)``."""
-    addr_codes, addr_card = factorize(addrs)
-    outcome_codes, outcome_card = factorize(outcomes)
+    """Dense ids of ``(addr_i, last depth outcomes before step i)``.
+
+    Memoised per (address column, outcome column, depth).
+    """
+    return _GROUPINGS.get(
+        (addrs, outcomes),
+        ("global", depth),
+        lambda: _global_history_ids(addrs, outcomes, depth),
+    )
+
+
+def _global_history_ids(
+    addrs: np.ndarray, outcomes: np.ndarray, depth: int
+) -> np.ndarray:
+    addr_codes, addr_card = _codes(addrs)
+    outcome_codes, outcome_card = _codes(outcomes)
     columns = [(addr_codes, addr_card)]
     columns += _window_columns(outcome_codes, outcome_card, depth)
     ids, _ = group_columns(columns)
@@ -209,9 +248,22 @@ def group_by_global_history(
 def group_by_per_key_history(
     addrs: np.ndarray, outcomes: np.ndarray, depth: int
 ) -> np.ndarray:
-    """Dense ids of ``(addr_i, last depth outcomes of addr_i before i)``."""
-    addr_codes, addr_card = factorize(addrs)
-    outcome_codes, outcome_card = factorize(outcomes)
+    """Dense ids of ``(addr_i, last depth outcomes of addr_i before i)``.
+
+    Memoised per (address column, outcome column, depth).
+    """
+    return _GROUPINGS.get(
+        (addrs, outcomes),
+        ("per-key", depth),
+        lambda: _per_key_history_ids(addrs, outcomes, depth),
+    )
+
+
+def _per_key_history_ids(
+    addrs: np.ndarray, outcomes: np.ndarray, depth: int
+) -> np.ndarray:
+    addr_codes, addr_card = _codes(addrs)
+    outcome_codes, outcome_card = _codes(outcomes)
     columns = [(addr_codes, addr_card)]
     columns += _per_key_window_columns(
         addr_codes, outcome_codes, outcome_card, depth

@@ -220,6 +220,30 @@ def _interrupt_module(calls_path):
     )
 
 
+def _sigterm_is_default(x):
+    return signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+
+
+def _sigterm_module():
+    def cells(n_tasks=None, quick=False):
+        return [
+            Cell(label=f"c{x}", fn=_sigterm_is_default, kwargs={"x": x})
+            for x in range(2)
+        ]
+
+    def combine(cells, results, n_tasks=None, quick=False):
+        return ExperimentResult(
+            experiment_id="sigterm-fixture",
+            title="t",
+            text=str(results),
+            data={"defaults": results},
+        )
+
+    return SimpleNamespace(
+        __name__="tests.sigterm", cells=cells, combine=combine
+    )
+
+
 def _counted_identity(x, calls_path):
     with open(calls_path, "a") as handle:
         handle.write(f"{x}\n")
@@ -227,6 +251,13 @@ def _counted_identity(x, calls_path):
 
 
 class TestGracefulInterrupt:
+    def test_pool_workers_keep_default_sigterm(self):
+        """A broken pool's teardown SIGTERMs its surviving workers; one
+        that inherited the scheduler's handler raised KeyboardInterrupt
+        instead of dying and could hang its parent's exit."""
+        result = run_sharded(_sigterm_module(), jobs=2)
+        assert result.data["defaults"] == [True, True]
+
     def test_sigterm_flushes_metrics_and_leaves_store_resumable(
         self, tmp_path
     ):

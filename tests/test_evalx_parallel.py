@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
@@ -18,6 +19,7 @@ from repro.evalx.parallel import (
     resolve_jobs,
 )
 from repro.evalx.registry import run_experiment
+from repro.utils.memo import int64_column
 
 #: Small traces keep the double (serial + parallel) runs cheap.
 _TASKS = 12_000
@@ -25,6 +27,13 @@ _TASKS = 12_000
 
 def _square(x: int) -> int:
     return x * x
+
+
+def _widen_twice(n: int) -> int:
+    """Widen one narrow column twice: one memo miss, then one hit."""
+    narrow = np.arange(n, dtype=np.uint8)
+    int64_column(narrow)
+    return int(int64_column(narrow).sum())
 
 
 def _boom(x: int) -> int:
@@ -171,3 +180,10 @@ class TestCacheDeltaCounters:
         )
         assert outcome.payload == 25
         assert outcome.cache == {"program_builds": 3}
+
+    def test_memo_counters_are_reported(self):
+        outcome = _run_cell_instrumented(
+            Cell(label="c", fn=_widen_twice, kwargs={"n": 4})
+        )
+        assert outcome.payload == 6
+        assert outcome.cache == {"memo_misses": 1, "memo_hits": 1}

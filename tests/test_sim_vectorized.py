@@ -23,14 +23,18 @@ from repro.predictors.ideal import (
     IdealPerTaskPredictor,
 )
 from repro.predictors.static_hints import StaticHintExitPredictor
+from repro.predictors.task_predictor import HeaderTaskPredictor
 from repro.predictors.ttb import (
+    CorrelatedTaskTargetBuffer,
     IdealCorrelatedTargetBuffer,
     TaskTargetBuffer,
 )
 from repro.sim.functional import (
     simulate_exit_prediction,
     simulate_indirect_target_prediction,
+    simulate_task_prediction,
 )
+from repro.sim.timing import TimingConfig, simulate_timing
 from repro.utils.rng import DeterministicRng
 
 _SCHEMES = (IdealGlobalPredictor, IdealPerTaskPredictor, IdealPathPredictor)
@@ -130,6 +134,45 @@ class TestVotingCounterReplay:
             stats = simulate_exit_prediction(
                 workload, predictor, vectorize=vectorize
             )
+            results.append((stats, rng._random.getstate()))
+        assert results[0] == results[1]
+
+
+class _UnbatchedCttb(CorrelatedTaskTargetBuffer):
+    """A CTTB with no batched form: its owner's address side must loop."""
+
+    batch_slot_ids = None
+
+
+class TestDeclineBeforeDraw:
+    """A task predictor whose address side has no batched form declines
+    before its VC-RANDOM exit replay draws from the shared stream, so the
+    stepped loop it falls back to starts from an unused stream."""
+
+    @pytest.mark.parametrize(
+        "simulate",
+        [
+            simulate_task_prediction,
+            lambda workload, predictor, vectorize: simulate_timing(
+                workload, predictor, TimingConfig(), vectorize=vectorize
+            ),
+        ],
+        ids=["task", "timing"],
+    )
+    def test_matches_loop(self, gcc_workload, simulate):
+        spec = DolcSpec.parse("7-3-4-6(2)")
+        results = []
+        for vectorize in (False, True):
+            rng = DeterministicRng(3).fork("VC2-RANDOM")
+            predictor = HeaderTaskPredictor(
+                gcc_workload.compiled.program,
+                PathExitPredictor(
+                    spec,
+                    automaton=make_automaton_factory("VC2-RANDOM", rng),
+                ),
+                cttb=_UnbatchedCttb(spec),
+            )
+            stats = simulate(gcc_workload, predictor, vectorize=vectorize)
             results.append((stats, rng._random.getstate()))
         assert results[0] == results[1]
 

@@ -187,6 +187,15 @@ class TestCacheCounters:
         assert after["trace_disk_hits"] == before["trace_disk_hits"] + 1
         assert after["trace_builds"] == before["trace_builds"]
 
+    def test_one_workload_object_per_name_and_length(self, cache_dir):
+        first = workloads.load_workload("compress", n_tasks=1500)
+        assert workloads.load_workload("compress", n_tasks=1500) is first
+        assert workloads.load_workload("compress", n_tasks=1000) is not first
+        workloads.clear_caches()
+        rebuilt = workloads.load_workload("compress", n_tasks=1500)
+        assert rebuilt is not first
+        assert rebuilt.compiled is not first.compiled
+
     def test_counters_snapshot_is_a_copy(self, cache_dir):
         snapshot = workloads.cache_counters()
         snapshot["trace_builds"] += 100
