@@ -8,7 +8,7 @@ experiment driver must speak the cells/combine protocol (including
 tolerating :class:`~repro.evalx.parallel.CellFailure` gaps). This package
 machine-checks those invariants over the source tree.
 
-Four rule families (see :mod:`repro.analysis.rules`):
+Six rule families (see :mod:`repro.analysis.rules`):
 
 * ``DET*`` — determinism lint: unseeded ``random`` / legacy
   ``np.random`` global-state calls, wall-clock reads, and
@@ -21,6 +21,12 @@ Four rule families (see :mod:`repro.analysis.rules`):
   handles :class:`~repro.evalx.parallel.CellFailure`.
 * ``NPW*`` — numpy bit-width lint: shifts and accumulations that can
   exceed the operand dtype width.
+* ``CKP*`` — checkpoint/chaos hygiene: cell kwargs the checkpoint
+  fingerprint rejects, the fault injector armed outside the
+  ``--inject-faults`` opt-in, and store publication or env handoffs
+  done anywhere but :mod:`repro.utils.fsio`.
+* ``VEC*`` — vectorization contract: per-element Python loops over
+  ndarray state in batched modules, and narrowing bit-packed stores.
 
 Findings can be suppressed per line (``# repro: noqa[RULE]``) or
 recorded as intentional exceptions in a baseline file with a

@@ -70,7 +70,8 @@ def main(argv: list[str] | None = None) -> int:
         description=(
             "Static analysis guarding the parallel experiment engine's "
             "invariants: determinism, worker purity, driver protocol, "
-            "numpy bit widths."
+            "numpy bit widths, checkpoint/chaos hygiene (store "
+            "publication, env handoffs), vectorization."
         ),
     )
     parser.add_argument(

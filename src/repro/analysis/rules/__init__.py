@@ -7,22 +7,17 @@ registry (see :func:`repro.analysis.core.register_rule`):
 * :mod:`repro.analysis.rules.purity` — ``PUR001..PUR002``
 * :mod:`repro.analysis.rules.protocol` — ``PROT001..PROT003``
 * :mod:`repro.analysis.rules.bitwidth` — ``NPW001..NPW003``
-* :mod:`repro.analysis.rules.checkpointing` — ``CKP001..CKP002``
+* :mod:`repro.analysis.rules.checkpointing` — ``CKP001..CKP003``
 * :mod:`repro.analysis.rules.vectorization` — ``VEC001..VEC002``
-* :mod:`repro.analysis.rules.atomicity` — ``FS001``, ``FS002``, ``FS004``
-* :mod:`repro.analysis.rules.envorder` — ``ENV001..ENV002``
 
-The FS/ENV families are flow-sensitive: they run the CFG +
-dataflow engine (:mod:`repro.analysis.cfg`,
-:mod:`repro.analysis.dataflow`) instead of a flat AST walk.
+Every rule is a flat AST walk over one module, or over the project's
+call graph for the whole-program rules.
 """
 
 from repro.analysis.rules import (  # noqa: F401  (register on import)
-    atomicity,
     bitwidth,
     checkpointing,
     determinism,
-    envorder,
     protocol,
     purity,
     vectorization,

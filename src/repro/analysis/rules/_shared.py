@@ -13,7 +13,18 @@ import ast
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from repro.analysis.astutil import dotted_call_name  # noqa: F401  (re-export)
+
+def dotted_call_name(func: ast.expr) -> str | None:
+    """Flatten ``a.b.c`` / ``name`` call targets to a dotted string."""
+    parts: list[str] = []
+    node = func
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import AbstractContextManager, nullcontext
 from pathlib import Path
 
 from repro.evalx.registry import (
@@ -231,10 +232,13 @@ def main(argv: list[str] | None = None) -> int:
         checkpoint = CheckpointStore(
             args.checkpoint_dir, resume=args.resume
         )
-    if args.inject_faults:
-        _install_fault_plan(
-            args.inject_faults, args.fault_seed, ids, args
+    injection = (
+        _armed_fault_plan(
+            args.inject_faults, args.fault_seed, _cell_labels(ids, args)
         )
+        if args.inject_faults
+        else nullcontext()
+    )
 
     retry = RetryPolicy(
         retries=args.retries,
@@ -263,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"[manifest written to {manifest_path}]", file=sys.stderr)
 
     failed_cells = 0
-    with metrics:
+    with injection, metrics:
         for experiment_id in ids:
             started = time.time()
             result = run_experiment(
@@ -298,18 +302,13 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _install_fault_plan(spec, seed, ids, args) -> None:
-    """Compile the ``--inject-faults`` spec and arm the injector.
+def _cell_labels(ids, args) -> list[str]:
+    """Cell labels of the selected cell-grid experiments.
 
-    The plan's victims are chosen from the cell labels of the selected
-    cell-grid experiments (legacy monolithic drivers expose no cells and
-    can't be targeted). Installation publishes the plan through the
-    :data:`repro.evalx.faults.ENV_VAR` environment variable so pool
-    workers inherit it.
+    These are the ``--inject-faults`` victims to choose from (legacy
+    monolithic drivers expose no cells and can't be targeted).
     """
     import importlib
-
-    from repro.evalx import faults
 
     labels: list[str] = []
     for experiment_id in ids:
@@ -323,13 +322,28 @@ def _install_fault_plan(spec, seed, ids, args) -> None:
                     n_tasks=args.tasks, quick=args.quick
                 )
             )
+    return labels
+
+
+def _armed_fault_plan(
+    spec: str, seed: int, labels: list[str]
+) -> AbstractContextManager[None]:
+    """Compile the ``--inject-faults`` spec; return it armed as a context.
+
+    Inside the block the plan is published through the
+    :data:`repro.evalx.faults.ENV_VAR` environment variable, so pool
+    workers inherit it; on exit the caller's environment comes back
+    (see :func:`repro.evalx.faults.armed`).
+    """
+    from repro.evalx import faults
+
     plan = faults.FaultPlan.compile(spec, seed=seed, labels=labels)
-    faults.install(plan)
     print(
         f"[fault injection armed: {len(plan.triggers)} trigger(s) "
         f"from spec {spec!r}, seed {seed}]",
         file=sys.stderr,
     )
+    return faults.armed(plan)
 
 
 def _append_json(path: str, result, elapsed: float) -> None:

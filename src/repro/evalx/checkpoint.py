@@ -17,9 +17,10 @@ Design, in the same discipline as the trace cache
   code version). Any change to the code version, the sweep's
   configuration, or the cell's inputs misses the store, so resuming can
   never mix results from different sweeps.
-* **Atomic** — records are written to a same-directory temp file and
-  published with ``os.replace``; a crash mid-write leaves only a
-  ``.tmp-<pid>`` file, which the workload prewarm sweep reaps
+* **Atomic and durable** — records are published with
+  :func:`repro.utils.fsio.publish` (fsynced pid-unique sibling temp,
+  then ``os.replace``); a crash mid-write leaves only a ``.tmp-<pid>``
+  file, which the workload prewarm sweep reaps
   (:func:`repro.synth.workloads.sweep_orphan_tmp_files`).
 * **Verified** — each record embeds a SHA-256 checksum of its pickled
   payload plus the fingerprint it was stored under. A corrupt, stale,
@@ -38,7 +39,6 @@ import base64
 import dataclasses
 import hashlib
 import json
-import os
 import pickle
 import time
 from pathlib import Path
@@ -46,7 +46,7 @@ from typing import Any
 
 from repro.errors import ReproError
 from repro.synth.generator import GENERATOR_VERSION
-from repro.utils.fsio import fsync_write_text
+from repro.utils.fsio import publish
 
 #: Bump when the record envelope or fingerprint recipe changes; old
 #: records then miss the store (stale) instead of being misread.
@@ -287,14 +287,10 @@ class CheckpointStore:
             "payload_sha256": hashlib.sha256(blob).hexdigest(),
             "payload": base64.b64encode(blob).decode("ascii"),
         }
-        path = self.path_for(fingerprint)
-        tmp_path = path.with_name(f".{fingerprint}.tmp-{os.getpid()}")
+        data = (json.dumps(record) + "\n").encode("utf-8")
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            fsync_write_text(tmp_path, json.dumps(record) + "\n")
-            os.replace(tmp_path, path)
+            publish(self.path_for(fingerprint), lambda f: f.write(data))
         except OSError:
-            tmp_path.unlink(missing_ok=True)
             return False
         return True
 

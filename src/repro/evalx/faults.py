@@ -10,11 +10,11 @@ environment variable so pooled runs misbehave identically to serial
 ones.
 
 **Inert by default.** Nothing here fires unless a plan was explicitly
-installed — via ``--inject-faults SPEC --fault-seed N`` on the CLI or
-by exporting ``REPRO_FAULTS`` directly. The worker-side hook
-(:func:`fire`) returns immediately when the environment variable is
-unset, and the CKP002 analysis rule flags any code path that installs a
-plan outside the CLI opt-in.
+armed — via ``--inject-faults SPEC --fault-seed N`` on the CLI (which
+wraps its run in :func:`armed`) or by exporting ``REPRO_FAULTS``
+directly. The worker-side hook (:func:`fire`) returns immediately when
+the environment variable is unset, and the CKP002 analysis rule flags
+any code path that arms a plan outside the CLI opt-in.
 
 Spec grammar — comma-separated clauses::
 
@@ -56,10 +56,12 @@ import os
 import random
 import re
 import time
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ReproError
+from repro.utils.fsio import env_handoff
 
 #: A JSON-encoded :class:`FaultPlan` in this variable arms the injector;
 #: subprocess pool workers inherit it from the parent's environment.
@@ -235,26 +237,23 @@ class FaultPlan:
         )
 
 
-def install(plan: FaultPlan) -> None:
-    """Arm the injector process-wide (and for future pool workers).
+def armed(plan: FaultPlan) -> AbstractContextManager[None]:
+    """Arm the injector for a block, and for pool workers spawned in it.
 
-    The only in-tree callers are the ``--inject-faults`` CLI path and
-    tests: installing a plan anywhere else defeats the explicit opt-in
-    and is flagged by the CKP002 analysis rule.
+    On exit the previous ``REPRO_FAULTS`` value, or its absence, comes
+    back, so a plan never outlives the run that armed it. The only
+    in-tree callers are the ``--inject-faults`` CLI paths and tests:
+    arming a plan anywhere else defeats the explicit opt-in and is
+    flagged by the CKP002 analysis rule.
     """
-    os.environ[ENV_VAR] = plan.to_json()
-
-
-def uninstall() -> None:
-    """Disarm the injector (idempotent)."""
-    os.environ.pop(ENV_VAR, None)
+    return env_handoff(ENV_VAR, plan.to_json())
 
 
 _plan_cache: tuple[str, FaultPlan] | None = None
 
 
 def active_plan() -> FaultPlan | None:
-    """The installed plan, or None when the injector is inert."""
+    """The armed plan, or None when the injector is inert."""
     global _plan_cache
     raw = os.environ.get(ENV_VAR)
     if not raw:
@@ -271,7 +270,7 @@ def fire(label: str, attempt: int) -> None:
     """Worker-side hook: misbehave if this attempt is a planned victim.
 
     Called at the top of every cell attempt. Inert (one env lookup)
-    unless a plan is installed. Store-side actions are not fired here —
+    unless a plan is armed. Store-side actions are not fired here —
     the parent applies those to the records it owns.
     """
     if not os.environ.get(ENV_VAR):

@@ -58,7 +58,7 @@ Observability threads through the same path: pass a
 Fault injection (:mod:`repro.evalx.faults`) hooks the same choke
 points: the worker-side cell runner fires planned ``raise``/``hang``/
 ``kill`` faults, and the parent applies planned record corruption —
-inert unless a plan is explicitly installed.
+inert unless a plan is explicitly armed.
 
 Before fanning out, the scheduler pre-warms each distinct workload in
 the parent process so trace generation happens once, not once per
@@ -77,7 +77,7 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -98,6 +98,7 @@ from repro.synth.workloads import (
     prewarm_workload,
     trace_cache_path,
 )
+from repro.utils.fsio import env_handoff
 from repro.utils.memo import memo_counters
 
 
@@ -206,7 +207,7 @@ def _cache_snapshot() -> dict[str, int]:
 def _run_cell_instrumented(cell: Cell, attempt: int = 1) -> _CellOutcome:
     """Run one cell and measure it (executes inside the worker).
 
-    The fault hook fires first: inert unless a chaos plan is installed
+    The fault hook fires first: inert unless a chaos plan is armed
     (see :mod:`repro.evalx.faults`), in which case a planned victim
     attempt raises, hangs, or hard-kills this worker right here.
     """
@@ -849,13 +850,15 @@ def run_sharded(
             cell.label, "saved" if saved else "save-failed", fingerprint
         )
 
-    previous_env = os.environ.get(CHECKPOINT_ENV)
-    if checkpoint is not None:
-        # Publish the store location so the workload prewarm sweep can
-        # reap orphaned record temp files from earlier killed runs.
-        os.environ[CHECKPOINT_ENV] = str(checkpoint.directory)
+    # Publish the store location so the workload prewarm sweep can reap
+    # orphaned record temp files from earlier killed runs.
+    handoff = (
+        env_handoff(CHECKPOINT_ENV, str(checkpoint.directory))
+        if checkpoint is not None
+        else nullcontext()
+    )
     try:
-        with _graceful_interrupts(recorder):
+        with handoff, _graceful_interrupts(recorder):
             executed = execute_cells(
                 [cells[i] for i in remaining],
                 jobs=jobs,
@@ -865,11 +868,6 @@ def run_sharded(
                 on_result=_persist if checkpoint is not None else None,
             )
     finally:
-        if checkpoint is not None:
-            if previous_env is None:
-                os.environ.pop(CHECKPOINT_ENV, None)
-            else:
-                os.environ[CHECKPOINT_ENV] = previous_env
         recorder.end_experiment()
     for index, payload in zip(remaining, executed):
         results[index] = payload

@@ -58,11 +58,13 @@ import argparse
 import json
 import sys
 from collections.abc import Callable, Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import ReproError
 from repro.evalx.__main__ import (
+    _armed_fault_plan,
     _fault_spec,
     _jobs_arg,
     _nonnegative_int,
@@ -500,10 +502,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.inject_faults:
-        _install_fault_plan(
-            args.inject_faults, args.fault_seed, population, spec
+    injection = (
+        _armed_fault_plan(
+            args.inject_faults,
+            args.fault_seed,
+            _rung_labels(population, spec),
         )
+        if args.inject_faults
+        else nullcontext()
+    )
 
     from repro.evalx.metrics import RunMetrics
     from repro.evalx.parallel import RetryPolicy
@@ -516,7 +523,7 @@ def main(argv: list[str] | None = None) -> int:
             args.checkpoint_dir, resume=args.resume
         )
     metrics = RunMetrics(path=args.metrics)
-    with metrics:
+    with injection, metrics:
         try:
             artifact = run_search(
                 spec,
@@ -544,14 +551,11 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _install_fault_plan(
-    spec_text: str, seed: int, population: list[str], spec: TuneSpec
-) -> None:
-    """Arm the chaos injector against this search's rung cell labels."""
-    from repro.evalx import faults
+def _rung_labels(population: list[str], spec: TuneSpec) -> list[str]:
+    """This search's rung cell labels: the ``--inject-faults`` victims."""
     from repro.evalx.experiments import tune_rung
 
-    labels = [
+    return [
         cell.label
         for cell in tune_rung.cells(
             n_tasks=1,
@@ -559,13 +563,6 @@ def _install_fault_plan(
             benchmarks=spec.benchmarks,
         )
     ]
-    plan = faults.FaultPlan.compile(spec_text, seed=seed, labels=labels)
-    faults.install(plan)
-    print(
-        f"[fault injection armed: {len(plan.triggers)} trigger(s) "
-        f"from spec {spec_text!r}, seed {seed}]",
-        file=sys.stderr,
-    )
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -115,8 +116,8 @@ class TaskTrace:
             program_name=self.program_name,
         )
 
-    def save(self, path: Path | str) -> None:
-        """Save the trace to a compressed .npz file.
+    def save(self, path: Path | str | BinaryIO) -> None:
+        """Save the trace as a compressed .npz to a path or binary file.
 
         The file embeds a SHA-256 checksum over every column, so a
         record damaged after its atomic publication (bad sector, torn
@@ -125,7 +126,7 @@ class TaskTrace:
         """
         arrays = {name: getattr(self, name) for name in _FIELDS}
         np.savez_compressed(
-            Path(path),
+            path,
             program_name=np.array(self.program_name),
             checksum=np.array(_columns_digest(arrays, self.program_name)),
             **arrays,

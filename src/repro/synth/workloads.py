@@ -28,6 +28,7 @@ from repro.synth.generator import (
 )
 from repro.synth.profiles import BenchmarkProfile, get_profile
 from repro.synth.trace import TaskTrace
+from repro.utils.fsio import publish
 from repro.utils.hashing import stable_hash
 
 #: Set the REPRO_CACHE_DIR environment variable to move the trace cache.
@@ -121,10 +122,9 @@ def disk_cache_enabled() -> bool:
     return _cache_dir() is not None
 
 
-#: Temp files from a process killed mid-publish: trace-cache writers
-#: leave ``.{stem}.tmp-{pid}.npz`` (see :func:`_save_cached`), the
-#: checkpoint store leaves ``.{fingerprint}.tmp-{pid}`` (see
-#: :mod:`repro.evalx.checkpoint`).
+#: Temp files from a process killed mid-publish: both stores leave
+#: ``.{name}.tmp-{pid}`` (see :func:`repro.utils.fsio.publish`). Older
+#: trace-cache writers left ``.{stem}.tmp-{pid}.npz``, still reaped.
 _TMP_NAME = re.compile(r"^\..+\.tmp-(\d+)(?:\.npz)?$")
 
 #: A temp file older than this is orphaned even if its pid was recycled.
@@ -150,8 +150,8 @@ def sweep_orphan_tmp_files(cache_dir: Path | None = None) -> list[Path]:
     A process killed between writing its temp file and ``os.replace``
     leaves the temp behind forever; without this sweep they accumulate
     one per crashed pid. Applies to both trace-cache entries and
-    checkpoint records — the two stores share the write-to-tmp
-    discipline and the temp naming scheme. A temp file is orphaned when
+    checkpoint records — both stores publish through
+    :func:`repro.utils.fsio.publish`. A temp file is orphaned when
     its owning pid is dead, or when it is older than an hour
     (pid-recycling guard). Files being written right now belong to live
     pids and are recent, so they are never touched. Returns the paths
@@ -279,24 +279,13 @@ def _try_load_cached(
 
 
 def _save_cached(trace: TaskTrace, cache_path: Path) -> None:
-    """Publish a trace to the disk cache atomically.
+    """Publish a trace to the disk cache atomically and durably.
 
-    The trace is written to a same-directory temp file and moved into
-    place with ``os.replace``, so concurrent workers generating the same
-    workload can never observe a half-written cache entry — the worst
-    case is redundant generation, last writer wins. The temp name keeps
-    the ``.npz`` suffix because ``np.savez`` appends one otherwise.
+    Goes through :func:`repro.utils.fsio.publish`, so concurrent workers
+    generating the same workload can never observe a half-written cache
+    entry — the worst case is redundant generation, last writer wins.
     """
-    cache_path.parent.mkdir(parents=True, exist_ok=True)
-    tmp_path = cache_path.with_name(
-        f".{cache_path.stem}.tmp-{os.getpid()}.npz"
-    )
-    try:
-        trace.save(tmp_path)
-        os.replace(tmp_path, cache_path)
-    except BaseException:
-        tmp_path.unlink(missing_ok=True)
-        raise
+    publish(cache_path, trace.save)
 
 
 def trace_cache_path(name: str, n_tasks: int | None = None) -> Path | None:

@@ -1,32 +1,76 @@
-"""Durable file writes for the tmp+``os.replace`` publication idiom.
+"""The only module in ``repro`` that publishes store files or edits the env.
 
-``os.replace`` makes a publication *atomic* (readers see the old file
-or the new one, never a mix), but not *durable*: after a crash plus
-power loss the rename can survive while the temp's data blocks never
-hit the platter, leaving a zero-length or partial file under a
-committed name. Durability-critical records — the checkpoint store's
-per-cell records — must therefore flush and ``os.fsync`` the temp
-before renaming it.
+Two on-disk stores are shared between processes: the checkpoint
+store's per-cell records (:mod:`repro.evalx.checkpoint`) and the trace
+cache (:mod:`repro.synth.workloads`). Both publish through
+:func:`publish`. It writes a pid-unique sibling temp file, flushes it,
+calls ``os.fsync`` on it, then moves it over the destination with
+``os.replace``:
 
-The helper is byte-for-byte equivalent to ``Path.write_text`` plus the
-fsync; callers keep their own pid-unique sibling-temp naming and
-``os.replace`` so the publication idiom stays visible (and checkable)
-at the call site. The FS002 analysis rule recognises it through its
-call summaries.
+* readers see the old file or the new one, never a torn one;
+* the fsync stops a crash plus power loss from leaving a committed name
+  over data that never reached the disk;
+* the sibling placement keeps the rename on one filesystem, where it is
+  atomic, and the pid in the name stops concurrent writers from
+  truncating each other's temp.
+
+A temp left behind by a killed process is reaped by
+:func:`repro.synth.workloads.sweep_orphan_tmp_files`.
+
+Pool workers inherit two handoffs through the environment: the fault
+plan (``REPRO_FAULTS``) and the checkpoint directory
+(``REPRO_CHECKPOINT_DIR``). :func:`env_handoff` sets one for the length
+of a block and then restores what was there before, so a handoff never
+outlives the run that armed it.
+
+The CKP003 analysis rule forbids ``os.replace``/``os.rename`` and any
+``os.environ`` mutation everywhere else in ``repro``.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
+from typing import BinaryIO
 
 
-def fsync_write_text(
-    path: Path, text: str, encoding: str = "utf-8"
-) -> None:
-    """Write ``text`` to ``path`` and fsync before returning."""
-    with open(path, "w", encoding=encoding) as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
+def publish(destination: Path, write: Callable[[BinaryIO], object]) -> None:
+    """Atomically and durably replace ``destination`` with ``write``'s output.
 
+    ``write`` receives the temp file, open for binary writing. On any
+    exception the temp is removed and the exception re-raised, leaving
+    the previous destination (if any) untouched.
+    """
+    tmp_path = destination.with_name(
+        f".{destination.name}.tmp-{os.getpid()}"
+    )
+    try:
+        destination.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp_path, "wb") as handle:
+            write(handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, destination)
+    except BaseException:
+        tmp_path.unlink(missing_ok=True)
+        raise
+
+
+@contextmanager
+def env_handoff(name: str, value: str) -> Iterator[None]:
+    """Set ``os.environ[name]`` for the block, then restore its old state.
+
+    On exit, normal or by exception, the previous value comes back, or
+    the variable is removed if it was unset.
+    """
+    previous = os.environ.get(name)
+    os.environ[name] = value
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = previous

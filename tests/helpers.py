@@ -2,10 +2,17 @@
 
 These construct tiny, fully deterministic ProgramCFGs so tests can assert
 exact traces and prediction outcomes without depending on the synthetic
-generator's sampling.
+generator's sampling. The kill tests also share :func:`kill_process_group`
+from here.
 """
 
 from __future__ import annotations
+
+import os
+import signal
+import subprocess
+import time
+from pathlib import Path
 
 from repro.cfg.basicblock import BasicBlock, Terminator, TerminatorKind
 from repro.cfg.graph import ControlFlowGraph, ProgramCFG
@@ -148,3 +155,44 @@ def make_workload(
         constructs_per_function=(1, 1),
     )
     return Workload(profile=profile, compiled=compiled, trace=trace)
+
+
+def _live_group_members(pgid: int) -> list[int]:
+    """Pids of processes in group ``pgid`` that have not exited (Linux)."""
+    live = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue  # exited while we looked
+        # Fields after the parenthesised command: state, ppid, pgrp, ...
+        state, _ppid, pgrp = stat.rpartition(")")[2].split()[:3]
+        if int(pgrp) == pgid and state not in ("Z", "X"):
+            live.append(int(entry.name))
+    return live
+
+
+def kill_process_group(
+    leader: subprocess.Popen, timeout: float = 30.0
+) -> list[int]:
+    """SIGKILL a session leader and every process in its group.
+
+    ``leader`` must have been started with ``start_new_session=True`` so
+    its pool workers share its process group and nothing else does.
+    Returns the pids still alive once ``timeout`` seconds have passed
+    (zombies awaiting their reaper count as dead): empty unless the kill
+    left orphans behind.
+    """
+    try:
+        os.killpg(leader.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # the whole group already exited
+    leader.wait()
+    deadline = time.monotonic() + timeout
+    while (live := _live_group_members(leader.pid)) and (
+        time.monotonic() < deadline
+    ):
+        time.sleep(0.05)
+    return live

@@ -51,10 +51,8 @@ class TestRuleRegistry:
         assert ids == sorted(ids)
         assert len(ids) == len(set(ids))
         assert set(ids) == {
-            "CKP001", "CKP002",
+            "CKP001", "CKP002", "CKP003",
             "DET001", "DET002", "DET003", "DET004",
-            "ENV001", "ENV002",
-            "FS001", "FS002", "FS004",
             "NPW001", "NPW002", "NPW003",
             "PROT001", "PROT002", "PROT003",
             "PUR001", "PUR002",
@@ -478,17 +476,18 @@ class TestCheckpointRules:
     def test_fault_install_outside_optin_flagged(self, tmp_path):
         _project(tmp_path, {
             "evalx/experiments/sneaky.py": """\
-                import os
-
                 from repro.evalx import faults
+                from repro.evalx.faults import armed
 
 
-                def arm(plan):
-                    faults.install(plan)
+                def arm(plan, run):
+                    with faults.armed(plan):
+                        run()
 
 
-                def arm_by_env(raw):
-                    os.environ["REPRO_FAULTS"] = raw
+                def arm_by_name(plan, run):
+                    with armed(plan):
+                        run()
                 """,
         })
         findings, _ = _run(tmp_path, ["CKP002"])
@@ -498,18 +497,19 @@ class TestCheckpointRules:
     def test_fault_install_in_sanctioned_modules_passes(self, tmp_path):
         _project(tmp_path, {
             "repro/evalx/faults.py": """\
-                import os
+                from repro.utils.fsio import env_handoff
 
 
-                def install(plan):
-                    os.environ["REPRO_FAULTS"] = plan
+                def armed(plan):
+                    return env_handoff("REPRO_FAULTS", plan)
                 """,
             "repro/evalx/__main__.py": """\
                 from repro.evalx import faults
 
 
-                def main(plan):
-                    faults.install(plan)
+                def main(plan, run):
+                    with faults.armed(plan):
+                        run()
                 """,
         })
         findings, _ = _run(tmp_path, ["CKP002"])
@@ -659,295 +659,194 @@ class TestVectorizationRules:
         assert findings == []
 
 
-class TestAtomicityRules:
-    def test_direct_write_to_shared_path_flagged(self, tmp_path):
+class TestPublicationRule:
+    """CKP003: only ``repro.utils.fsio`` renames files into place or
+    edits ``os.environ``; the two store modules never write in place."""
+
+    def test_replace_and_rename_outside_fsio_flagged(self, tmp_path):
         _project(tmp_path, {
-            "evalx/store.py": """\
-                def publish(store, cell, text):
-                    path = store.path_for(cell)
+            "repro/evalx/report.py": """\
+                import os
+                from os import replace
+
+
+                def publish(tmp, path):
+                    os.replace(tmp, path)
+
+
+                def publish_by_name(tmp, path):
+                    replace(tmp, path)
+
+
+                def move(tmp, path):
+                    os.rename(tmp, path)
+                """,
+        })
+        findings, _ = _run(tmp_path, ["CKP003"])
+        assert _rule_ids(findings) == ["CKP003"] * 3
+        assert [f.symbol for f in findings] == [
+            "publish", "publish_by_name", "move"
+        ]
+        assert "fsio.publish" in findings[0].message
+
+    def test_environ_mutations_flagged(self, tmp_path):
+        _project(tmp_path, {
+            "repro/evalx/parallel.py": """\
+                import os
+                from os import environ
+
+
+                def arm(directory):
+                    os.environ["REPRO_CHECKPOINT_DIR"] = directory
+                    environ["REPRO_FAULTS"] = "{}"
+                    os.environ["PATH"] += ":/opt/bin"
+                    del os.environ["REPRO_FAULTS"]
+                    os.environ.pop("REPRO_CHECKPOINT_DIR", None)
+                    environ.setdefault("A", "1")
+                    os.environ.update({"B": "2"})
+                    os.environ.clear()
+                    os.putenv("C", "3")
+                    os.unsetenv("C")
+                """,
+        })
+        findings, _ = _run(tmp_path, ["CKP003"])
+        assert [f.line for f in findings] == list(range(6, 16))
+        assert all("env_handoff" in f.message for f in findings)
+
+    def test_environ_reads_pass(self, tmp_path):
+        _project(tmp_path, {
+            "repro/synth/config.py": """\
+                import os
+
+
+                def cache_dir():
+                    configured = os.environ.get("REPRO_CACHE_DIR", "")
+                    return configured or os.environ["HOME"]
+                """,
+        })
+        findings, _ = _run(tmp_path, ["CKP003"])
+        assert findings == []
+
+    def test_in_place_writes_in_store_modules_flagged(self, tmp_path):
+        _project(tmp_path, {
+            "repro/evalx/checkpoint.py": """\
+                import numpy as np
+
+
+                def save(path, text, blob, column):
                     path.write_text(text)
-                """,
-        })
-        findings, _ = _run(tmp_path, ["FS001"])
-        assert _rule_ids(findings) == ["FS001"]
-        assert findings[0].symbol == "publish"
-
-    def test_tmp_plus_replace_idiom_passes(self, tmp_path):
-        _project(tmp_path, {
-            "evalx/store.py": """\
-                import os
-
-
-                def publish(store, cell, text):
-                    path = store.path_for(cell)
-                    tmp = path.with_name(f".{cell}.tmp-{os.getpid()}")
-                    tmp.write_text(text)
-                    os.replace(tmp, path)
-                """,
-        })
-        findings, _ = _run(tmp_path, ["FS001", "FS004"])
-        assert findings == []
-
-    def test_exclusive_create_for_claim_files_passes(self, tmp_path):
-        _project(tmp_path, {
-            "evalx/claims.py": """\
-                def claim(store, cell):
-                    path = store.path_for(cell)
-                    with open(path, "x") as handle:
-                        handle.write("claimed")
-                """,
-        })
-        findings, _ = _run(tmp_path, ["FS001"])
-        assert findings == []
-
-    def test_replace_without_fsync_flagged_in_durable_modules(
-        self, tmp_path
-    ):
-        _project(tmp_path, {
-            "evalx/checkpoint.py": """\
-                import json
-                import os
-
-
-                def save(store, cell, record):
-                    path = store.path_for(cell)
-                    tmp = path.with_name(f".{cell}.tmp-{os.getpid()}")
-                    tmp.write_text(json.dumps(record))
-                    os.replace(tmp, path)
-                """,
-        })
-        findings, _ = _run(tmp_path, ["FS002"])
-        assert _rule_ids(findings) == ["FS002"]
-        assert "fsync" in findings[0].message
-
-    def test_fsynced_replace_passes(self, tmp_path):
-        _project(tmp_path, {
-            "evalx/checkpoint.py": """\
-                import json
-                import os
-
-
-                def save(store, cell, record):
-                    path = store.path_for(cell)
-                    tmp = path.with_name(f".{cell}.tmp-{os.getpid()}")
-                    with open(tmp, "w") as handle:
-                        handle.write(json.dumps(record))
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                    os.replace(tmp, path)
-                """,
-        })
-        findings, _ = _run(tmp_path, ["FS002"])
-        assert findings == []
-
-    def test_fsync_through_project_helper_passes(self, tmp_path):
-        _project(tmp_path, {
-            "evalx/checkpoint.py": """\
-                import json
-                import os
-
-                from evalx.fsio import fsync_write_text
-
-
-                def save(store, cell, record):
-                    path = store.path_for(cell)
-                    tmp = path.with_name(f".{cell}.tmp-{os.getpid()}")
-                    fsync_write_text(tmp, json.dumps(record))
-                    os.replace(tmp, path)
-                """,
-            "evalx/fsio.py": """\
-                import os
-
-
-                def fsync_write_text(path, text):
+                    path.write_bytes(blob)
                     with open(path, "w") as handle:
                         handle.write(text)
-                        handle.flush()
-                        os.fsync(handle.fileno())
+                    with open(path, mode="ab") as handle:
+                        handle.write(blob)
+                    np.save(path, column)
+                    np.savez_compressed(path, column=column)
+                """,
+            "repro/synth/workloads.py": """\
+                def save(path, blob):
+                    with open(path, "r+b") as handle:
+                        handle.write(blob)
                 """,
         })
-        findings, _ = _run(tmp_path, ["FS002"])
-        assert findings == []
+        findings, _ = _run(tmp_path, ["CKP003"])
+        checkpoint_lines = [5, 6, 7, 9, 11, 12]
+        assert [(f.path, f.line) for f in findings] == [
+            ("repro/evalx/checkpoint.py", line) for line in checkpoint_lines
+        ] + [("repro/synth/workloads.py", 2)]
+        assert "in place" in findings[0].message
 
-    def test_fsync_outside_durable_scope_not_required(self, tmp_path):
-        # The trace cache is checksummed + regenerated; FS002's scope
-        # excludes it even though FS001/FS004 still apply.
-        _project(tmp_path, {
-            "evalx/tracecache.py": """\
-                import os
-
-
-                def save(store, cell, text):
-                    path = store.path_for(cell)
-                    tmp = path.with_name(f".{cell}.tmp-{os.getpid()}")
-                    tmp.write_text(text)
-                    os.replace(tmp, path)
-                """,
-        })
-        findings, _ = _run(tmp_path, ["FS002"])
-        assert findings == []
-
-    def test_replace_from_unknown_source_flagged(self, tmp_path):
-        _project(tmp_path, {
-            "evalx/store.py": """\
-                import os
-
-
-                def publish(store, cell, src):
-                    path = store.path_for(cell)
-                    os.replace(src, path)
-                """,
-        })
-        findings, _ = _run(tmp_path, ["FS004"])
-        assert _rule_ids(findings) == ["FS004"]
-        assert "sibling temp" in findings[0].message
-
-    def test_replace_from_shared_temp_name_flagged_as_non_pid(
+    def test_reads_and_exclusive_create_in_store_modules_pass(
         self, tmp_path
     ):
         _project(tmp_path, {
-            "evalx/store.py": """\
+            "repro/evalx/checkpoint.py": """\
+                import numpy as np
+
+
+                def load(path, claim):
+                    with open(path, "rb") as handle:
+                        handle.read()
+                    with open(claim, "x") as handle:
+                        handle.write("claimed")
+                    return path.read_text(), np.load(path)
+                """,
+        })
+        findings, _ = _run(tmp_path, ["CKP003"])
+        assert findings == []
+
+    def test_store_module_publishing_through_fsio_passes(self, tmp_path):
+        _project(tmp_path, {
+            "repro/synth/workloads.py": """\
+                from repro.utils import fsio
+                from repro.utils.fsio import publish
+
+
+                def save_cached(trace, cache_path):
+                    publish(cache_path, trace.save)
+
+
+                def save_record(path, data):
+                    fsio.publish(path, lambda handle: handle.write(data))
+                """,
+        })
+        findings, _ = _run(tmp_path, ["CKP003"])
+        assert findings == []
+
+    def test_fsio_itself_is_exempt(self, tmp_path):
+        _project(tmp_path, {
+            "repro/utils/fsio.py": """\
                 import os
 
 
-                def publish(store, cell, text):
-                    path = store.path_for(cell)
-                    tmp = path.with_name(".record.tmp")
-                    tmp.write_text(text)
+                def publish(destination, write):
+                    tmp_path = destination.with_name(
+                        f".{destination.name}.tmp-{os.getpid()}"
+                    )
+                    with open(tmp_path, "wb") as handle:
+                        write(handle)
+                        os.fsync(handle.fileno())
+                    os.replace(tmp_path, destination)
+
+
+                def env_handoff(name, value):
+                    previous = os.environ.get(name)
+                    os.environ[name] = value
+                    if previous is None:
+                        os.environ.pop(name, None)
+                """,
+        })
+        findings, _ = _run(tmp_path, ["CKP003"])
+        assert findings == []
+
+    def test_writes_outside_store_modules_pass(self, tmp_path):
+        _project(tmp_path, {
+            "repro/evalx/tune.py": """\
+                def dump(path, text):
+                    path.write_text(text)
+                    with open(path, "w") as handle:
+                        handle.write(text)
+                """,
+        })
+        findings, _ = _run(tmp_path, ["CKP003"])
+        assert findings == []
+
+    def test_scope_leaves_harness_code_alone(self, tmp_path):
+        _project(tmp_path, {
+            "benchmarks/conftest.py": """\
+                import os
+
+                os.environ.setdefault("REPRO_CACHE_DIR", "off")
+                """,
+            "tools/publish.py": """\
+                import os
+
+
+                def publish(tmp, path):
                     os.replace(tmp, path)
                 """,
         })
-        findings, _ = _run(tmp_path, ["FS004"])
-        assert _rule_ids(findings) == ["FS004"]
-        assert "pid" in findings[0].message
-
-    def test_fs_rules_scoped_to_store_code(self, tmp_path):
-        _project(tmp_path, {
-            "scripts/report.py": """\
-                def publish(store, cell, text):
-                    path = store.path_for(cell)
-                    path.write_text(text)
-                """,
-        })
-        findings, _ = _run(tmp_path, ["FS001", "FS002", "FS004"])
-        assert findings == []
-
-
-class TestEnvOrderRules:
-    def test_handoff_mutated_between_submits_flagged(self, tmp_path):
-        _project(tmp_path, {
-            "evalx/driver.py": """\
-                import os
-
-
-                def sweep(executor, run, cells, plan):
-                    os.environ["REPRO_FAULTS"] = plan
-                    executor.submit(run, cells[0])
-                    os.environ["REPRO_FAULTS"] = "other"
-                    executor.submit(run, cells[1])
-                """,
-        })
-        findings, _ = _run(tmp_path, ["ENV001"])
-        assert _rule_ids(findings) == ["ENV001"]
-        assert findings[0].line == 7
-
-    def test_restore_after_last_submit_passes(self, tmp_path):
-        _project(tmp_path, {
-            "evalx/driver.py": """\
-                import os
-
-
-                def sweep(executor, run, cells, plan):
-                    previous = os.environ.get("REPRO_FAULTS")
-                    os.environ["REPRO_FAULTS"] = plan
-                    try:
-                        for cell in cells:
-                            executor.submit(run, cell)
-                    finally:
-                        if previous is None:
-                            os.environ.pop("REPRO_FAULTS", None)
-                        else:
-                            os.environ["REPRO_FAULTS"] = previous
-                """,
-        })
-        findings, _ = _run(tmp_path, ["ENV001"])
-        assert findings == []
-
-    def test_arming_without_restore_flagged(self, tmp_path):
-        _project(tmp_path, {
-            "evalx/driver.py": """\
-                import os
-
-
-                def arm(plan):
-                    os.environ["REPRO_FAULTS"] = plan
-                """,
-        })
-        findings, _ = _run(tmp_path, ["ENV002"])
-        assert _rule_ids(findings) == ["ENV002"]
-        assert "REPRO_FAULTS" in findings[0].message
-
-    def test_arming_with_reachable_restore_passes(self, tmp_path):
-        _project(tmp_path, {
-            "evalx/driver.py": """\
-                import os
-
-
-                def run_with_plan(run, plan):
-                    previous = os.environ.get("REPRO_FAULTS")
-                    os.environ["REPRO_FAULTS"] = plan
-                    try:
-                        run()
-                    finally:
-                        if previous is None:
-                            os.environ.pop("REPRO_FAULTS", None)
-                        else:
-                            os.environ["REPRO_FAULTS"] = previous
-                """,
-        })
-        findings, _ = _run(tmp_path, ["ENV002"])
-        assert findings == []
-
-    def test_constant_alias_resolves_to_handoff_key(self, tmp_path):
-        _project(tmp_path, {
-            "evalx/driver.py": """\
-                import os
-
-                CHECKPOINT_ENV = "REPRO_CHECKPOINT_DIR"
-
-
-                def arm(path):
-                    os.environ[CHECKPOINT_ENV] = str(path)
-                """,
-        })
-        findings, _ = _run(tmp_path, ["ENV002"])
-        assert _rule_ids(findings) == ["ENV002"]
-        assert "REPRO_CHECKPOINT_DIR" in findings[0].message
-
-    def test_arming_modules_are_exempt(self, tmp_path):
-        _project(tmp_path, {
-            "evalx/faults.py": """\
-                import os
-
-
-                def install(plan):
-                    os.environ["REPRO_FAULTS"] = plan
-                """,
-        })
-        findings, _ = _run(tmp_path, ["ENV002"])
-        assert findings == []
-
-    def test_other_env_vars_ignored(self, tmp_path):
-        _project(tmp_path, {
-            "evalx/driver.py": """\
-                import os
-
-
-                def arm():
-                    os.environ["PYTHONHASHSEED"] = "0"
-                """,
-        })
-        findings, _ = _run(tmp_path, ["ENV001", "ENV002"])
+        findings, _ = _run(tmp_path, ["CKP003"])
         assert findings == []
 
 
@@ -1201,7 +1100,7 @@ class TestCli:
                     "justification": "fixture: intentional clock read",
                 },
                 {
-                    "rule": "FS001", "path": "sim/gone.py",
+                    "rule": "DET001", "path": "sim/gone.py",
                     "symbol": "removed_long_ago",
                     "justification": "fixture: the violation was fixed",
                 },
@@ -1229,7 +1128,7 @@ class TestCli:
                     "justification": "fixture: intentional clock read",
                 },
                 {
-                    "rule": "FS001", "path": "sim/gone.py",
+                    "rule": "DET001", "path": "sim/gone.py",
                     "symbol": "removed_long_ago",
                     "justification": "fixture: the violation was fixed",
                 },

@@ -38,6 +38,7 @@ from repro.evalx.parallel import (
     run_sharded,
 )
 from repro.evalx.result import ExperimentResult
+from tests.helpers import kill_process_group
 
 
 class TestSpecGrammar:
@@ -113,12 +114,34 @@ class TestInertByDefault:
     def test_install_uninstall_round_trip(self, monkeypatch):
         monkeypatch.delenv(faults.ENV_VAR, raising=False)
         plan = FaultPlan.compile("raise@a", seed=0, labels=["a", "b"])
-        faults.install(plan)
-        try:
+        with faults.armed(plan):
             assert faults.active_plan() == plan
-        finally:
-            faults.uninstall()
         assert faults.active_plan() is None
+
+
+class TestCliDisarmsOnReturn:
+    """``--inject-faults`` arms its plan only for the CLI's own run."""
+
+    @pytest.mark.parametrize("previous", [None, "preset"])
+    def test_plan_does_not_leak_past_main(self, monkeypatch, previous):
+        from repro.evalx.__main__ import main
+        from repro.evalx.registry import run_experiment
+
+        monkeypatch.delenv(faults.ENV_VAR, raising=False)
+        if previous is not None:
+            preset = FaultPlan.compile("raise@nothing", seed=0, labels=[])
+            previous = preset.to_json()
+            monkeypatch.setenv(faults.ENV_VAR, previous)
+        status = main([
+            "table2", "--quick", "--tasks", "300", "--keep-going",
+            "--inject-faults", "raise@gcc*", "--fault-seed", "1",
+        ])
+        assert status == 1  # the planned gcc cell failed, as a gap
+        assert os.environ.get(faults.ENV_VAR) == previous
+        library = run_experiment(
+            "table2", n_tasks=300, quick=True, keep_going=True
+        )
+        assert library.failures == ()
 
 
 def _identity(x):
@@ -369,7 +392,8 @@ class TestKillAndResumeCLI:
 
         # A hang fault pins the last cell so the run cannot finish
         # before the kill lands; SIGKILL gives it zero chance to clean
-        # up — exactly an OOM-killer or CI-preemption death.
+        # up — exactly an OOM-killer or CI-preemption death. The run
+        # gets its own session so the kill takes its pool workers too.
         victim = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.evalx", *base,
@@ -382,6 +406,7 @@ class TestKillAndResumeCLI:
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         try:
             deadline = time.monotonic() + 120
@@ -395,11 +420,9 @@ class TestKillAndResumeCLI:
                 time.sleep(0.05)
             else:
                 pytest.fail("no checkpoint records appeared in time")
-            victim.kill()  # SIGKILL: no handlers, no atexit, nothing
         finally:
-            if victim.poll() is None:
-                victim.kill()
-            victim.wait()
+            orphans = kill_process_group(victim)
+        assert orphans == [], f"workers outlived the kill: {orphans}"
 
         persisted = len(list(store.glob("*.ckpt.json")))
         assert 2 <= persisted < 5  # killed mid-sweep, records survived

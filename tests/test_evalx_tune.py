@@ -15,7 +15,7 @@ Three layers, mirroring the module split:
 from __future__ import annotations
 
 import json
-import signal
+import os
 import subprocess
 import sys
 import time
@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import PredictorConfigError
+from repro.evalx import faults
 from repro.evalx.checkpoint import CheckpointStore
 from repro.evalx.registry import run_experiment
 from repro.evalx.tune import (
@@ -43,6 +44,7 @@ from repro.predictors.design_space import (
     enumerate_space,
 )
 from repro.predictors.folding import DolcSpec
+from tests.helpers import kill_process_group
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -275,6 +277,7 @@ class TestKillMidRungResume:
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
+            start_new_session=True,  # so the kill reaches its workers
         )
         try:
             deadline = time.monotonic() + 120
@@ -287,8 +290,8 @@ class TestKillMidRungResume:
             else:
                 pytest.fail("no checkpoint records appeared")
         finally:
-            victim.send_signal(signal.SIGKILL)
-            victim.wait(timeout=30)
+            orphans = kill_process_group(victim)
+        assert orphans == [], f"workers outlived the kill: {orphans}"
         assert not (tmp_path / "never.json").exists()
         resumed_out = tmp_path / "resumed.json"
         subprocess.run(
@@ -302,3 +305,31 @@ class TestKillMidRungResume:
         assert [r["promoted"] for r in artifact["rungs"]] == [
             r["promoted"] for r in clean["rungs"]
         ]
+
+
+class TestCliDisarmsOnReturn:
+    """``--inject-faults`` arms its plan only for the tuner's own run."""
+
+    @pytest.mark.parametrize("previous", [None, "preset"])
+    def test_plan_does_not_leak_past_main(
+        self, monkeypatch, capsys, previous
+    ):
+        from repro.evalx.tune import main
+
+        monkeypatch.delenv(faults.ENV_VAR, raising=False)
+        if previous is not None:
+            preset = faults.FaultPlan.compile(
+                "raise@nothing", seed=0, labels=[]
+            )
+            previous = preset.to_json()
+            monkeypatch.setenv(faults.ENV_VAR, previous)
+        status = main([
+            "--benchmarks", "gcc", "compress",
+            "--budget", "2", "--rungs", "1",
+            "--rung0-tasks", "300", "--final-tasks", "300",
+            "--keep-going", "--inject-faults", "raise@*", "--fault-seed", "1",
+        ])
+        assert status == 0
+        # The planned cell failed, dropping its candidate from the search.
+        assert "Final ranking (1 candidate(s))" in capsys.readouterr().out
+        assert os.environ.get(faults.ENV_VAR) == previous
