@@ -1,8 +1,8 @@
-"""Performance checks for the vectorized kernels and the --jobs engine.
+"""Performance checks for the batched kernels and the --jobs engine.
 
-Each test times a batched kernel against the step-by-step loop (or a
-parallel experiment run against the serial one) on a fixed workload and
-emits a machine-readable line::
+Each test times a batched kernel against the step-by-step reference of
+:mod:`repro.sim.reference` (or a parallel experiment run against the
+serial one) on a fixed workload and emits a machine-readable line::
 
     BENCH {"name": ..., "serial_s": ..., "fast_s": ..., "speedup": ...}
 
@@ -29,13 +29,13 @@ from repro.predictors.ideal import (
 )
 from repro.predictors.speculative import SpeculativePathPredictor
 from repro.predictors.ttb import IdealCorrelatedTargetBuffer
+from repro.sim import reference
 from repro.sim.functional import (
     simulate_exit_prediction,
     simulate_indirect_target_prediction,
 )
 from repro.sim.relaxed import simulate_speculative_exit_prediction
-from repro.sim.timing import TimingConfig, simulate_timing
-from repro.sim.timing.detailed import simulate_timing_detailed
+from repro.sim.timing import simulate_timing
 from repro.synth.workloads import load_workload
 from repro.utils.rng import DeterministicRng
 
@@ -71,14 +71,12 @@ def test_exit_kernel_speedup():
     ):
         for depth in (0, 4, 7):
             looped, slow = _time(
-                lambda: simulate_exit_prediction(
-                    workload, cls(depth), vectorize=False
+                lambda: reference.simulate_exit_prediction(
+                    workload, cls(depth)
                 )
             )
             batched, fast = _time(
-                lambda: simulate_exit_prediction(
-                    workload, cls(depth), vectorize=True
-                )
+                lambda: simulate_exit_prediction(workload, cls(depth))
             )
             assert batched == looped
             total_slow += slow
@@ -97,18 +95,18 @@ def test_vc_kernel_speedup():
     total_slow = total_fast = 0.0
     for spec in ("VC2-MRU", "VC2-RANDOM", "VC3-MRU", "VC3-RANDOM"):
         for depth in (0, 4, 7):
-            def run(vectorize: bool):
+            def run(simulate):
                 factory = make_automaton_factory(
                     spec, DeterministicRng(depth).fork(spec)
                 )
-                return simulate_exit_prediction(
-                    workload,
-                    IdealPathPredictor(depth, automaton=factory),
-                    vectorize=vectorize,
+                return simulate(
+                    workload, IdealPathPredictor(depth, automaton=factory)
                 )
 
-            looped, slow = _time(lambda: run(False))
-            batched, fast = _time(lambda: run(True))
+            looped, slow = _time(
+                lambda: run(reference.simulate_exit_prediction)
+            )
+            batched, fast = _time(lambda: run(simulate_exit_prediction))
             assert batched == looped
             total_slow += slow
             total_fast += fast
@@ -121,15 +119,13 @@ def test_target_kernel_speedup():
     total_slow = total_fast = 0.0
     for depth in (0, 3, 7):
         looped, slow = _time(
-            lambda: simulate_indirect_target_prediction(
-                workload, IdealCorrelatedTargetBuffer(depth),
-                vectorize=False,
+            lambda: reference.simulate_indirect_target_prediction(
+                workload, IdealCorrelatedTargetBuffer(depth)
             )
         )
         batched, fast = _time(
             lambda: simulate_indirect_target_prediction(
-                workload, IdealCorrelatedTargetBuffer(depth),
-                vectorize=True,
+                workload, IdealCorrelatedTargetBuffer(depth)
             )
         )
         assert batched == looped
@@ -141,27 +137,25 @@ def test_target_kernel_speedup():
 def test_table4_sweep_speedup():
     """Full Table 4 grid — realistic predictors through the timing model.
 
-    5 benchmarks x 5 schemes (Simple/GLOBAL/PER/PATH/Perfect), scalar
-    reference loop vs the batched kernels. Two vectorized timings are
+    5 benchmarks x 5 schemes (Simple/GLOBAL/PER/PATH/Perfect), stepped
+    reference vs the batched kernels. Two batched timings are
     reported: *cold* pays the one-time per-trace derived-column builds
     (header tables, history columns, timing cycle columns), *warm* shows
     the steady-state cost once the memo caches hold them — the number a
     long sweep with repeated traces actually sees.
     """
-    def sweep(vectorize: bool) -> dict:
+    def sweep(simulate) -> dict:
         results = {}
         for name in BENCHMARKS:
             workload = load_workload(name, n_tasks=_TASKS)
             for scheme in SCHEMES:
                 predictor = _make_predictor(scheme, workload)
-                results[(name, scheme)] = simulate_timing(
-                    workload, predictor, vectorize=vectorize
-                )
+                results[(name, scheme)] = simulate(workload, predictor)
         return results
 
-    serial, serial_s = _time(lambda: sweep(False))
-    cold, cold_s = _time(lambda: sweep(True))
-    warm, warm_s = _time(lambda: sweep(True))
+    serial, serial_s = _time(lambda: sweep(reference.simulate_timing))
+    cold, cold_s = _time(lambda: sweep(simulate_timing))
+    warm, warm_s = _time(lambda: sweep(simulate_timing))
     assert cold == serial
     assert warm == serial
     _report("table4_sweep_cold[100k]", serial_s, cold_s)
@@ -181,47 +175,21 @@ def test_speculative_repair_speedup():
     total_slow = total_fast = 0.0
     for depth in (0, 4):
         looped, slow = _time(
-            lambda: simulate_speculative_exit_prediction(
+            lambda: reference.simulate_speculative_exit_prediction(
                 workload, SpeculativePathPredictor(spec),
-                wrong_path_depth=depth, vectorize=False,
+                wrong_path_depth=depth,
             )
         )
         batched, fast = _time(
             lambda: simulate_speculative_exit_prediction(
                 workload, SpeculativePathPredictor(spec),
-                wrong_path_depth=depth, vectorize=True,
+                wrong_path_depth=depth,
             )
         )
         assert batched == looped
         total_slow += slow
         total_fast += fast
     _report("speculative_perfect[gcc-100k]", total_slow, total_fast)
-
-
-def test_detailed_timing_event_compression():
-    """Cycle-stepped model with event-compressed advance vs full stepping.
-
-    Long tasks (high startup, narrow issue) leave many event-free cycles
-    between dispatches, which the compressed advance jumps in one
-    accounting step. Both modes run identical phase code at event
-    cycles, so the results compare equal field for field.
-    """
-    workload = load_workload("gcc", n_tasks=8_000)
-    config = TimingConfig(task_startup_cycles=16, issue_width=2)
-    predictor_a = _make_predictor("PATH", workload)
-    predictor_b = _make_predictor("PATH", workload)
-    stepped, slow = _time(
-        lambda: simulate_timing_detailed(
-            workload, predictor_a, config=config, vectorize=False
-        )
-    )
-    compressed, fast = _time(
-        lambda: simulate_timing_detailed(
-            workload, predictor_b, config=config, vectorize=True
-        )
-    )
-    assert compressed == stepped
-    _report("detailed_event_skip[gcc-8k]", slow, fast)
 
 
 def test_jobs_speedup():

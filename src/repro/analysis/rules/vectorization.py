@@ -1,9 +1,10 @@
 """VEC rules: vectorization-contract lint for the batched kernels.
 
-The performance contract of the batched simulation paths (PR 6) is that
-modules advertising a ``vectorize`` switch really do their per-trace
-work in whole-array numpy operations, with the scalar path iterating
-over plain Python lists (``.tolist()``) as the bit-identical reference.
+The performance contract of the simulation kernels is that every module
+of the kernel packages (``sim``, ``predictors``, ``utils``) does its
+per-trace work in whole-array numpy operations; the few sequential loops
+that remain (stepped reference paths, hysteresis replays whose stored
+value is an address) iterate over plain Python lists (``.tolist()``).
 Two regressions are easy to introduce and invisible to the test suite
 (which checks answers, not complexity):
 
@@ -28,12 +29,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.analysis.core import (
-    Finding,
-    ModuleInfo,
-    Project,
-    register_rule,
-)
+from repro.analysis.core import Finding, ModuleInfo, register_rule
 from repro.analysis.rules._shared import ImportMap, dotted_call_name
 from repro.analysis.rules.bitwidth import (
     _NARROW_INT,
@@ -42,31 +38,6 @@ from repro.analysis.rules.bitwidth import (
     _DtypeScope,
     _scope_nodes,
 )
-
-
-def _claims_vectorized(module: ModuleInfo) -> bool:
-    """Whether the module advertises a batched path.
-
-    A module is held to the vectorization contract when any of its
-    functions takes a ``vectorize`` parameter, or its docstring talks
-    about vectorized/batched kernels.
-    """
-    doc = ast.get_docstring(module.tree) or ""
-    lowered = doc.lower()
-    if "vectoriz" in lowered or "batched kernel" in lowered:
-        return True
-    for node in ast.walk(module.tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = node.args
-            names = {
-                arg.arg
-                for arg in (
-                    *args.posonlyargs, *args.args, *args.kwonlyargs
-                )
-            }
-            if "vectorize" in names:
-                return True
-    return False
 
 
 def _loop_var_names(target: ast.expr) -> set[str]:
@@ -107,19 +78,13 @@ class PerElementLoop(_BitwidthRule):
     id = "VEC001"
     title = "per-element Python loop over ndarray state"
     rationale = (
-        "Modules advertising a vectorize switch promise whole-array "
-        "updates; a Python loop doing per-element arr[i] reads/writes "
-        "costs a numpy scalar box each iteration and silently erases "
-        "the batched kernel's win. Batch the update, or iterate over "
-        ".tolist() in the scalar reference path."
+        "The kernel packages promise whole-array updates; a Python loop "
+        "doing per-element arr[i] reads/writes costs a numpy scalar box "
+        "each iteration and silently erases the batched kernel's win. "
+        "Batch the update, or iterate over .tolist() where a sequential "
+        "loop is unavoidable."
     )
-
-    def check_module(
-        self, module: ModuleInfo, project: Project
-    ) -> Iterator[Finding]:
-        if not _claims_vectorized(module):
-            return
-        yield from super().check_module(module, project)
+    scope = ("sim", "predictors", "utils")
 
     def check_scope(
         self,
@@ -193,9 +158,9 @@ class PerElementLoop(_BitwidthRule):
             line=node.lineno,
             col=node.col_offset,
             message=(
-                f"per-element Python loop {detail} in a module "
-                "claiming vectorized kernels; batch the update or "
-                "iterate over .tolist() in the scalar path"
+                f"per-element Python loop {detail} in a kernel "
+                "module; batch the update or iterate over .tolist() "
+                "where the loop is sequential"
             ),
             symbol=qualname,
         )

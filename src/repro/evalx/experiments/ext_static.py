@@ -22,6 +22,10 @@ from repro.predictors.exit_predictors import (
 )
 from repro.predictors.folding import DolcSpec
 from repro.predictors.static_hints import StaticHintExitPredictor
+from repro.sim.functional import (
+    batched_exit_prediction_column,
+    exit_count_column,
+)
 from repro.synth.workloads import load_workload
 
 _DEFAULT_TASKS = 200_000
@@ -96,17 +100,12 @@ def combine(
 
 def _second_half_miss(workload, predictor, half: int) -> float:
     """Miss rate over records [half:), running the predictor from cold."""
-    n_exits_of = workload.exit_counts()
-    task_addrs = workload.trace.task_addr.tolist()
-    actual_exits = workload.trace.exit_index.tolist()
-    misses = 0
-    trials = 0
-    for i, (addr, actual) in enumerate(zip(task_addrs, actual_exits)):
-        n_exits = n_exits_of[addr]
-        predicted = predictor.predict(addr, n_exits)
-        if i >= half:
-            trials += 1
-            if predicted != actual:
-                misses += 1
-        predictor.update(addr, n_exits, actual)
-    return misses / trials if trials else 0.0
+    trace = workload.trace
+    predicted = batched_exit_prediction_column(
+        predictor,
+        trace.task_addr,
+        trace.exit_index,
+        exit_count_column(workload, trace.task_addr),
+    )
+    wrong = predicted[half:] != trace.exit_index[half:]
+    return int(wrong.sum()) / wrong.size if wrong.size else 0.0

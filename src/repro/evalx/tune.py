@@ -62,7 +62,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.errors import ReproError
+from repro.errors import PredictorConfigError, ReproError
 from repro.evalx.__main__ import (
     _armed_fault_plan,
     _fault_spec,
@@ -80,6 +80,7 @@ from repro.predictors.design_space import (
     DEFAULT_FOLDS,
     DEFAULT_INDEX_BITS,
     TuneConfig,
+    check_automaton,
     enumerate_space,
 )
 from repro.utils.rng import DeterministicRng
@@ -118,6 +119,11 @@ class TuneSpec:
             raise TuneError("rung0_tasks must be >= 1")
         if self.final_tasks < self.rung0_tasks:
             raise TuneError("final_tasks must be >= rung0_tasks")
+        for automaton in self.automata:
+            try:
+                check_automaton(automaton)
+            except PredictorConfigError as exc:
+                raise TuneError(f"automaton {automaton}: {exc}") from exc
 
 
 def rung_schedule(spec: TuneSpec) -> tuple[int, ...]:

@@ -17,7 +17,6 @@ Contents map onto the paper's sections:
 * :mod:`repro.predictors.task_predictor` — composed next-task predictors:
   exit predictor + header + RAS + CTTB, the CTTB-only headerless scheme
   (§5.4, Table 3), and a perfect oracle.
-* :mod:`repro.predictors.bimodal` — the intra-task bimodal predictor (§2.2).
 """
 
 from repro.predictors.automata import (
@@ -29,7 +28,6 @@ from repro.predictors.automata import (
     make_automaton_factory,
 )
 from repro.predictors.base import ExitPredictor, NextTaskPredictor
-from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.exit_predictors import (
     GlobalExitPredictor,
     PathExitPredictor,
@@ -86,7 +84,6 @@ __all__ = [
     "HeaderTaskPredictor",
     "CttbOnlyTaskPredictor",
     "PerfectTaskPredictor",
-    "BimodalPredictor",
     "TournamentExitPredictor",
     "ResettingConfidenceEstimator",
     "ConfidenceStats",

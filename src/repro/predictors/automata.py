@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import abc
 from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -222,7 +223,10 @@ def make_automaton_factory(
     The hysteresis family generalises beyond the paper's two points: any
     ``LEH-<k>`` with ``k >= 1`` names a last-exit automaton with a k-bit
     confidence counter, which is the hysteresis axis of the design-space
-    search (:mod:`repro.predictors.design_space`).
+    search (:mod:`repro.predictors.design_space`). LEH-k has ``4 * 2**k``
+    states, so only ``k <= 4`` tabulates within
+    :data:`~repro.utils.scan.MAX_SCAN_STATES`: a predictor built around a
+    wider one is rejected (:func:`batch_automaton`).
     """
     if spec == "LE":
         return LastExit
@@ -436,15 +440,37 @@ class VotingCountersReplay:
 
 def batch_automaton(
     factory: Callable[[], MultiwayAutomaton], draw_on_first_touch: bool
-) -> AutomatonTable | VotingCountersReplay | None:
+) -> AutomatonTable | VotingCountersReplay:
     """The exact batched form of the automaton ``factory`` builds.
 
     Voting counters replay factored (:class:`VotingCountersReplay`,
     which takes the table's ``draw_on_first_touch`` rule); every other
-    automaton tabulates (:func:`tabulate_automaton`), or returns None
-    when it cannot.
+    automaton tabulates (:func:`tabulate_automaton`). Predictors call
+    this when they are constructed, so an automaton with neither form
+    is rejected there with :class:`PredictorConfigError`.
     """
     sample = factory()
     if type(sample) is VotingCounters:
         return sample.batch_replay(draw_on_first_touch)
-    return tabulate_automaton(factory, MAX_EXITS_PER_TASK)
+    table = tabulate_automaton(factory, MAX_EXITS_PER_TASK)
+    if table is None:
+        raise PredictorConfigError(
+            f"{type(sample).__name__} has no exact batched form: it "
+            f"declines tabulation or exceeds {MAX_SCAN_STATES} states"
+        )
+    return table
+
+
+class BatchPlan(NamedTuple):
+    """An exit predictor's whole-trace replay (its ``batch_plan``).
+
+    ``group_ids[i]`` is the dense id of the table entry step ``i`` reads
+    and trains, and ``automaton`` is the entries' batched form. Only
+    multiway steps touch the table, unless ``every_step`` is set (the
+    ``update_on_single_exit`` ablation, where single-exit steps read and
+    train their entry too).
+    """
+
+    group_ids: np.ndarray
+    automaton: AutomatonTable | VotingCountersReplay
+    every_step: bool

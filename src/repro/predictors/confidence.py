@@ -150,60 +150,14 @@ def simulate_confidence(
     predictor: ExitPredictor,
     estimator: ResettingConfidenceEstimator,
     limit: int | None = None,
-    vectorize: bool = True,
 ) -> ConfidenceStats:
     """Run predictor + estimator over a trace; return quality metrics.
 
-    When both the predictor and the estimator advertise exact batched
-    forms, the whole run is evaluated as numpy columns (bit-identical
-    statistics); ``vectorize=False`` forces the step loop.
+    The predictor's batched exit column gives every step's outcome, and
+    the estimator's batched gate column (:meth:`ResettingConfidenceEstimator.
+    batch_gate_columns`) its confidence; neither object is mutated. The
+    step-by-step reference is :func:`repro.sim.reference.simulate_confidence`.
     """
-    trace = workload.trace if limit is None else workload.trace.head(limit)
-    if vectorize:
-        stats = _batched_confidence_stats(workload, predictor, estimator, trace)
-        if stats is not None:
-            return stats
-    n_exits_of = workload.exit_counts()
-    task_addrs = trace.task_addr.tolist()
-    actual_exits = trace.exit_index.tolist()
-
-    trials = 0
-    high = 0
-    high_correct = 0
-    low = 0
-    low_incorrect = 0
-    for addr, actual in zip(task_addrs, actual_exits):
-        n_exits = n_exits_of[addr]
-        predicted = predictor.predict(addr, n_exits)
-        confident = estimator.is_high_confidence(addr)
-        correct = predicted == actual
-        trials += 1
-        if confident:
-            high += 1
-            if correct:
-                high_correct += 1
-        else:
-            low += 1
-            if not correct:
-                low_incorrect += 1
-        estimator.update(addr, correct)
-        predictor.update(addr, n_exits, actual)
-    return ConfidenceStats(
-        trials=trials,
-        high_confidence=high,
-        high_correct=high_correct,
-        low_confidence=low,
-        low_incorrect=low_incorrect,
-    )
-
-
-def _batched_confidence_stats(
-    workload: Workload,
-    predictor: ExitPredictor,
-    estimator: ResettingConfidenceEstimator,
-    trace,
-) -> ConfidenceStats | None:
-    """Column-wise confidence run, or None without exact batched forms."""
     # Imported here: the batched drivers live in the simulation layer,
     # which depends on this package — not the other way around.
     from repro.sim.functional import (
@@ -211,22 +165,19 @@ def _batched_confidence_stats(
         exit_count_column,
     )
 
+    trace = workload.trace if limit is None else workload.trace.head(limit)
     n_exits_col = exit_count_column(workload, trace.task_addr)
     predicted = batched_exit_prediction_column(
         predictor, trace.task_addr, trace.exit_index, n_exits_col
     )
-    if predicted is None:
-        return None
     correct = predicted == int64_column(trace.exit_index)
     confident = estimator.batch_gate_columns(trace.task_addr, correct)
     trials = len(correct)
     high = int(confident.sum())
-    high_correct = int((confident & correct).sum())
-    low_incorrect = int((~confident & ~correct).sum())
     return ConfidenceStats(
         trials=trials,
         high_confidence=high,
-        high_correct=high_correct,
+        high_correct=int((confident & correct).sum()),
         low_confidence=trials - high,
-        low_incorrect=low_incorrect,
+        low_incorrect=int((~confident & ~correct).sum()),
     )

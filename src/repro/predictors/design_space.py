@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.predictors.automata import make_automaton_factory
+from repro.predictors.automata import batch_automaton, make_automaton_factory
 from repro.predictors.folding import DolcSpec
 
 #: History depths searched by default: the paper's full 0..7 axis.
@@ -46,8 +46,9 @@ class TuneConfig:
     Attributes:
         dolc: The ``D-O-L-C(F)`` index spec, in the paper's notation.
         automaton: Automaton name per :func:`make_automaton_factory`
-            (e.g. ``LEH-2``); generalised hysteresis depths like
-            ``LEH-3`` are part of the searchable space.
+            (e.g. ``LEH-2``); generalised hysteresis depths up to
+            ``LEH-4`` are part of the searchable space
+            (:func:`check_automaton`).
     """
 
     dolc: str
@@ -65,7 +66,7 @@ class TuneConfig:
         dolc, _, automaton = key.partition("/")
         config = cls(dolc=dolc, automaton=automaton)
         config.spec()  # raises PredictorConfigError on a bad spec
-        make_automaton_factory(automaton)  # raises on a bad name
+        check_automaton(automaton)
         return config
 
     def spec(self) -> DolcSpec:
@@ -83,6 +84,16 @@ class TuneConfig:
         from repro.predictors.exit_predictors import PathExitPredictor
 
         return PathExitPredictor(self.spec(), automaton=self.automaton)
+
+
+def check_automaton(name: str) -> None:
+    """Reject an automaton no design point can use.
+
+    Raises :class:`~repro.errors.PredictorConfigError` for an unknown
+    name, or for one without an exact batched form (``LEH-<k>`` with
+    ``k > 4``), which a PHT predictor would reject when constructed.
+    """
+    batch_automaton(make_automaton_factory(name), draw_on_first_touch=True)
 
 
 def allocate_dolc(

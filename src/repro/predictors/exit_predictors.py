@@ -21,6 +21,11 @@ DESIGN.md.
 All schemes implement the single-exit-task optimisation of §6.1: one-exit
 tasks are predicted without consulting or updating the PHT (toggle with
 ``update_on_single_exit=True`` for the ablation benchmark).
+
+Every configuration has an exact batched form (``batch_plan``); one that
+would not — an automaton that neither tabulates nor factors, or a
+GLOBAL/PER history key wider than an int64 column — is rejected with
+:class:`PredictorConfigError` when the predictor is constructed.
 """
 
 from __future__ import annotations
@@ -33,14 +38,14 @@ import numpy as np
 from repro.errors import PredictorConfigError
 from repro.predictors.automata import (
     AutomatonTable,
+    BatchPlan,
     MultiwayAutomaton,
     VotingCountersReplay,
     batch_automaton,
     make_automaton_factory,
 )
-from repro.predictors.base import ExitPredictor
 from repro.predictors.folding import DolcSpec
-from repro.predictors.pht import PatternHistoryTable
+from repro.predictors.pht import PatternHistoryTable, PlannedExitPredictor
 from repro.utils.bits import bit_mask, fold_xor
 from repro.utils.memo import DerivedColumnCache, int64_column
 from repro.utils.scan import stable_argsort
@@ -142,7 +147,7 @@ def _per_key_history_column(
 
 def _pht_batch_automaton(
     pht: PatternHistoryTable,
-) -> AutomatonTable | VotingCountersReplay | None:
+) -> AutomatonTable | VotingCountersReplay:
     """Batched form of a PHT's entries (see :func:`batch_automaton`).
 
     ``predict`` creates a missing entry, so a first touch predicts from a
@@ -152,7 +157,18 @@ def _pht_batch_automaton(
     return batch_automaton(pht.factory, draw_on_first_touch=True)
 
 
-class PathExitPredictor(ExitPredictor):
+def _check_key_width(depth: int, index_bits: int) -> None:
+    """Reject a history geometry whose combined key overflows int64."""
+    if depth < 0:
+        raise PredictorConfigError("history depth must be >= 0")
+    if 2 * depth + index_bits > 62:
+        raise PredictorConfigError(
+            f"{depth} exits of history plus a {index_bits}-bit index "
+            "exceed the 62-bit key the batched kernel folds"
+        )
+
+
+class PathExitPredictor(PlannedExitPredictor):
     """Path-based exit predictor with DOLC index construction (§6)."""
 
     def __init__(
@@ -165,6 +181,7 @@ class PathExitPredictor(ExitPredictor):
         self._pht = PatternHistoryTable(
             spec.index_bits, _resolve_factory(automaton)
         )
+        self._batched = _pht_batch_automaton(self._pht)
         self._update_on_single_exit = update_on_single_exit
         self._path: deque[int] = deque(maxlen=max(1, spec.depth))
         # The DOLC fold is the predictor's hottest operation; predict()
@@ -206,23 +223,21 @@ class PathExitPredictor(ExitPredictor):
 
     def batch_plan(
         self, task_addrs: np.ndarray, actual_exits: np.ndarray
-    ) -> tuple[np.ndarray, AutomatonTable | VotingCountersReplay] | None:
-        """Plan a vectorized run: ``(per-step PHT indices, automaton)``.
+    ) -> BatchPlan:
+        """Plan a batched run: per-step PHT indices plus the automaton.
 
         Same contract as the ideal predictors' ``batch_plan`` (see
         :mod:`repro.predictors.ideal`): only valid for a freshly
-        constructed predictor, and None when the automaton has no batched
-        form or single-exit tasks train the table. The path register
-        shifts on every retired task, so the per-step indices are exactly
+        constructed predictor. The path register shifts on every retired
+        task, so the per-step indices are exactly
         :meth:`DolcSpec.index_column` over the full address column.
         """
-        if self._update_on_single_exit:
-            return None
-        automaton = _pht_batch_automaton(self._pht)
-        if automaton is None:
-            return None
         addrs = int64_column(task_addrs)
-        return self._spec.index_column(addrs), automaton
+        return BatchPlan(
+            self._spec.index_column(addrs),
+            self._batched,
+            self._update_on_single_exit,
+        )
 
 
 class SimpleExitPredictor(PathExitPredictor):
@@ -240,7 +255,7 @@ class SimpleExitPredictor(PathExitPredictor):
         )
 
 
-class GlobalExitPredictor(ExitPredictor):
+class GlobalExitPredictor(PlannedExitPredictor):
     """Exit-based global history predictor (GLOBAL of §5.2), finite table.
 
     The global register holds the last ``depth`` exit indices, 2 bits each;
@@ -254,13 +269,13 @@ class GlobalExitPredictor(ExitPredictor):
         automaton: str | Callable[[], MultiwayAutomaton] = "LEH-2",
         update_on_single_exit: bool = False,
     ) -> None:
-        if depth < 0:
-            raise PredictorConfigError("history depth must be >= 0")
+        _check_key_width(depth, index_bits)
         self._depth = depth
         self._index_bits = index_bits
         self._pht = PatternHistoryTable(
             index_bits, _resolve_factory(automaton)
         )
+        self._batched = _pht_batch_automaton(self._pht)
         self._update_on_single_exit = update_on_single_exit
         self._history = 0
         self._history_mask = bit_mask(2 * depth) if depth else 0
@@ -296,34 +311,31 @@ class GlobalExitPredictor(ExitPredictor):
 
     def batch_plan(
         self, task_addrs: np.ndarray, actual_exits: np.ndarray
-    ) -> tuple[np.ndarray, AutomatonTable | VotingCountersReplay] | None:
-        """Plan a vectorized run: ``(per-step PHT indices, automaton)``.
+    ) -> BatchPlan:
+        """Plan a batched run: per-step PHT indices plus the automaton.
 
         Same fresh-predictor contract as :meth:`PathExitPredictor.batch_plan`.
         The history register shifts on every update, so each step's index
         folds the register state built from *all* preceding exits.
         """
-        if self._update_on_single_exit:
-            return None
-        if 2 * self._depth + self._index_bits > 62:
-            return None  # combined key would not fit an int64 column
-        automaton = _pht_batch_automaton(self._pht)
-        if automaton is None:
-            return None
         addrs = int64_column(task_addrs)
-        addr_bits = (addrs >> _ALIGN_SHIFT) & bit_mask(self._index_bits)
-        if not self._depth:
-            return addr_bits, automaton
-        exits = int64_column(actual_exits)
-        history = _global_history_column(exits, self._depth)
-        combined = (history << self._index_bits) | addr_bits
-        indices = _fold_column(
-            combined, 2 * self._depth + self._index_bits, self._index_bits
+        indices = (addrs >> _ALIGN_SHIFT) & bit_mask(self._index_bits)
+        if self._depth:
+            history = _global_history_column(
+                int64_column(actual_exits), self._depth
+            )
+            combined = (history << self._index_bits) | indices
+            indices = _fold_column(
+                combined,
+                2 * self._depth + self._index_bits,
+                self._index_bits,
+            )
+        return BatchPlan(
+            indices, self._batched, self._update_on_single_exit
         )
-        return indices, automaton
 
 
-class PerTaskExitPredictor(ExitPredictor):
+class PerTaskExitPredictor(PlannedExitPredictor):
     """Per-task exit history predictor (PER of §5.2), finite tables.
 
     A history-register table (HRT) of ``2**hrt_index_bits`` registers is
@@ -341,14 +353,14 @@ class PerTaskExitPredictor(ExitPredictor):
         automaton: str | Callable[[], MultiwayAutomaton] = "LEH-2",
         update_on_single_exit: bool = False,
     ) -> None:
-        if depth < 0:
-            raise PredictorConfigError("history depth must be >= 0")
+        _check_key_width(depth, index_bits)
         self._depth = depth
         self._index_bits = index_bits
         self._hrt_index_bits = hrt_index_bits
         self._pht = PatternHistoryTable(
             index_bits, _resolve_factory(automaton)
         )
+        self._batched = _pht_batch_automaton(self._pht)
         self._update_on_single_exit = update_on_single_exit
         self._hrt: dict[int, int] = {}
         self._history_mask = bit_mask(2 * depth) if depth else 0
@@ -391,33 +403,29 @@ class PerTaskExitPredictor(ExitPredictor):
 
     def batch_plan(
         self, task_addrs: np.ndarray, actual_exits: np.ndarray
-    ) -> tuple[np.ndarray, AutomatonTable | VotingCountersReplay] | None:
-        """Plan a vectorized run: ``(per-step PHT indices, automaton)``.
+    ) -> BatchPlan:
+        """Plan a batched run: per-step PHT indices plus the automaton.
 
         Same fresh-predictor contract as :meth:`PathExitPredictor.batch_plan`.
         Each step reads the history register its task address selects, so
         the history column is computed per HRT slot.
         """
-        if self._update_on_single_exit:
-            return None
-        if 2 * self._depth + self._index_bits > 62:
-            return None  # combined key would not fit an int64 column
-        automaton = _pht_batch_automaton(self._pht)
-        if automaton is None:
-            return None
         addrs = int64_column(task_addrs)
-        addr_bits = (addrs >> _ALIGN_SHIFT) & bit_mask(self._index_bits)
-        if not self._depth:
-            return addr_bits, automaton
-        keys = (addrs >> _ALIGN_SHIFT) & bit_mask(self._hrt_index_bits)
-        exits = int64_column(actual_exits)
-        history = _HISTORY_CACHE.get(
-            (task_addrs, actual_exits),
-            ("per-history", self._depth, self._hrt_index_bits),
-            lambda: _per_key_history_column(keys, exits, self._depth),
+        indices = (addrs >> _ALIGN_SHIFT) & bit_mask(self._index_bits)
+        if self._depth:
+            keys = (addrs >> _ALIGN_SHIFT) & bit_mask(self._hrt_index_bits)
+            exits = int64_column(actual_exits)
+            history = _HISTORY_CACHE.get(
+                (task_addrs, actual_exits),
+                ("per-history", self._depth, self._hrt_index_bits),
+                lambda: _per_key_history_column(keys, exits, self._depth),
+            )
+            combined = (history << self._index_bits) | indices
+            indices = _fold_column(
+                combined,
+                2 * self._depth + self._index_bits,
+                self._index_bits,
+            )
+        return BatchPlan(
+            indices, self._batched, self._update_on_single_exit
         )
-        combined = (history << self._index_bits) | addr_bits
-        indices = _fold_column(
-            combined, 2 * self._depth + self._index_bits, self._index_bits
-        )
-        return indices, automaton

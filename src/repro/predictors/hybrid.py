@@ -10,13 +10,27 @@ the paper leaves open; the ``ext_hybrid`` experiment measures it.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import PredictorConfigError
 from repro.predictors.base import ExitPredictor
 from repro.utils.bits import bit_mask
+from repro.utils.memo import int64_column
+from repro.utils.scan import group_segments, sorted_fsm_scan
 
 _ALIGN_SHIFT = 2
 _CHOOSER_MAX = 3
 _CHOOSER_INIT = 2  # weakly prefer the first component
+
+#: Chooser inputs of the batched replay, and its transition table.
+_SECOND_RIGHT, _FIRST_RIGHT, _BOTH_WRONG = range(3)
+_CHOOSER_TRANSITIONS = np.array(
+    [
+        [max(0, counter - 1), min(_CHOOSER_MAX, counter + 1), counter]
+        for counter in range(_CHOOSER_MAX + 1)
+    ],
+    dtype=np.int8,
+)
 
 
 class TournamentExitPredictor(ExitPredictor):
@@ -25,6 +39,12 @@ class TournamentExitPredictor(ExitPredictor):
     The chooser counter saturates toward the component that has been
     correct when the two disagreed (agreeing outcomes teach it nothing,
     exactly as in McFarling's combining predictor).
+
+    The components must not share a random tie-break stream. The stepped
+    ``predict`` interleaves their draws step by step, while the batched
+    kernel replays each component's whole column in turn; with one stream
+    each, both orders draw the same values and leave every stream in the
+    same state.
     """
 
     def __init__(
@@ -40,6 +60,11 @@ class TournamentExitPredictor(ExitPredictor):
         self._chooser_index_bits = chooser_index_bits
         self._chooser: dict[int, int] = {}
         self._pending: tuple[int, int] | None = None
+
+    @property
+    def components(self) -> tuple[ExitPredictor, ExitPredictor]:
+        """The (first, second) component predictors."""
+        return self._first, self._second
 
     def _slot(self, task_addr: int) -> int:
         return (task_addr >> _ALIGN_SHIFT) & bit_mask(
@@ -86,3 +111,71 @@ class TournamentExitPredictor(ExitPredictor):
             + self._second.storage_bits()
             + chooser_bits
         )
+
+    def batch_column(
+        self,
+        task_addrs: np.ndarray,
+        actual_exits: np.ndarray,
+        n_exits_col: np.ndarray,
+    ) -> tuple[np.ndarray, int]:
+        """Both components' columns, combined by :meth:`batch_choose`."""
+        (first, first_touched), (second, second_touched) = (
+            component.batch_column(task_addrs, actual_exits, n_exits_col)
+            for component in self.components
+        )
+        predicted, chooser_touched = self.batch_choose(
+            task_addrs,
+            n_exits_col > 1,
+            int64_column(actual_exits),
+            first,
+            second,
+        )
+        return predicted, first_touched + second_touched + chooser_touched
+
+    def batch_choose(
+        self,
+        task_addrs: np.ndarray,
+        multiway: np.ndarray,
+        actual_exits: np.ndarray,
+        first: np.ndarray,
+        second: np.ndarray,
+    ) -> tuple[np.ndarray, int]:
+        """Replay the chooser over both components' prediction columns.
+
+        ``first``/``second`` are the components' per-step predictions
+        (their own ``batch_column``). Only multiway steps where the two
+        disagree matter: elsewhere either answer is the same and the
+        chooser does not train. Those steps replay each slot's 2-bit
+        counter with one segmented FSM scan. Returns the tournament's
+        prediction column and the number of chooser entries created.
+        Only valid for a freshly constructed predictor; the object is
+        not mutated.
+        """
+        predicted = first.copy()
+        steps = np.flatnonzero(multiway & (first != second))
+        if not steps.size:
+            return predicted, 0
+        slots = (int64_column(task_addrs)[steps] >> _ALIGN_SHIFT) & bit_mask(
+            self._chooser_index_bits
+        )
+        actual = actual_exits[steps]
+        first_right = first[steps] == actual
+        second_right = second[steps] == actual
+        inputs = np.where(
+            first_right,
+            _FIRST_RIGHT,
+            np.where(second_right, _SECOND_RIGHT, _BOTH_WRONG),
+        )
+        order, starts = group_segments(slots)
+        counters = np.empty(steps.size, dtype=np.int64)
+        counters[order] = sorted_fsm_scan(
+            starts,
+            inputs[order],
+            _CHOOSER_TRANSITIONS,
+            np.full(int(starts.sum()), _CHOOSER_INIT),
+        )
+        predicted[steps] = np.where(
+            counters >= 2, first[steps], second[steps]
+        )
+        trained = np.unique(slots[first_right != second_right]).size
+        return predicted, trained

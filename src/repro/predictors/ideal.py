@@ -26,13 +26,12 @@ import numpy as np
 
 from repro.errors import PredictorConfigError
 from repro.predictors.automata import (
-    AutomatonTable,
+    BatchPlan,
     MultiwayAutomaton,
-    VotingCountersReplay,
     batch_automaton,
     make_automaton_factory,
 )
-from repro.predictors.base import ExitPredictor
+from repro.predictors.pht import PlannedExitPredictor
 from repro.utils.memo import int64_column
 from repro.utils.windows import (
     group_by_global_history,
@@ -49,7 +48,7 @@ def _resolve_factory(
     return make_automaton_factory(automaton)
 
 
-class _IdealPredictorBase(ExitPredictor):
+class _IdealPredictorBase(PlannedExitPredictor):
     """Shared machinery: an unbounded key -> automaton map."""
 
     def __init__(
@@ -62,6 +61,11 @@ class _IdealPredictorBase(ExitPredictor):
             raise PredictorConfigError("history depth must be >= 0")
         self._depth = depth
         self._factory = _resolve_factory(automaton)
+        # predict() answers 0 for a key it has never updated, without
+        # consulting (or building) an automaton: no tie-break draw.
+        self._batched = batch_automaton(
+            self._factory, draw_on_first_touch=False
+        )
         self._update_on_single_exit = update_on_single_exit
         self._table: dict[tuple, MultiwayAutomaton] = {}
 
@@ -109,31 +113,21 @@ class _IdealPredictorBase(ExitPredictor):
 
     def batch_plan(
         self, task_addrs: np.ndarray, actual_exits: np.ndarray
-    ) -> tuple[np.ndarray, AutomatonTable | VotingCountersReplay] | None:
-        """Plan a vectorized run: ``(per-step key ids, batched automaton)``.
+    ) -> BatchPlan:
+        """Plan a batched run: per-step key ids plus the automaton.
 
-        The batched exit-prediction kernel in
-        :mod:`repro.sim.functional` uses the dense key ids in place of
-        this predictor's key tuples and replays the automaton through
-        its batched form (:func:`batch_automaton`). Returns None when the
-        configuration has no exact batched equivalent (an automaton that
-        can be neither tabulated nor factored, or updating on single-exit
-        tasks), in which case the caller falls back to the step-by-step
-        loop. Only valid for a freshly constructed predictor: the kernel
-        does not read or write ``self._table``.
+        :meth:`batch_column` uses the dense key ids in place of this
+        predictor's key tuples and replays the automaton through its
+        batched form (:func:`batch_automaton`, built when the predictor
+        is, so a configuration without one is rejected there). Only
+        valid for a freshly constructed predictor: the replay does not
+        read or write ``self._table``.
         """
-        if self._update_on_single_exit:
-            return None
-        # predict() answers 0 for a key it has never updated, without
-        # consulting (or building) an automaton: no tie-break draw.
-        automaton = batch_automaton(self._factory, draw_on_first_touch=False)
-        if automaton is None:
-            return None
         ids = self._batch_group_ids(
             int64_column(task_addrs),
             int64_column(actual_exits),
         )
-        return ids, automaton
+        return BatchPlan(ids, self._batched, self._update_on_single_exit)
 
 
 class IdealGlobalPredictor(_IdealPredictorBase):

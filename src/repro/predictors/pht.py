@@ -14,17 +14,38 @@ Two representations coexist:
   by the segmented FSM scan. Bit-identical to the reference by
   construction, since its transition table is enumerated from live
   automaton objects.
+
+Every table-of-automata exit predictor (the PHT schemes and the ideal,
+alias-free ones) is a :class:`PlannedExitPredictor`: its batched form is
+a :class:`~repro.predictors.automata.BatchPlan`, and :func:`replay_plan`
+runs every such plan.
 """
 
 from __future__ import annotations
 
+import abc
 from collections.abc import Callable
 
 import numpy as np
 
 from repro.errors import PredictorConfigError
-from repro.predictors.automata import AutomatonTable, MultiwayAutomaton
+from repro.predictors.automata import (
+    AutomatonTable,
+    BatchPlan,
+    MultiwayAutomaton,
+)
+from repro.predictors.base import ExitPredictor
+from repro.utils.memo import REUSE_BYTES, DerivedColumnCache, int64_column
 from repro.utils.scan import final_fsm_states, segmented_fsm_scan
+
+#: Multiway-step group ids per (group-id column, exit-count column): every
+#: automaton replayed over one grouping reads the same ids object, so the
+#: replays also share its segment sort (``repro.utils.scan.group_segments``).
+#: Only groupings replayed more than once are kept: a one-off replay's
+#: ids, and the sort anchored on them, die with the replay.
+_MULTIWAY_IDS = DerivedColumnCache(
+    max_bytes=REUSE_BYTES, admit_on_repeat=True
+)
 
 
 class PatternHistoryTable:
@@ -99,13 +120,6 @@ class PackedPatternTable:
         """The tabulated automaton driving every entry."""
         return self._table
 
-    @property
-    def state_column(self) -> np.ndarray:
-        """Current per-entry automaton state ids (read-only view)."""
-        view = self._states.view()
-        view.flags.writeable = False
-        return view
-
     def replay(
         self, group_ids: np.ndarray, inputs: np.ndarray
     ) -> np.ndarray:
@@ -140,3 +154,78 @@ class PackedPatternTable:
     def states_touched(self) -> int:
         """Distinct entries exercised so far (Figure 11's metric)."""
         return int(self._touched.sum())
+
+
+def replay_plan(
+    plan: BatchPlan,
+    actual_exits: np.ndarray,
+    n_exits_col: np.ndarray,
+) -> tuple[np.ndarray, int]:
+    """Run a predictor's ``batch_plan`` over a whole trace.
+
+    The plan holds a dense table-entry id per step (one automaton per
+    id) and the automaton's batched form. Only multiway steps touch the
+    table, unless the plan trains on every step. Returns the full int64
+    column a sequence of ``predict``/``update`` pairs would produce — 0
+    at single-exit steps, clamped into the task's legal exit range
+    elsewhere — and the number of entries touched, bit-identical to the
+    step-by-step loop.
+
+    A tabulated automaton replays through :class:`PackedPatternTable`.
+    Every entry starts in the tabulated initial state, which is also what
+    an untouched entry predicts — a first touch reads prediction 0
+    exactly like the dict-of-automata reference, whether the entry was
+    pre-created by a ``predict`` or is made on the fly by ``update``.
+    Voting counters replay factored
+    (:class:`~repro.predictors.automata.VotingCountersReplay`), which
+    applies the plan's own first-touch rule.
+    """
+    group_ids, automaton, every_step = plan
+    predicted = np.zeros(len(n_exits_col), dtype=np.int64)
+    if every_step:
+        steps = np.arange(len(n_exits_col))
+        ids = group_ids
+    else:
+        steps = np.flatnonzero(n_exits_col > 1)
+        ids = _MULTIWAY_IDS.get(
+            (group_ids, n_exits_col),
+            "multiway-ids",
+            lambda: group_ids[steps],
+        )
+    if not steps.size:
+        return predicted, 0
+    exits = int64_column(actual_exits)[steps]
+    if isinstance(automaton, AutomatonTable):
+        packed = PackedPatternTable(automaton, int(ids.max()) + 1)
+        raw = packed.predictions_of(packed.replay(ids, exits))
+        touched = packed.states_touched()
+    else:
+        raw, touched = automaton.replay(ids, exits)
+    predicted[steps] = np.minimum(raw, int64_column(n_exits_col)[steps] - 1)
+    return predicted, touched
+
+
+class PlannedExitPredictor(ExitPredictor):
+    """An exit predictor whose batched form is a :class:`BatchPlan`."""
+
+    @abc.abstractmethod
+    def batch_plan(
+        self, task_addrs: np.ndarray, actual_exits: np.ndarray
+    ) -> BatchPlan:
+        """Per-step table-entry ids plus the entries' batched automaton.
+
+        Only valid for a freshly constructed predictor; the object is
+        not mutated.
+        """
+
+    def batch_column(
+        self,
+        task_addrs: np.ndarray,
+        actual_exits: np.ndarray,
+        n_exits_col: np.ndarray,
+    ) -> tuple[np.ndarray, int]:
+        return replay_plan(
+            self.batch_plan(task_addrs, actual_exits),
+            actual_exits,
+            n_exits_col,
+        )

@@ -23,7 +23,10 @@ machinery so the cost of imperfect repair can be measured:
   - ``"none"``     — leave the polluted history in place (no repair).
 
 Automaton updates still happen at resolution time with actual outcomes
-(non-speculative, as in two-level branch predictors — §4.1).
+(non-speculative, as in two-level branch predictors — §4.1). The automaton
+must tabulate (:func:`repro.predictors.automata.tabulate_automaton`): the
+batched perfect-repair replay runs the table, so a predictor built around
+one that does not is rejected with :class:`PredictorConfigError`.
 """
 
 from __future__ import annotations
@@ -31,7 +34,12 @@ from __future__ import annotations
 from collections import deque
 
 from repro.errors import PredictorConfigError
-from repro.predictors.automata import make_automaton_factory
+from repro.isa.controlflow import MAX_EXITS_PER_TASK
+from repro.predictors.automata import (
+    AutomatonTable,
+    make_automaton_factory,
+    tabulate_automaton,
+)
 from repro.predictors.folding import DolcSpec
 from repro.predictors.pht import PatternHistoryTable
 
@@ -71,6 +79,13 @@ class SpeculativePathPredictor:
         self._pht = PatternHistoryTable(
             spec.index_bits, make_automaton_factory(automaton)
         )
+        table = tabulate_automaton(self._pht.factory, MAX_EXITS_PER_TASK)
+        if table is None:
+            raise PredictorConfigError(
+                f"automaton {automaton!r} does not tabulate, so the "
+                "batched speculative replay cannot run it"
+            )
+        self._table = table
         self._path: deque[int] = deque(maxlen=max(1, spec.depth))
         # Checkpoints of the path register, one per unresolved prediction,
         # oldest first. Real hardware bounds these by the ring size.
@@ -90,8 +105,13 @@ class SpeculativePathPredictor:
 
     @property
     def pht_factory(self):
-        """The automaton factory populating PHT entries (for batching)."""
+        """The automaton factory populating PHT entries."""
         return self._pht.factory
+
+    @property
+    def pht_table(self) -> AutomatonTable:
+        """The entries' tabulated automaton, for the batched replay."""
+        return self._table
 
     def predict(self, task_addr: int, n_exits: int) -> int:
         """Predict the exit and speculatively advance the path register."""

@@ -79,9 +79,7 @@ class StaticHintExitPredictor(ExitPredictor):
     ) -> np.ndarray:
         """Vectorized :meth:`predict` over whole trace columns.
 
-        Static hints never adapt, so a batch of predictions is exact; the
-        functional simulator uses this column instead of its per-step
-        loop.
+        Static hints never adapt, so a batch of predictions is exact.
         """
         addrs = int64_column(task_addrs)
         if self._hints:
@@ -102,6 +100,14 @@ class StaticHintExitPredictor(ExitPredictor):
         return np.minimum(
             hints, int64_column(n_exits_col) - 1
         )
+
+    def batch_column(
+        self,
+        task_addrs: np.ndarray,
+        actual_exits: np.ndarray,
+        n_exits_col: np.ndarray,
+    ) -> tuple[np.ndarray, int]:
+        return self.predict_column(task_addrs, n_exits_col), self.n_hints
 
     def update(self, task_addr: int, n_exits: int, actual_exit: int) -> None:
         """Static prediction never adapts; hints are fixed at compile time."""

@@ -60,6 +60,8 @@ def _cttb_pretarget_column(
     whose slot was never written resolve to :data:`NO_PREDICTION`.
     """
     n = len(slot_ids)
+    if not n:
+        return np.zeros(0, dtype=np.int64)
     write_rows = np.flatnonzero(writes)
     target_after = np.zeros(n, dtype=np.int64)
     target_of: dict[int, int] = {}
@@ -276,7 +278,6 @@ class HeaderTaskPredictor(NextTaskPredictor):
         self._exit_predictor = exit_predictor
         self._cttb = cttb
         self._ras = ras if ras is not None else ReturnAddressStack(depth=32)
-        self._last_predicted_exit: int | None = None
 
     @property
     def exit_predictor(self) -> ExitPredictor:
@@ -307,7 +308,6 @@ class HeaderTaskPredictor(NextTaskPredictor):
     def predict(self, task_addr: int) -> int:
         task = self._task(task_addr)
         exit_index = self._exit_predictor.predict(task_addr, task.n_exits)
-        self._last_predicted_exit = exit_index
         cf_code = task.cf_codes[exit_index]
         if cf_code == _CF_RETURN:
             predicted = self._ras.peek()
@@ -316,11 +316,6 @@ class HeaderTaskPredictor(NextTaskPredictor):
         else:  # BRANCH / CALL: the compiler put the target in the header
             predicted = task.targets[exit_index]
         return predicted if predicted is not None else NO_PREDICTION
-
-    @property
-    def last_predicted_exit(self) -> int | None:
-        """Exit index chosen by the most recent ``predict`` call."""
-        return self._last_predicted_exit
 
     def update(
         self,
@@ -354,19 +349,6 @@ class HeaderTaskPredictor(NextTaskPredictor):
             + self._ras.storage_bits()
         )
 
-    def batch_slot_ids(self, task_addrs: np.ndarray) -> np.ndarray | None:
-        """The CTTB's batched slot ids over a trace column, or None.
-
-        None means the address side has no batched form. The batched
-        simulators ask *before* replaying the exit predictor, whose
-        VC-RANDOM tie-breaks draw from a shared stream (see
-        :func:`repro.sim.functional.batched_task_prediction_column`).
-        """
-        slot_fn = getattr(self._cttb, "batch_slot_ids", None)
-        if slot_fn is None:
-            return None
-        return slot_fn(int64_column(task_addrs))
-
     def batch_predicted_addrs(
         self,
         task_addrs: np.ndarray,
@@ -374,22 +356,18 @@ class HeaderTaskPredictor(NextTaskPredictor):
         actual_exits: np.ndarray,
         cf_codes: np.ndarray,
         next_addrs: np.ndarray,
-    ) -> np.ndarray | None:
-        """Full per-step predicted-address column, or None.
+    ) -> np.ndarray:
+        """Full per-step predicted-address column.
 
         ``predicted_exits`` is the exit predictor's batched output (see
         :func:`repro.sim.functional.batched_exit_prediction_column`); the
         remaining columns are the trace's actual outcomes, which drive
         RAS and CTTB training exactly as per-step ``update`` calls would.
         Only valid for a freshly constructed predictor; the object is not
-        mutated. Returns None when a component has no batched form.
+        mutated.
         """
-        if predicted_exits is None:
-            return None
-        slot_ids = self.batch_slot_ids(task_addrs)
-        if slot_ids is None:
-            return None
         addrs = int64_column(task_addrs)
+        slot_ids = self._cttb.batch_slot_ids(addrs)
         program = self._program
         table = _DERIVED.get(
             (program,), "task-table", lambda: _TaskTable(program)
@@ -478,19 +456,14 @@ class CttbOnlyTaskPredictor(NextTaskPredictor):
         actual_exits: np.ndarray,
         cf_codes: np.ndarray,
         next_addrs: np.ndarray,
-    ) -> np.ndarray | None:
+    ) -> np.ndarray:
         """Predicted-address column: every step reads and trains the CTTB.
 
         Same contract as :meth:`HeaderTaskPredictor.batch_predicted_addrs`
         (``predicted_exits`` is unused — there is no exit predictor).
         """
-        slot_fn = getattr(self._cttb, "batch_slot_ids", None)
-        if slot_fn is None:
-            return None
         addrs = int64_column(task_addrs)
-        slot_ids = slot_fn(addrs)
-        if slot_ids is None:
-            return None
+        slot_ids = self._cttb.batch_slot_ids(addrs)
         targets = int64_column(next_addrs)
         everywhere = np.ones(len(addrs), dtype=bool)
         pre = _DERIVED.get(
@@ -537,7 +510,7 @@ class PerfectTaskPredictor(NextTaskPredictor):
         actual_exits: np.ndarray,
         cf_codes: np.ndarray,
         next_addrs: np.ndarray,
-    ) -> np.ndarray | None:
+    ) -> np.ndarray:
         """The oracle's column is the trace's successor column, verbatim.
 
         Same contract as :meth:`HeaderTaskPredictor.batch_predicted_addrs`;

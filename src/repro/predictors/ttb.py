@@ -109,9 +109,7 @@ class TaskTargetBuffer(_BufferBase):
     def observe_step(self, task_addr: int) -> None:
         """No-op: a plain TTB keeps no history. Present for API symmetry."""
 
-    def batch_slot_ids(
-        self, task_addrs: np.ndarray
-    ) -> np.ndarray | None:
+    def batch_slot_ids(self, task_addrs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`_slot` over a whole trace column.
 
         Returns dense slot ids for the batched kernel in
@@ -157,9 +155,7 @@ class CorrelatedTaskTargetBuffer(_BufferBase):
         if self._spec.depth:
             self._path.append(task_addr)
 
-    def batch_slot_ids(
-        self, task_addrs: np.ndarray
-    ) -> np.ndarray | None:
+    def batch_slot_ids(self, task_addrs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`_slot` over a whole trace column.
 
         The slot of step ``i`` is the DOLC fold of its address and the
@@ -196,9 +192,7 @@ class IdealCorrelatedTargetBuffer(_BufferBase):
         if self._depth:
             self._path.append(task_addr)
 
-    def batch_slot_ids(
-        self, task_addrs: np.ndarray
-    ) -> np.ndarray | None:
+    def batch_slot_ids(self, task_addrs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`_slot` over a whole trace column.
 
         The slot key of step ``i`` is the task address plus the path

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.isa.controlflow import MAX_EXITS_PER_TASK
-from repro.predictors.automata import tabulate_automaton
 from repro.predictors.folding import DolcSpec, _ALIGN_SHIFT
 from repro.predictors.pht import PackedPatternTable
 from repro.predictors.speculative import SpeculativePathPredictor
+from repro.sim.functional import exit_count_column
 from repro.synth.workloads import Workload
 from repro.utils.bits import bit_mask
 from repro.utils.memo import DerivedColumnCache, int64_column
@@ -145,31 +144,25 @@ def _dolc_index_rows(
     return out
 
 
-def _batched_speculative_stats(
+def _perfect_repair_stats(
     workload: Workload,
     predictor: SpeculativePathPredictor,
     wrong_path_depth: int,
     trace,
-) -> RelaxedPredictionStats | None:
-    """Columnwise speculative run, or None without an exact batched form.
+) -> RelaxedPredictionStats:
+    """Columnwise speculative run under the ``"perfect"`` repair policy.
 
-    Only the ``"perfect"`` repair policy is batchable: perfect repair
-    restores the committed-path history after every mispredict, so the
-    committed prediction stream is a straight PHT replay over the
-    D-O-L-C index column, and each wrong-path excursion can be replayed
-    afterwards against the PHT state of its origin step (wrong-path
-    predictions never train, so excursions don't interact). ``"squash"``
-    and ``"none"`` leave pollution in the history register, which couples
-    every step to the trace's miss pattern — those stay on the stepped
-    loop, which is also the reference this kernel is tested against.
+    Perfect repair restores the committed-path history after every
+    mispredict, so the committed prediction stream is a straight PHT
+    replay over the D-O-L-C index column, and each wrong-path excursion
+    can be replayed afterwards against the PHT state of its origin step
+    (wrong-path predictions never train, so excursions don't interact).
+    ``"squash"`` and ``"none"`` leave pollution in the history register,
+    which couples every step to the trace's miss pattern — those run
+    :func:`speculative_loop`, which is also this kernel's reference.
     """
-    if predictor.repair_policy != "perfect":
-        return None
     spec = predictor.spec
-    table = tabulate_automaton(predictor.pht_factory, MAX_EXITS_PER_TASK)
-    if table is None:
-        return None
-
+    table = predictor.pht_table
     headers = _HEADER_CACHE.get(
         (workload,),
         "relaxed-headers",
@@ -180,9 +173,7 @@ def _batched_speculative_stats(
     n = len(addrs)
     if n == 0:
         return RelaxedPredictionStats(0, 0, 0)
-    rows, known = headers.rows_of(addrs)
-    if not known.all():
-        return None  # let the stepped loop raise its KeyError
+    rows, _ = headers.rows_of(addrs)  # every task is known (validated)
     n_exits_col = headers.n_exits[rows]
 
     # Committed stream: perfect repair keeps the path register equal to
@@ -292,7 +283,6 @@ def simulate_speculative_exit_prediction(
     predictor: SpeculativePathPredictor,
     wrong_path_depth: int = 4,
     limit: int | None = None,
-    vectorize: bool = True,
 ) -> RelaxedPredictionStats:
     """Run a speculative-history predictor with wrong-path pollution.
 
@@ -300,20 +290,34 @@ def simulate_speculative_exit_prediction(
     predicted before the mispredict resolves — in hardware this is at most
     the number of speculative processing units.
 
-    With ``vectorize=True`` (default) and the ``"perfect"`` repair
-    policy, the run is evaluated as a batched PHT replay plus a
-    level-synchronous wrong-path walk — bit-identical statistics, no
-    per-task Python loop, and the predictor object is not mutated.
-    Other repair policies (and ``vectorize=False``) use the stepped
-    loop, which mutates the predictor as real hardware would.
+    The repair policy picks the kernel. ``"perfect"`` is evaluated as a
+    batched PHT replay plus a level-synchronous wrong-path walk, and the
+    predictor object is not mutated. ``"squash"`` and ``"none"`` have no
+    batched form yet and run :func:`speculative_loop`, which mutates the
+    predictor as real hardware would.
     """
     trace = workload.trace if limit is None else workload.trace.head(limit)
-    if vectorize:
-        stats = _batched_speculative_stats(
+    exit_count_column(workload, trace.task_addr)  # rejects unknown tasks
+    if predictor.repair_policy == "perfect":
+        return _perfect_repair_stats(
             workload, predictor, wrong_path_depth, trace
         )
-        if stats is not None:
-            return stats
+    return speculative_loop(workload, predictor, wrong_path_depth, trace)
+
+
+def speculative_loop(
+    workload: Workload,
+    predictor: SpeculativePathPredictor,
+    wrong_path_depth: int,
+    trace,
+) -> RelaxedPredictionStats:
+    """The stepped speculative run: predict, pollute, resolve per task.
+
+    Serves every repair policy, so it is the production kernel of
+    ``"squash"`` and ``"none"`` and the reference
+    (:func:`repro.sim.reference.simulate_speculative_exit_prediction`)
+    of the batched ``"perfect"`` replay.
+    """
     info: dict[int, tuple[int, tuple]] = {}
     for task in workload.compiled.program.tfg:
         info[task.address] = (

@@ -15,16 +15,10 @@ is largest) are the reproduction target.
 """
 
 from repro.sim.timing.config import TimingConfig
-from repro.sim.timing.detailed import (
-    DetailedTimingResult,
-    simulate_timing_detailed,
-)
 from repro.sim.timing.machine import TimingResult, simulate_timing
 
 __all__ = [
     "TimingConfig",
     "TimingResult",
     "simulate_timing",
-    "DetailedTimingResult",
-    "simulate_timing_detailed",
 ]

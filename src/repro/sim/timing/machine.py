@@ -30,9 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.predictors.base import NextTaskPredictor
-from repro.sim.functional import batched_task_prediction_column
+from repro.sim.functional import (
+    batched_task_prediction_column,
+    exit_count_column,
+)
 from repro.sim.timing.config import TimingConfig
-from repro.sim.timing.ring import ProcessingRing
 from repro.sim.timing.scan import (
     CODE_CORRECT,
     CODE_GATED,
@@ -85,34 +87,37 @@ class TimingResult:
         )
 
 
-def _batched_timing(
+def simulate_timing(
     workload: Workload,
     predictor: NextTaskPredictor,
-    trace,
-    config: TimingConfig,
-    confidence_gate,
-) -> TimingResult | None:
-    """Column-wise timing run, or None without exact batched forms.
+    config: TimingConfig | None = None,
+    limit: int | None = None,
+    confidence_gate=None,
+) -> TimingResult:
+    """Replay the workload's trace through the timing model.
 
-    Phase A resolves every per-task prediction outcome as numpy columns
-    (the batched predictors never mutate their objects); phase B
-    evaluates the timing recurrences in one max-plus scan
-    (:mod:`repro.sim.timing.scan`). Bit-identical to the stepped loop.
+    ``predictor`` supplies next-task predictions exactly as in the
+    functional simulator (predict, then update with the actual outcome —
+    the §3.1 idealisations).
+
+    ``confidence_gate`` optionally enables speculation control: an
+    estimator with a ``batch_gate_columns`` form (e.g.
+    :class:`repro.predictors.confidence.ResettingConfidenceEstimator`).
+    A low-confidence prediction is not acted on — the sequencer waits for
+    the task to resolve (losing overlap) instead of speculating (risking
+    a squash). High-confidence predictions dispatch as usual.
+
+    The run is evaluated column-wise: phase A resolves every per-task
+    prediction outcome as numpy columns (the batched predictors never
+    mutate their objects); phase B evaluates the timing recurrences in
+    one max-plus scan (:mod:`repro.sim.timing.scan`). Bit-identical to
+    the stepped loop of :func:`repro.sim.reference.simulate_timing`.
     """
-    gate_fn = None
-    if confidence_gate is not None:
-        # Checked before the prediction column, whose replay may draw
-        # from a shared tie-break stream the stepped loop needs intact.
-        gate_fn = getattr(confidence_gate, "batch_gate_columns", None)
-        if gate_fn is None:
-            return None
+    config = config or TimingConfig()
+    trace = workload.trace if limit is None else workload.trace.head(limit)
+    exit_count_column(workload, trace.task_addr)  # rejects unknown tasks
     predicted = batched_task_prediction_column(workload, predictor, trace)
-    if predicted is None:
-        return None
     correct = predicted == int64_column(trace.next_addr)
-    gated = None
-    if gate_fn is not None:
-        gated = ~gate_fn(trace.task_addr, correct)
 
     instructions = int64_column(trace.instructions)
     intra_misses = int64_column(trace.internal_mispredicts)
@@ -139,7 +144,7 @@ def _batched_timing(
     )
     if config.dependence_aware:
 
-        def dependence_mask() -> np.ndarray | None:
+        def dependence_mask() -> np.ndarray:
             program_tasks = workload.compiled.program.tfg
             addr_table = np.array(
                 sorted(task.address for task in program_tasks),
@@ -151,25 +156,21 @@ def _batched_timing(
                 row = int(np.searchsorted(addr_table, task.address))
                 create_table[row] = task.header.create_mask
                 use_table[row] = task.use_mask
-            addrs = int64_column(trace.task_addr)
-            rows = np.searchsorted(addr_table, addrs)
-            rows = np.minimum(rows, len(addr_table) - 1)
-            if np.any(addr_table[rows] != addrs):
-                return None  # unknown task: let the stepped loop raise
-            prev_create = np.empty(len(addrs), dtype=np.int64)
-            prev_create[0] = 0xFFFF  # pre-trace state feeds task 0
+            # Every trace address is a program task (checked above).
+            rows = np.searchsorted(addr_table, int64_column(trace.task_addr))
+            prev_create = np.empty(len(rows), dtype=np.int64)
+            prev_create[:1] = 0xFFFF  # pre-trace state feeds task 0
             prev_create[1:] = create_table[rows[:-1]]
             return (prev_create & use_table[rows]) != 0
 
         dependent = _CYCLE_CACHE.get(
             (trace.task_addr, workload), "dependence", dependence_mask
         )
-        if dependent is None:
-            return None
         forward_stalls = np.where(dependent, forward_stalls, 0)
 
     codes = np.where(correct, CODE_CORRECT, CODE_MISPREDICT)
-    if gated is not None:
+    if confidence_gate is not None:
+        gated = ~confidence_gate.batch_gate_columns(trace.task_addr, correct)
         codes = np.where(gated, CODE_GATED, codes)
     cycles, stalls = max_plus_timing_scan(
         exec_cycles,
@@ -187,141 +188,4 @@ def _batched_timing(
         task_mispredicts=int((codes == CODE_MISPREDICT).sum()),
         intra_mispredicts=int(intra_misses.sum()),
         mispredict_stall_cycles=stalls,
-    )
-
-
-def simulate_timing(
-    workload: Workload,
-    predictor: NextTaskPredictor,
-    config: TimingConfig | None = None,
-    limit: int | None = None,
-    confidence_gate=None,
-    vectorize: bool = True,
-) -> TimingResult:
-    """Replay the workload's trace through the timing model.
-
-    ``predictor`` supplies next-task predictions exactly as in the
-    functional simulator (predict, then update with the actual outcome —
-    the §3.1 idealisations).
-
-    ``confidence_gate`` optionally enables speculation control: an object
-    with ``is_high_confidence(task_addr)`` and ``update(task_addr,
-    correct)`` (e.g. :class:`repro.predictors.confidence.
-    ResettingConfidenceEstimator`). A low-confidence prediction is not
-    acted on — the sequencer waits for the task to resolve (losing
-    overlap) instead of speculating (risking a squash). High-confidence
-    predictions dispatch as usual.
-
-    When the predictor (and the gate, if any) advertise exact batched
-    forms, the run is evaluated as numpy columns plus a max-plus scan —
-    same results, no per-task Python loop. ``vectorize=False`` forces
-    the stepped loop (required when the caller inspects predictor state
-    afterwards, since batched runs never mutate the objects).
-    """
-    config = config or TimingConfig()
-    trace = workload.trace if limit is None else workload.trace.head(limit)
-    if vectorize and len(trace.task_addr):
-        result = _batched_timing(
-            workload, predictor, trace, config, confidence_gate
-        )
-        if result is not None:
-            return result
-    task_addrs = trace.task_addr.tolist()
-    actual_exits = trace.exit_index.tolist()
-    cf_codes = trace.cf_type.tolist()
-    next_addrs = trace.next_addr.tolist()
-    instructions = trace.instructions.tolist()
-    intra_misses = trace.internal_mispredicts.tolist()
-
-    ring = ProcessingRing(config.n_units)
-    predict = predictor.predict
-    update = predictor.update
-
-    dependence_masks: dict[int, tuple[int, int]] | None = None
-    if config.dependence_aware:
-        dependence_masks = {
-            task.address: (task.header.create_mask, task.use_mask)
-            for task in workload.compiled.program.tfg
-        }
-
-    issue_width = config.issue_width
-    startup = config.task_startup_cycles
-    intra_penalty = config.intra_mispredict_penalty
-    forward_fraction = config.forward_fraction
-    dispatch_interval = config.dispatch_interval
-    mispredict_penalty = config.task_mispredict_penalty
-    commit_interval = config.commit_interval
-
-    dispatch = 0
-    prev_finish = 0
-    prev_commit = 0
-    prev_create_mask = 0xFFFF  # the pre-trace machine state feeds task 0
-    total_instructions = 0
-    total_intra_misses = 0
-    task_mispredicts = 0
-    mispredict_stalls = 0
-
-    n_records = len(task_addrs)
-    for i in range(n_records):
-        addr = task_addrs[i]
-        insns = instructions[i]
-        intra = intra_misses[i]
-        total_instructions += insns
-        total_intra_misses += intra
-
-        exec_cycles = (
-            startup
-            + -(-insns // issue_width)  # ceil division
-            + intra * intra_penalty
-        )
-        start = max(dispatch, ring.unit_free_time())
-        if dependence_masks is None:
-            forward_stall = int(forward_fraction * exec_cycles)
-        else:
-            create_mask, use_mask = dependence_masks[addr]
-            dependent = bool(prev_create_mask & use_mask)
-            forward_stall = (
-                int(forward_fraction * exec_cycles) if dependent else 0
-            )
-            prev_create_mask = create_mask
-        finish = max(start + exec_cycles, prev_finish + forward_stall)
-        commit = max(finish, prev_commit + commit_interval)
-        ring.occupy_and_commit(commit)
-
-        next_addr = next_addrs[i]
-        predicted = predict(addr)
-        update(addr, actual_exits[i], cf_codes[i], next_addr)
-        correct = predicted == next_addr
-        if confidence_gate is not None:
-            gated = not confidence_gate.is_high_confidence(addr)
-            confidence_gate.update(addr, correct)
-            if gated:
-                # Speculation control: don't act on a low-confidence
-                # prediction — wait for the task to resolve. No squash and
-                # no redirect penalty, but all overlap with the successor
-                # is lost.
-                dispatch = finish
-                prev_finish = finish
-                prev_commit = commit
-                continue
-        if correct:
-            dispatch = dispatch + dispatch_interval
-        else:
-            task_mispredicts += 1
-            restart = finish + mispredict_penalty
-            ring.squash_speculative(restart)
-            mispredict_stalls += max(
-                0, restart - (dispatch + dispatch_interval)
-            )
-            dispatch = restart
-        prev_finish = finish
-        prev_commit = commit
-
-    return TimingResult(
-        cycles=prev_commit,
-        instructions=total_instructions,
-        tasks=n_records,
-        task_mispredicts=task_mispredicts,
-        intra_mispredicts=total_intra_misses,
-        mispredict_stall_cycles=mispredict_stalls,
     )

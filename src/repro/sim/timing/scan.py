@@ -35,9 +35,12 @@ Two exact reductions make that possible:
   ``O(n * (3+N))`` numpy work with only ``K + n/K + K`` Python
   iterations — minimised at ``K ≈ sqrt(n)``.
 
-The scan is validated bit-identical to the stepped reference over every
-predictor scheme and several ring/penalty configurations by
-``tests/test_sim_timing_vectorized.py``.
+The scan's equivalence proof is the hypothesis property in
+``tests/test_sim_timing_vectorized.py``: for every profile and Table 4
+scheme it draws a trace prefix, every
+:class:`~repro.sim.timing.config.TimingConfig` field and an
+optional confidence gate, and requires results equal to the stepped
+reference (:func:`repro.sim.reference.simulate_timing`).
 """
 
 from __future__ import annotations

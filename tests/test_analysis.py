@@ -536,7 +536,7 @@ class TestVectorizationRules:
                 import numpy as np
 
 
-                def simulate(trace, vectorize=True):
+                def simulate(trace):
                     state = np.zeros(len(trace), dtype=np.int64)
                     for i in range(1, len(trace)):
                         state[i] = state[i - 1] + 1
@@ -553,7 +553,7 @@ class TestVectorizationRules:
                 import numpy as np
 
 
-                def simulate(trace, vectorize=True):
+                def simulate(trace):
                     exits = np.asarray(trace, dtype=np.int64)
                     total = 0
                     for exit_index in exits:
@@ -570,7 +570,7 @@ class TestVectorizationRules:
                 import numpy as np
 
 
-                def simulate(trace, vectorize=True):
+                def simulate(trace):
                     arr = np.asarray(trace, dtype=np.int64)
                     # Sanctioned scalar reference path: plain Python list.
                     total = 0
@@ -589,27 +589,28 @@ class TestVectorizationRules:
         findings, _ = _run(tmp_path, ["VEC001"])
         assert findings == []
 
-    def test_module_without_vectorize_claim_not_scanned(self, tmp_path):
+    def test_module_outside_kernel_packages_not_scanned(self, tmp_path):
         _project(tmp_path, {
-            "tools/report.py": """\
+            "tools/report.py": '''\
+                """Vectorized tallies (the claim alone does not matter)."""
                 import numpy as np
 
 
-                def tally(values):
+                def tally(values, vectorize=True):
                     arr = np.asarray(values, dtype=np.int64)
                     out = np.zeros(len(arr), dtype=np.int64)
                     for i in range(len(arr)):
                         out[i] = arr[i] * 2
                     return out
-                """,
+                ''',
         })
         findings, _ = _run(tmp_path, ["VEC001"])
         assert findings == []
 
-    def test_docstring_claim_triggers_scan(self, tmp_path):
+    @pytest.mark.parametrize("package", ["sim", "predictors", "utils"])
+    def test_kernel_package_scanned_without_a_claim(self, tmp_path, package):
         _project(tmp_path, {
-            "sim/kernel.py": '''\
-                """Vectorized replay kernels for the batched path."""
+            f"{package}/kernel.py": """\
                 import numpy as np
 
 
@@ -618,7 +619,7 @@ class TestVectorizationRules:
                     for i in range(1, len(codes)):
                         state[i] = state[i - 1] ^ 1
                     return state
-                ''',
+                """,
         })
         findings, _ = _run(tmp_path, ["VEC001"])
         assert _rule_ids(findings) == ["VEC001"]

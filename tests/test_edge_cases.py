@@ -132,6 +132,98 @@ class TestSimulatorEdges:
         assert stats.trials == len(compress_workload.trace)
 
 
+def _with_task_addrs(workload, task_addrs):
+    """``workload`` with its trace's task-address column replaced."""
+    from repro.synth.trace import TaskTrace
+    from repro.synth.workloads import Workload
+
+    trace = workload.trace
+    return Workload(
+        profile=workload.profile,
+        compiled=workload.compiled,
+        trace=TaskTrace(
+            task_addr=task_addrs,
+            exit_index=trace.exit_index,
+            cf_type=trace.cf_type,
+            next_addr=trace.next_addr,
+            instructions=trace.instructions,
+            internal_branches=trace.internal_branches,
+            internal_mispredicts=trace.internal_mispredicts,
+        ),
+    )
+
+
+def _six_simulators():
+    """``(name, run(workload, limit))`` for every production simulator."""
+    from repro.evalx.experiments.table4 import _make_predictor
+    from repro.predictors.confidence import (
+        ResettingConfidenceEstimator,
+        simulate_confidence,
+    )
+    from repro.predictors.exit_predictors import PathExitPredictor
+    from repro.predictors.folding import DolcSpec
+    from repro.predictors.speculative import SpeculativePathPredictor
+    from repro.predictors.ttb import CorrelatedTaskTargetBuffer
+    from repro.sim.functional import (
+        simulate_exit_prediction,
+        simulate_indirect_target_prediction,
+        simulate_task_prediction,
+    )
+    from repro.sim.relaxed import simulate_speculative_exit_prediction
+    from repro.sim.timing import TimingConfig, simulate_timing
+
+    spec = DolcSpec.parse("4-5-6-7(2)")
+    return {
+        "exit": lambda w, limit: simulate_exit_prediction(
+            w, PathExitPredictor(spec), limit=limit
+        ),
+        "target": lambda w, limit: simulate_indirect_target_prediction(
+            w, CorrelatedTaskTargetBuffer(spec), limit=limit
+        ),
+        "task": lambda w, limit: simulate_task_prediction(
+            w, _make_predictor("PATH", w), limit=limit
+        ),
+        "speculative": lambda w, limit: simulate_speculative_exit_prediction(
+            w, SpeculativePathPredictor(spec), limit=limit
+        ),
+        "timing": lambda w, limit: simulate_timing(
+            w, _make_predictor("PATH", w),
+            TimingConfig(dependence_aware=True), limit=limit,
+        ),
+        "confidence": lambda w, limit: simulate_confidence(
+            w, PathExitPredictor(spec),
+            ResettingConfidenceEstimator(spec), limit=limit,
+        ),
+    }
+
+
+_SIMULATORS = (
+    "exit", "target", "task", "speculative", "timing", "confidence"
+)
+
+
+class TestEverySimulatorIsTotal:
+    """Each production simulator answers every trace itself: zeros for
+    an empty one, a :class:`SimulationError` for an unknown task."""
+
+    @pytest.mark.parametrize("simulator", _SIMULATORS)
+    def test_empty_trace_gives_zero_result(self, compress_workload, simulator):
+        result = _six_simulators()[simulator](compress_workload, 0)
+        counts = {
+            name: value for name, value in vars(result).items()
+            if name not in ("storage_bits", "states_touched")
+        }
+        assert counts and not any(counts.values()), result
+
+    @pytest.mark.parametrize("simulator", _SIMULATORS)
+    def test_unknown_task_raises(self, compress_workload, simulator):
+        task_addrs = compress_workload.trace.task_addr.copy()
+        task_addrs[7] = 0x7FFF_FFF0  # no task starts here
+        stray = _with_task_addrs(compress_workload, task_addrs)
+        with pytest.raises(SimulationError, match="unknown task"):
+            _six_simulators()[simulator](stray, 500)
+
+
 class TestChartEdges:
     def test_single_series_many_points(self):
         from repro.evalx.charts import render_chart

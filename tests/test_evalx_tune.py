@@ -90,6 +90,8 @@ class TestDesignSpace:
             TuneConfig.parse("not-a-spec/LEH-2")
         with pytest.raises(PredictorConfigError):
             TuneConfig.parse("2-4-5-5(1)/NOSUCH")
+        with pytest.raises(PredictorConfigError):
+            TuneConfig.parse("2-4-5-5(1)/LEH-5")  # no batched form
 
 
 class TestSearchDecisions:
@@ -305,6 +307,24 @@ class TestKillMidRungResume:
         assert [r["promoted"] for r in artifact["rungs"]] == [
             r["promoted"] for r in clean["rungs"]
         ]
+
+
+class TestCliRejectsUnbatchedAutomata:
+    @pytest.mark.parametrize("automaton", ["LEH-5", "NOSUCH"])
+    def test_exits_2_before_any_cell_runs(
+        self, monkeypatch, capsys, automaton
+    ):
+        from repro.evalx import tune
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search must not start")
+
+        monkeypatch.setattr(tune, "run_search", no_search)
+        status = tune.main([
+            "--benchmarks", "gcc", "--automata", "LE", automaton,
+        ])
+        assert status == 2
+        assert automaton in capsys.readouterr().err
 
 
 class TestCliDisarmsOnReturn:

@@ -146,8 +146,9 @@ class TestFactory:
                 make_automaton_factory(bad)
 
     def test_generalised_hysteresis_depths_construct(self):
-        # The LEH family is open-ended: any LEH-<k> with k >= 1 is a
-        # valid design-space point (repro.predictors.design_space).
+        # The LEH family is open-ended: any LEH-<k> with k >= 1
+        # constructs. Only k <= 4 has a batched form, so only those are
+        # design-space points (repro.predictors.design_space).
         for bits in (3, 4, 9):
             automaton = make_automaton_factory(f"LEH-{bits}")()
             assert automaton.bits_per_entry() == 2 + bits

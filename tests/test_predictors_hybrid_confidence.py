@@ -15,6 +15,7 @@ from repro.predictors.ideal import IdealPathPredictor, IdealPerTaskPredictor
 from repro.predictors.ras import ReturnAddressStack
 from repro.predictors.task_predictor import HeaderTaskPredictor
 from repro.predictors.ttb import CorrelatedTaskTargetBuffer
+from repro.sim import reference
 from repro.sim.functional import simulate_exit_prediction
 from repro.sim.timing import simulate_timing
 from repro.utils.rng import DeterministicRng
@@ -217,39 +218,37 @@ class TestSimulateConfidence:
 class TestGateKeepsTieBreakStream:
     """A gated batched run draws the VC-RANDOM ties the loop draws.
 
-    A gate that declines batching *after* the exit replay has drawn its
-    ties leaves the stepped fallback an advanced stream. Wide counters
-    (``counter_max=64``, past the FSM scan's state cap) once did that;
-    now the batched gate is total, and a gate with no batched form
-    declines before the replay.
+    The batched gate is total, so a gated run never declines after the
+    exit replay has drawn its ties — which once left a stepped fallback
+    an advanced stream when counters were wider (``counter_max=64``)
+    than the FSM scan's state cap.
     """
 
     _GATE = "6-5-8-9(3)"
 
-    def _gate(self):
+    def _gate(self, counter_max=64):
         return ResettingConfidenceEstimator(
-            DolcSpec.parse(self._GATE), threshold=4, counter_max=64
+            DolcSpec.parse(self._GATE), threshold=4, counter_max=counter_max
         )
 
     def test_confidence_run_matches_loop(self, gcc_workload):
         outcomes = []
-        for vectorize in (False, True):
+        for simulate in (reference.simulate_confidence, simulate_confidence):
             rng = DeterministicRng(0).fork("vc-random")
-            stats = simulate_confidence(
+            stats = simulate(
                 gcc_workload,
                 IdealPathPredictor(
                     4, make_automaton_factory("VC2-RANDOM", rng)
                 ),
                 self._gate(),
-                vectorize=vectorize,
             )
             outcomes.append((stats, rng._random.getstate()))
         assert outcomes[0] == outcomes[1]
 
-    @pytest.mark.parametrize("stepped_only", [False, True])
-    def test_gated_timing_matches_loop(self, gcc_workload, stepped_only):
+    @pytest.mark.parametrize("counter_max", [15, 64])
+    def test_gated_timing_matches_loop(self, gcc_workload, counter_max):
         outcomes = []
-        for vectorize in (False, True):
+        for simulate in (reference.simulate_timing, simulate_timing):
             rng = DeterministicRng(0).fork("vc-random")
             predictor = HeaderTaskPredictor(
                 program=gcc_workload.compiled.program,
@@ -262,29 +261,10 @@ class TestGateKeepsTieBreakStream:
                 ),
                 ras=ReturnAddressStack(depth=32),
             )
-            gate = self._gate()
-            if stepped_only:
-                # A duck-typed gate with no batched form: the run must
-                # decline before the exit replay draws any ties.
-                gate = _SteppedGate(gate)
-            result = simulate_timing(
+            result = simulate(
                 gcc_workload,
                 predictor,
-                confidence_gate=gate,
-                vectorize=vectorize,
+                confidence_gate=self._gate(counter_max),
             )
             outcomes.append((result, rng._random.getstate()))
         assert outcomes[0] == outcomes[1]
-
-
-class _SteppedGate:
-    """A confidence gate offering only the stepped interface."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def is_high_confidence(self, task_addr):
-        return self._inner.is_high_confidence(task_addr)
-
-    def update(self, task_addr, correct):
-        self._inner.update(task_addr, correct)

@@ -1,9 +1,8 @@
-"""Tests for the composed next-task predictors and the bimodal predictor."""
+"""Tests for the composed next-task predictors."""
 
 import pytest
 
 from repro.errors import PredictorConfigError, SimulationError
-from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.exit_predictors import PathExitPredictor
 from repro.predictors.folding import DolcSpec
 from repro.predictors.ras import ReturnAddressStack
@@ -154,37 +153,3 @@ class TestPerfectTaskPredictor:
             predictor.update(0, 0, 0, 0)
         with pytest.raises(SimulationError):
             predictor.predict(int(trace.task_addr[0]))
-
-
-class TestBimodalPredictor:
-    def test_initially_weakly_not_taken(self):
-        assert BimodalPredictor().predict("b") is False
-
-    def test_learns_taken_branch(self):
-        bimodal = BimodalPredictor()
-        bimodal.update("b", True)
-        assert bimodal.predict("b") is True
-
-    def test_hysteresis_after_saturation(self):
-        bimodal = BimodalPredictor()
-        for _ in range(4):
-            bimodal.update("b", True)
-        bimodal.update("b", False)
-        assert bimodal.predict("b") is True  # strong -> weak, still taken
-
-    def test_predict_and_update_reports_correctness(self):
-        bimodal = BimodalPredictor()
-        assert bimodal.predict_and_update("b", False) is True
-        assert bimodal.predict_and_update("b", True) is False
-
-    def test_branches_tracked(self):
-        bimodal = BimodalPredictor()
-        bimodal.update("a", True)
-        bimodal.update("b", False)
-        assert bimodal.branches_tracked() == 2
-
-    def test_independent_branches(self):
-        bimodal = BimodalPredictor()
-        for _ in range(3):
-            bimodal.update("t", True)
-        assert bimodal.predict("u") is False

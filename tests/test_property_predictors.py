@@ -2,8 +2,10 @@
 
 Hypothesis strategies generate valid D-O-L-C(F) specifications and outcome
 streams; the tests check invariants that must hold for every instance,
-plus reference-model equivalence for the LEH automaton, the batched
-voting-counter replay and the batched confidence gate.
+plus reference-model equivalence for the LEH automaton, and equality of
+the batched kernels with the stepped reference (:mod:`repro.sim.reference`)
+for the voting-counter replay, the tournament chooser, training on
+single-exit tasks and the confidence gate.
 """
 
 from types import SimpleNamespace
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.predictors.automata import (
+    AUTOMATON_SPECS,
     LastExitHysteresis,
     make_automaton_factory,
 )
@@ -28,6 +31,8 @@ from repro.predictors.ideal import (
     IdealPathPredictor,
     IdealPerTaskPredictor,
 )
+from repro.predictors.hybrid import TournamentExitPredictor
+from repro.sim import reference
 from repro.sim.functional import simulate_exit_prediction
 from repro.utils.rng import DeterministicRng
 
@@ -155,6 +160,7 @@ class TestPathPredictorProperties:
             predictor.update(addr, 3, 1)
         assert predictor.states_touched() <= predictor.spec.table_entries
 
+
 class _TraceWorkload:
     """The slice of a workload :func:`simulate_exit_prediction` reads."""
 
@@ -193,12 +199,13 @@ def exit_traces(draw):
 _VOTING_SPECS = st.sampled_from(
     ["VC2-MRU", "VC2-RANDOM", "VC3-MRU", "VC3-RANDOM"]
 )
+_ANY_SPECS = st.sampled_from(AUTOMATON_SPECS)
 
 
 @st.composite
-def voting_predictors(draw):
+def exit_predictors(draw, specs=_VOTING_SPECS, update_on_single_exit=False):
     """``(make, spec)``: builds one exit predictor around an automaton."""
-    spec = draw(_VOTING_SPECS)
+    spec = draw(specs)
     depth = draw(st.integers(min_value=0, max_value=3))
     kind = draw(
         st.sampled_from(
@@ -208,44 +215,102 @@ def voting_predictors(draw):
     )
     dolc = draw(dolc_specs())
     index_bits = draw(st.integers(min_value=2, max_value=8))
+    single = {"update_on_single_exit": update_on_single_exit}
 
     def make(automaton):
         if kind == "ideal-global":
-            return IdealGlobalPredictor(depth, automaton=automaton)
+            return IdealGlobalPredictor(depth, automaton, **single)
         if kind == "ideal-per":
-            return IdealPerTaskPredictor(depth, automaton=automaton)
+            return IdealPerTaskPredictor(depth, automaton, **single)
         if kind == "ideal-path":
-            return IdealPathPredictor(depth, automaton=automaton)
+            return IdealPathPredictor(depth, automaton, **single)
         if kind == "path":
-            return PathExitPredictor(dolc, automaton=automaton)
+            return PathExitPredictor(dolc, automaton, **single)
         if kind == "global":
             return GlobalExitPredictor(
-                depth, index_bits=index_bits, automaton=automaton
+                depth, index_bits=index_bits, automaton=automaton, **single
             )
         return PerTaskExitPredictor(
             depth, index_bits=index_bits, hrt_index_bits=2,
-            automaton=automaton,
+            automaton=automaton, **single,
         )
 
     return make, spec
 
 
+def _kernel_matches_reference(workload, build):
+    """Run ``build()`` = ``(predictor, streams)`` through the reference
+    and the kernel: the stats and every tie-break stream's final state
+    must agree."""
+    outcomes = []
+    for simulate in (
+        reference.simulate_exit_prediction, simulate_exit_prediction
+    ):
+        predictor, streams = build()
+        stats = simulate(workload, predictor)
+        outcomes.append((stats, [rng._random.getstate() for rng in streams]))
+    assert outcomes[0] == outcomes[1]
+
+
 class TestVotingCounterReplay:
     @settings(max_examples=150, deadline=None)
-    @given(exit_traces(), voting_predictors(), st.integers(0, 1 << 20))
+    @given(exit_traces(), exit_predictors(), st.integers(0, 1 << 20))
     def test_batched_matches_loop(self, workload, predictor, seed):
         make, spec = predictor
-        outcomes = []
-        for vectorize in (False, True):
+
+        def build():
             rng = DeterministicRng(seed).fork(spec)
-            stats = simulate_exit_prediction(
-                workload,
-                make(make_automaton_factory(spec, rng)),
-                vectorize=vectorize,
+            return make(make_automaton_factory(spec, rng)), [rng]
+
+        # The random tie-break must draw exactly what the loop draws.
+        _kernel_matches_reference(workload, build)
+
+
+class TestTournamentReplay:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        exit_traces(),
+        exit_predictors(_ANY_SPECS),
+        exit_predictors(_ANY_SPECS),
+        st.integers(0, 1 << 20),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_batched_matches_loop(
+        self, workload, first, second, seed, chooser_bits
+    ):
+        def build():
+            # One tie-break stream per component: they must not share.
+            streams = [
+                DeterministicRng(seed).fork(f"{k}-{spec}")
+                for k, (_, spec) in enumerate((first, second))
+            ]
+            components = [
+                make(make_automaton_factory(spec, rng))
+                for (make, spec), rng in zip((first, second), streams)
+            ]
+            predictor = TournamentExitPredictor(
+                *components, chooser_index_bits=chooser_bits
             )
-            # The random tie-break must draw exactly what the loop draws.
-            outcomes.append((stats, rng._random.getstate()))
-        assert outcomes[0] == outcomes[1]
+            return predictor, streams
+
+        _kernel_matches_reference(workload, build)
+
+
+class TestSingleExitUpdates:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        exit_traces(),
+        exit_predictors(_ANY_SPECS, update_on_single_exit=True),
+        st.integers(0, 1 << 20),
+    )
+    def test_batched_matches_loop(self, workload, predictor, seed):
+        make, spec = predictor
+
+        def build():
+            rng = DeterministicRng(seed).fork(spec)
+            return make(make_automaton_factory(spec, rng)), [rng]
+
+        _kernel_matches_reference(workload, build)
 
 
 @st.composite

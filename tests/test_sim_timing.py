@@ -14,8 +14,8 @@ from repro.predictors.task_predictor import (
     PerfectTaskPredictor,
 )
 from repro.predictors.ttb import CorrelatedTaskTargetBuffer
+from repro.sim.reference import ProcessingRing
 from repro.sim.timing import TimingConfig, simulate_timing
-from repro.sim.timing.ring import ProcessingRing
 
 
 def header_predictor(workload):

@@ -1,14 +1,11 @@
-"""Tests for the cycle-stepped detailed timing model."""
+"""Tests for the cycle-stepped detailed timing model (a reference model)."""
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.predictors.task_predictor import PerfectTaskPredictor
-from repro.sim.timing import (
-    TimingConfig,
-    simulate_timing,
-    simulate_timing_detailed,
-)
+from repro.sim.reference import simulate_timing_detailed
+from repro.sim.timing import TimingConfig, simulate_timing
 from repro.evalx.experiments.table4 import _make_predictor
 
 

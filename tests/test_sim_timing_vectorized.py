@@ -1,14 +1,14 @@
-"""Bit-identity of the vectorized simulation paths vs their scalar twins.
+"""Bit-identity of the batched simulation kernels vs the stepped reference.
 
-The PR 6 performance contract: every ``vectorize=True`` path — the
-timing model's max-plus scan, the realistic predictors' batched
-columns, the speculative-history replay, the detailed model's
-event-compressed advance — must produce results *equal* to the stepped
-scalar reference, not merely close. These tests sweep the full scheme
-grid (every realistic Table 4 predictor) over all five synthetic
-workload profiles, vary the machine configuration (ring size,
-penalties, forwarding), and run one checkpoint-resumed sweep to show
-records served from a checkpoint store match a fresh vectorized run.
+The performance contract: the timing model's max-plus scan, the
+realistic predictors' batched columns and the speculative-history replay
+must produce results *equal* to the stepped loops of
+:mod:`repro.sim.reference`, not merely close. A hypothesis property
+checks the timing kernel for every Table 4 scheme on all five synthetic
+workload profiles, drawing the trace prefix, every machine parameter
+and an optional confidence gate; fixed grids check the speculative
+replay; one checkpoint-resumed sweep shows records served from a
+checkpoint store match a fresh run.
 
 (`repro.sim.timing.scan` points here as the scan's equivalence proof.)
 """
@@ -17,19 +17,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.evalx.checkpoint import CheckpointStore
 from repro.evalx.experiments.common import BENCHMARKS
 from repro.evalx.experiments.table4 import SCHEMES, _make_predictor
 from repro.evalx.registry import run_experiment
+from repro.predictors.confidence import ResettingConfidenceEstimator
 from repro.predictors.folding import DolcSpec
-from repro.predictors.speculative import (
-    REPAIR_POLICIES,
-    SpeculativePathPredictor,
-)
+from repro.predictors.speculative import SpeculativePathPredictor
+from repro.sim import reference
 from repro.sim.relaxed import simulate_speculative_exit_prediction
 from repro.sim.timing import TimingConfig, simulate_timing
-from repro.sim.timing.detailed import simulate_timing_detailed
 from repro.synth.workloads import load_workload
 from repro.utils.memo import (
     _PRUNE_THRESHOLD,
@@ -39,60 +39,58 @@ from repro.utils.memo import (
 
 _TASKS = 4_000
 
-_CONFIGS = {
-    "paper": TimingConfig(),
-    "wide-ring": TimingConfig(n_units=8, commit_interval=2),
-    "serial-forwarding": TimingConfig(
-        forward_fraction=1.0, task_mispredict_penalty=12
-    ),
-    "long-tasks": TimingConfig(task_startup_cycles=16, issue_width=2),
-}
+_CONFIGS = st.builds(
+    TimingConfig,
+    n_units=st.integers(1, 8),
+    issue_width=st.integers(1, 4),
+    task_startup_cycles=st.integers(0, 16),
+    intra_mispredict_penalty=st.integers(0, 8),
+    forward_fraction=st.floats(0.0, 1.0),
+    dispatch_interval=st.integers(0, 3),
+    task_mispredict_penalty=st.integers(0, 16),
+    commit_interval=st.integers(0, 3),
+    dependence_aware=st.booleans(),
+)
+
+#: An optional confidence gate, as ``(spec, threshold, counter_max)``.
+_GATES = st.none() | st.tuples(
+    st.sampled_from(["0-0-0-8(1)", "4-5-6-7(2)", "6-5-8-9(3)"]),
+    st.integers(1, 8),
+    st.integers(8, 64),
+)
+
+
+def _gate(drawn):
+    if drawn is None:
+        return None
+    spec, threshold, counter_max = drawn
+    return ResettingConfidenceEstimator(
+        DolcSpec.parse(spec), threshold=threshold, counter_max=counter_max
+    )
 
 
 class TestTimingBitIdentity:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("name", BENCHMARKS)
-    def test_every_scheme_every_profile(self, name, scheme):
+    @settings(max_examples=2, deadline=None)
+    @given(
+        prefix=st.integers(0, 1_500), config=_CONFIGS, gate=_GATES
+    )
+    # The whole trace on the paper's machine: what every Table 4 cell runs.
+    @example(prefix=_TASKS, config=TimingConfig(), gate=None)
+    def test_every_scheme_every_profile(
+        self, name, scheme, prefix, config, gate
+    ):
         workload = load_workload(name, n_tasks=_TASKS)
-        stepped = simulate_timing(
-            workload, _make_predictor(scheme, workload), vectorize=False
-        )
-        batched = simulate_timing(
-            workload, _make_predictor(scheme, workload), vectorize=True
-        )
-        assert batched == stepped
-
-    @pytest.mark.parametrize("config_name", sorted(_CONFIGS))
-    @pytest.mark.parametrize("scheme", ("PATH", "GLOBAL"))
-    def test_machine_configurations(self, config_name, scheme):
-        workload = load_workload("gcc", n_tasks=_TASKS)
-        config = _CONFIGS[config_name]
-        stepped = simulate_timing(
+        stepped = reference.simulate_timing(
             workload, _make_predictor(scheme, workload),
-            config=config, vectorize=False,
+            config=config, limit=prefix, confidence_gate=_gate(gate),
         )
         batched = simulate_timing(
             workload, _make_predictor(scheme, workload),
-            config=config, vectorize=True,
+            config=config, limit=prefix, confidence_gate=_gate(gate),
         )
         assert batched == stepped
-
-
-class TestDetailedEventCompression:
-    @pytest.mark.parametrize("config_name", sorted(_CONFIGS))
-    @pytest.mark.parametrize("scheme", ("Simple", "PATH", "Perfect"))
-    def test_event_skips_are_exact(self, config_name, scheme):
-        workload = load_workload("xlisp", n_tasks=1_500)
-        config = _CONFIGS[config_name]
-        stepped = simulate_timing_detailed(
-            workload, _make_predictor(scheme, workload),
-            config=config, vectorize=False,
-        )
-        compressed = simulate_timing_detailed(
-            workload, _make_predictor(scheme, workload),
-            config=config, vectorize=True,
-        )
-        assert compressed == stepped
 
 
 class TestSpeculativeReplay:
@@ -103,13 +101,13 @@ class TestSpeculativeReplay:
     def test_perfect_repair_matches_stepped_loop(self, spec, depth):
         workload = load_workload("compress", n_tasks=_TASKS)
         parsed = DolcSpec.parse(spec)
-        stepped = simulate_speculative_exit_prediction(
+        stepped = reference.simulate_speculative_exit_prediction(
             workload, SpeculativePathPredictor(parsed),
-            wrong_path_depth=depth, vectorize=False,
+            wrong_path_depth=depth,
         )
         batched = simulate_speculative_exit_prediction(
             workload, SpeculativePathPredictor(parsed),
-            wrong_path_depth=depth, vectorize=True,
+            wrong_path_depth=depth,
         )
         assert batched == stepped
 
@@ -117,28 +115,11 @@ class TestSpeculativeReplay:
     def test_perfect_repair_every_profile(self, name):
         workload = load_workload(name, n_tasks=_TASKS)
         parsed = DolcSpec.parse("7-5-7-8(3)")
-        stepped = simulate_speculative_exit_prediction(
-            workload, SpeculativePathPredictor(parsed),
-            vectorize=False,
+        stepped = reference.simulate_speculative_exit_prediction(
+            workload, SpeculativePathPredictor(parsed)
         )
         batched = simulate_speculative_exit_prediction(
-            workload, SpeculativePathPredictor(parsed),
-            vectorize=True,
-        )
-        assert batched == stepped
-
-    @pytest.mark.parametrize("repair", REPAIR_POLICIES)
-    def test_other_repair_policies_fall_back(self, repair):
-        """vectorize=True must be safe for every policy (scalar fallback)."""
-        workload = load_workload("sc", n_tasks=1_000)
-        parsed = DolcSpec.parse("4-4-6-8(2)")
-        stepped = simulate_speculative_exit_prediction(
-            workload, SpeculativePathPredictor(parsed, repair=repair),
-            vectorize=False,
-        )
-        batched = simulate_speculative_exit_prediction(
-            workload, SpeculativePathPredictor(parsed, repair=repair),
-            vectorize=True,
+            workload, SpeculativePathPredictor(parsed)
         )
         assert batched == stepped
 

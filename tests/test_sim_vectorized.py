@@ -1,16 +1,27 @@
-"""Batched simulation kernels must match the step-by-step loop exactly.
+"""The production kernels must match the step-by-step reference exactly.
 
-Every predictor that advertises a batched fast path (``batch_plan``,
-``batch_slot_ids``, ``predict_column``) is checked here against the
-generic loop (``vectorize=False``) on real workloads — same misses, same
-states, same storage, bit for bit.
+Every predictor's batched form (``batch_plan``, ``batch_slot_ids``,
+``predict_column``) is checked here against the stepped loops of
+:mod:`repro.sim.reference` on real workloads — same misses, same states,
+same storage, bit for bit. A configuration with no exact kernel is
+rejected when the predictor is constructed, and only tests import the
+reference.
 """
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
-from repro.predictors.automata import AUTOMATON_SPECS, make_automaton_factory
+import repro
+from repro.errors import PredictorConfigError
+from repro.predictors.automata import (
+    AUTOMATON_SPECS,
+    LastExitHysteresis,
+    make_automaton_factory,
+)
 from repro.predictors.exit_predictors import (
     GlobalExitPredictor,
     PathExitPredictor,
@@ -22,19 +33,17 @@ from repro.predictors.ideal import (
     IdealPathPredictor,
     IdealPerTaskPredictor,
 )
+from repro.predictors.speculative import SpeculativePathPredictor
 from repro.predictors.static_hints import StaticHintExitPredictor
-from repro.predictors.task_predictor import HeaderTaskPredictor
 from repro.predictors.ttb import (
-    CorrelatedTaskTargetBuffer,
     IdealCorrelatedTargetBuffer,
     TaskTargetBuffer,
 )
+from repro.sim import reference
 from repro.sim.functional import (
     simulate_exit_prediction,
     simulate_indirect_target_prediction,
-    simulate_task_prediction,
 )
-from repro.sim.timing import TimingConfig, simulate_timing
 from repro.utils.rng import DeterministicRng
 
 _SCHEMES = (IdealGlobalPredictor, IdealPerTaskPredictor, IdealPathPredictor)
@@ -65,12 +74,8 @@ _PLANNED = {
 
 
 def _assert_exit_stats_equal(workload, make_predictor):
-    looped = simulate_exit_prediction(
-        workload, make_predictor(), vectorize=False
-    )
-    batched = simulate_exit_prediction(
-        workload, make_predictor(), vectorize=True
-    )
+    looped = reference.simulate_exit_prediction(workload, make_predictor())
+    batched = simulate_exit_prediction(workload, make_predictor())
     assert batched.trials == looped.trials
     assert batched.misses == looped.misses
     assert batched.multiway_trials == looped.multiway_trials
@@ -96,12 +101,12 @@ class TestIdealExitKernels:
             lambda: IdealPathPredictor(3, automaton=automaton),
         )
 
-    def test_update_on_single_exit_falls_back(self, gcc_workload):
-        predictor = IdealPathPredictor(2, update_on_single_exit=True)
-        plan = predictor.batch_plan(
-            gcc_workload.trace.task_addr, gcc_workload.trace.exit_index
-        )
-        assert plan is None
+    def test_update_on_single_exit_matches_reference(self, gcc_workload):
+        """Training on single-exit tasks replays every step, no fallback."""
+        for cls in _SCHEMES:
+            _assert_exit_stats_equal(
+                gcc_workload, lambda: cls(2, update_on_single_exit=True)
+            )
 
 
 class TestVotingCounterReplay:
@@ -126,53 +131,14 @@ class TestVotingCounterReplay:
     ):
         workload = gcc_workload if name == "gcc" else xlisp_workload
         results = []
-        for vectorize in (False, True):
+        for simulate in (
+            reference.simulate_exit_prediction, simulate_exit_prediction
+        ):
             # Each run owns a stream forked the way figure 6 forks it;
             # the random variants must leave it in the same state.
             rng = DeterministicRng(3).fork(spec)
             predictor = _PLANNED[scheme](make_automaton_factory(spec, rng))
-            stats = simulate_exit_prediction(
-                workload, predictor, vectorize=vectorize
-            )
-            results.append((stats, rng._random.getstate()))
-        assert results[0] == results[1]
-
-
-class _UnbatchedCttb(CorrelatedTaskTargetBuffer):
-    """A CTTB with no batched form: its owner's address side must loop."""
-
-    batch_slot_ids = None
-
-
-class TestDeclineBeforeDraw:
-    """A task predictor whose address side has no batched form declines
-    before its VC-RANDOM exit replay draws from the shared stream, so the
-    stepped loop it falls back to starts from an unused stream."""
-
-    @pytest.mark.parametrize(
-        "simulate",
-        [
-            simulate_task_prediction,
-            lambda workload, predictor, vectorize: simulate_timing(
-                workload, predictor, TimingConfig(), vectorize=vectorize
-            ),
-        ],
-        ids=["task", "timing"],
-    )
-    def test_matches_loop(self, gcc_workload, simulate):
-        spec = DolcSpec.parse("7-3-4-6(2)")
-        results = []
-        for vectorize in (False, True):
-            rng = DeterministicRng(3).fork("VC2-RANDOM")
-            predictor = HeaderTaskPredictor(
-                gcc_workload.compiled.program,
-                PathExitPredictor(
-                    spec,
-                    automaton=make_automaton_factory("VC2-RANDOM", rng),
-                ),
-                cttb=_UnbatchedCttb(spec),
-            )
-            stats = simulate(gcc_workload, predictor, vectorize=vectorize)
+            stats = simulate(workload, predictor)
             results.append((stats, rng._random.getstate()))
         assert results[0] == results[1]
 
@@ -192,25 +158,68 @@ class TestStaticHintColumn:
 class TestTargetBufferKernels:
     @pytest.mark.parametrize("depth", _DEPTHS)
     def test_ideal_cttb(self, gcc_workload, depth):
-        for make in (lambda: IdealCorrelatedTargetBuffer(depth),):
-            looped = simulate_indirect_target_prediction(
-                gcc_workload, make(), vectorize=False
-            )
-            batched = simulate_indirect_target_prediction(
-                gcc_workload, make(), vectorize=True
-            )
-            assert batched == looped
+        looped = reference.simulate_indirect_target_prediction(
+            gcc_workload, IdealCorrelatedTargetBuffer(depth)
+        )
+        batched = simulate_indirect_target_prediction(
+            gcc_workload, IdealCorrelatedTargetBuffer(depth)
+        )
+        assert batched == looped
 
     @pytest.mark.parametrize("index_bits", [6, 11])
     def test_plain_ttb(self, xlisp_workload, index_bits):
-        looped = simulate_indirect_target_prediction(
-            xlisp_workload,
-            TaskTargetBuffer(index_bits=index_bits),
-            vectorize=False,
+        looped = reference.simulate_indirect_target_prediction(
+            xlisp_workload, TaskTargetBuffer(index_bits=index_bits)
         )
         batched = simulate_indirect_target_prediction(
-            xlisp_workload,
-            TaskTargetBuffer(index_bits=index_bits),
-            vectorize=True,
+            xlisp_workload, TaskTargetBuffer(index_bits=index_bits)
         )
         assert batched == looped
+
+
+class TestNoKernelIsRejectedAtConstruction:
+    """Configurations without an exact kernel never reach a simulator."""
+
+    @pytest.mark.parametrize(
+        "cls", [GlobalExitPredictor, PerTaskExitPredictor]
+    )
+    def test_history_key_wider_than_int64(self, cls):
+        cls(24, index_bits=14)  # 62 bits: the widest key that folds
+        with pytest.raises(PredictorConfigError):
+            cls(25, index_bits=14)
+
+    def test_leh_beyond_the_scan_state_cap(self):
+        spec = DolcSpec.parse("3-4-6-8(2)")
+        PathExitPredictor(spec, automaton="LEH-4")  # 64 states: the cap
+        with pytest.raises(PredictorConfigError):
+            PathExitPredictor(spec, automaton="LEH-5")
+        with pytest.raises(PredictorConfigError):
+            IdealPathPredictor(2, automaton=lambda: LastExitHysteresis(5))
+
+    @pytest.mark.parametrize("automaton", ["VC2-RANDOM", "VC3-MRU"])
+    def test_speculative_automaton_must_tabulate(self, automaton):
+        with pytest.raises(PredictorConfigError):
+            SpeculativePathPredictor(
+                DolcSpec.parse("3-4-6-8(2)"), automaton=automaton
+            )
+
+
+def test_only_tests_import_the_reference():
+    """No module under ``repro`` may run the stepped loops in production."""
+    package = Path(repro.__file__).parent
+    importers = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "sim" / "reference.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if "repro.sim.reference" in names:
+                importers.append(str(path.relative_to(package)))
+    assert importers == []

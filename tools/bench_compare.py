@@ -9,9 +9,9 @@ machine-readable line per benchmark::
 This tool extracts those lines from a log (or stdin), pairs them with a
 committed snapshot (``BENCH_PR6.json``), and fails when a kernel's
 *speedup ratio* regressed. Raw seconds are useless across machines — a
-laptop and a CI runner disagree by 3x on everything — but serial and
-vectorized paths run on the *same* machine in the same process, so
-their ratio cancels hardware speed. The gate therefore compares
+laptop and a CI runner disagree by 3x on everything — but the stepped
+reference and the batched kernel run on the *same* machine in the same
+process, so their ratio cancels hardware speed. The gate therefore compares
 ratios, two ways:
 
 * **relative**: current speedup must be at least ``tolerance`` times
@@ -52,7 +52,6 @@ DEFAULT_FLOORS = {
     "speculative_perfect[gcc-100k]": 5.0,
     "exit_kernel[gcc-100k]": 1.5,
     "vc_kernel[gcc-100k]": 1.5,
-    "detailed_event_skip[gcc-8k]": 1.2,
 }
 
 
