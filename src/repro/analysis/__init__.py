@@ -21,10 +21,9 @@ Six rule families (see :mod:`repro.analysis.rules`):
   handles :class:`~repro.evalx.parallel.CellFailure`.
 * ``NPW*`` — numpy bit-width lint: shifts and accumulations that can
   exceed the operand dtype width.
-* ``CKP*`` — checkpoint/chaos hygiene: cell kwargs the checkpoint
-  fingerprint rejects, the fault injector armed outside the
-  ``--inject-faults`` opt-in, and store publication or env handoffs
-  done anywhere but :mod:`repro.utils.fsio`.
+* ``CKP*`` — checkpoint hygiene: cell kwargs the checkpoint
+  fingerprint rejects, store files renamed into place anywhere but
+  :mod:`repro.utils.fsio`, and any ``os.environ`` write.
 * ``VEC*`` — vectorization contract: per-element Python loops over
   ndarray state in batched modules, and narrowing bit-packed stores.
 

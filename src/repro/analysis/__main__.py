@@ -70,8 +70,8 @@ def main(argv: list[str] | None = None) -> int:
         description=(
             "Static analysis guarding the parallel experiment engine's "
             "invariants: determinism, worker purity, driver protocol, "
-            "numpy bit widths, checkpoint/chaos hygiene (store "
-            "publication, env handoffs), vectorization."
+            "numpy bit widths, checkpoint hygiene (store publication, "
+            "no environment writes), vectorization."
         ),
     )
     parser.add_argument(

@@ -1,4 +1,4 @@
-"""CKP rules: checkpoint-store and chaos-harness hygiene.
+"""CKP rules: checkpoint-store hygiene.
 
 The checkpoint store (:mod:`repro.evalx.checkpoint`) fingerprints every
 cell by canonicalizing its kwargs; a kwarg the canonicalizer rejects
@@ -6,19 +6,14 @@ means the cell silently loses crash-safety (it runs but is never
 persisted or resumed). CKP001 flags the statically detectable cases at
 the ``Cell(...)`` construction site, where the fix is cheapest.
 
-The fault injector (:mod:`repro.evalx.faults`) is inert unless a plan is
-explicitly armed — that guarantee is what lets chaos code ship in the
-production scheduler. CKP002 flags any ``faults.armed(...)`` outside the
-sanctioned opt-ins (the injector module itself and the
-``--inject-faults`` CLI paths), where an accidental arming would
-corrupt real experiment runs.
-
-Crash-safety rests on two disciplines that :mod:`repro.utils.fsio`
-implements once: store files are published with an fsynced pid-unique
-sibling temp plus ``os.replace``, and env handoffs to pool workers are
-restored when their block ends. CKP003 keeps both in that module: it
-flags ``os.replace``/``os.rename`` and any ``os.environ`` mutation
-elsewhere in ``repro``, and any in-place write in the two store modules.
+Crash-safety also rests on one publication discipline that
+:mod:`repro.utils.fsio` implements once: store files are published with
+an fsynced pid-unique sibling temp plus ``os.replace``. And a cell's
+result must depend on its kwargs alone, so nothing hands engine state to
+workers through the environment. CKP003 flags ``os.replace``/
+``os.rename`` outside that module, any ``os.environ`` mutation anywhere
+in ``repro`` (that module included), and any in-place write in the two
+store modules.
 """
 
 from __future__ import annotations
@@ -38,16 +33,6 @@ from repro.analysis.rules._shared import (
     dotted_call_name,
     enclosing_qualnames,
     resolve_dotted,
-)
-
-#: Modules allowed to arm the fault injector: the injector itself and
-#: the CLI entry points that implement the explicit ``--inject-faults``
-#: opt-in (the experiment CLI and the tuner). Tests live outside the
-#: scanned roots.
-_FAULT_ARMING_ALLOWED = (
-    "repro.evalx.faults",
-    "repro.evalx.__main__",
-    "repro.evalx.tune",
 )
 
 
@@ -139,48 +124,7 @@ class UnfingerprintableCellKwargs(Rule):
                 )
 
 
-@register_rule
-class FaultInjectionWithoutOptIn(Rule):
-    id = "CKP002"
-    title = "fault injector armed outside the explicit opt-in"
-    rationale = (
-        "Chaos faults (raise/hang/kill/corrupt) must stay inert unless "
-        "the user passed --inject-faults; arming the injector from "
-        "library code would sabotage real experiment runs. Only the "
-        "injector module and the CLI opt-in path may arm a plan."
-    )
-    scope = None  # the whole tree: an accidental arming anywhere is a bug
-
-    def check_module(
-        self, module: ModuleInfo, project: Project
-    ) -> Iterator[Finding]:
-        if module.dotted in _FAULT_ARMING_ALLOWED:
-            return
-        qualnames = enclosing_qualnames(module.tree)
-        imports = ImportMap.of(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = dotted_call_name(node.func)
-            if (
-                dotted is not None
-                and resolve_dotted(dotted, imports)
-                == "repro.evalx.faults.armed"
-            ):
-                yield Finding(
-                    rule=self.id,
-                    path=module.relpath,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    message=(
-                        "faults.armed() arms the chaos injector; only "
-                        "the --inject-faults CLI path may do this"
-                    ),
-                    symbol=qualnames.get(id(node), "<module>"),
-                )
-
-
-#: The one module allowed to rename files into place or edit os.environ.
+#: The one module allowed to rename files into place.
 _PUBLISHER = "repro.utils.fsio"
 
 #: Modules that own an on-disk store, where any in-place write is flagged.
@@ -194,8 +138,8 @@ _NUMPY_WRITERS = frozenset(
     {"numpy.save", "numpy.savez", "numpy.savez_compressed"}
 )
 _ENV_MESSAGE = (
-    f"mutates os.environ outside {_PUBLISHER}; hand a variable to pool "
-    "workers with fsio.env_handoff(name, value), which restores it"
+    "mutates os.environ; pass what a cell needs through its Cell kwargs, "
+    "never through the environment"
 )
 
 
@@ -215,24 +159,23 @@ def _open_mode(call: ast.Call) -> str | None:
 @register_rule
 class PublicationOutsideFsio(Rule):
     id = "CKP003"
-    title = "store file or env handoff written outside repro.utils.fsio"
+    title = "store file renamed outside repro.utils.fsio, or env written"
     rationale = (
         "Checkpoint records and trace-cache entries are read by other "
         "processes and must survive a crash: publish them only with "
         "repro.utils.fsio.publish (fsynced pid-unique sibling temp, then "
-        "os.replace). Pool workers inherit REPRO_FAULTS and "
-        "REPRO_CHECKPOINT_DIR from os.environ: set them only with "
-        "repro.utils.fsio.env_handoff, which restores the old value. "
-        "Renames and environment writes anywhere else, and in-place "
-        "writes in the two store modules, bypass those guarantees."
+        "os.replace). Renames anywhere else, and in-place writes in the "
+        "two store modules, bypass that guarantee. A cell's result is a "
+        "function of its kwargs alone, so no module writes os.environ: "
+        "pool workers would inherit the write, and a caller would see "
+        "it outlive the run."
     )
     scope = ("repro",)
 
     def check_module(
         self, module: ModuleInfo, project: Project
     ) -> Iterator[Finding]:
-        if module.dotted == _PUBLISHER:
-            return
+        publisher = module.dotted == _PUBLISHER
         in_store = module.dotted in _STORE_MODULES
         qualnames = enclosing_qualnames(module.tree)
         imports = ImportMap.of(module.tree)
@@ -251,7 +194,9 @@ class PublicationOutsideFsio(Rule):
             elif isinstance(node, ast.Call):
                 name = resolve(node.func)
                 if name is not None:
-                    message = self._call_violation(node, name, in_store)
+                    message = self._call_violation(
+                        node, name, in_store, publisher
+                    )
             else:
                 continue
             if message is not None:
@@ -266,11 +211,11 @@ class PublicationOutsideFsio(Rule):
 
     @classmethod
     def _call_violation(
-        cls, call: ast.Call, name: str, in_store: bool
+        cls, call: ast.Call, name: str, in_store: bool, publisher: bool
     ) -> str | None:
         """Why a call (resolved to ``name``) breaks CKP003, if it does."""
         receiver, _, method = name.rpartition(".")
-        if name in _RENAMES:
+        if name in _RENAMES and not publisher:
             return (
                 f"{name}() publishes a file outside {_PUBLISHER}; use "
                 "fsio.publish(path, write)"

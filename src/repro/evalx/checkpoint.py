@@ -20,7 +20,7 @@ Design, in the same discipline as the trace cache
 * **Atomic and durable** — records are published with
   :func:`repro.utils.fsio.publish` (fsynced pid-unique sibling temp,
   then ``os.replace``); a crash mid-write leaves only a ``.tmp-<pid>``
-  file, which the workload prewarm sweep reaps
+  file, which the next run over the store reaps before its first cell
   (:func:`repro.synth.workloads.sweep_orphan_tmp_files`).
 * **Verified** — each record embeds a SHA-256 checksum of its pickled
   payload plus the fingerprint it was stored under. A corrupt, stale,

@@ -34,12 +34,6 @@ Metrics JSONL schema (one record per line, ``event`` discriminates):
     (record failed verification and was discarded; ``reason`` says
     why), or ``unfingerprintable`` (kwargs not canonicalizable — cell
     runs but is never checkpointed).
-``fault``
-    ``{"event", "ts", "experiment", "cell", "action", "attempt",
-    "phase"}`` — injected-fault bookkeeping; ``phase`` is ``armed``
-    (the plan targets this cell in this experiment) or ``fired``
-    (parent-side store corruption applied). Worker-side faults show up
-    as ordinary ``cell`` failure records.
 ``interrupt``
     ``{"event", "ts", "experiment", "signal"}`` — the run caught
     SIGINT/SIGTERM, flushed, and is about to re-raise; everything
@@ -188,22 +182,6 @@ class RunMetrics:
             self._done += 1
             self._resumed += 1
             self._draw_progress()
-
-    def fault_event(
-        self, label: str, action: str, attempt: int, phase: str
-    ) -> None:
-        """Record an injected fault (``phase``: armed / fired)."""
-        self._emit(
-            {
-                "event": "fault",
-                "ts": time.time(),
-                "experiment": self._experiment,
-                "cell": label,
-                "action": action,
-                "attempt": attempt,
-                "phase": phase,
-            }
-        )
 
     def interrupted(self, signal_name: str) -> None:
         """Record a graceful interrupt (SIGINT/SIGTERM) and flush.

@@ -55,16 +55,17 @@ Observability threads through the same path: pass a
 :class:`~repro.evalx.metrics.RunMetrics` and every attempt is recorded
 (wall time, worker pid, workload- and memo-cache deltas) as JSON lines.
 
-Fault injection (:mod:`repro.evalx.faults`) hooks the same choke
-points: the worker-side cell runner fires planned ``raise``/``hang``/
-``kill`` faults, and the parent applies planned record corruption —
-inert unless a plan is explicitly armed.
+Before any cell runs, :func:`run_sharded` reaps the temp files that
+killed writers left in the trace cache and in the checkpoint store's
+directory, on the serial and the pooled path alike. Before fanning out,
+the pooled path also pre-warms each distinct workload in the parent
+process so trace generation happens once, not once per worker: forked
+workers inherit the in-memory caches, and (when the disk cache is
+enabled) spawned workers find warm ``.repro-cache`` entries written
+atomically by :mod:`repro.synth.workloads`.
 
-Before fanning out, the scheduler pre-warms each distinct workload in
-the parent process so trace generation happens once, not once per
-worker: forked workers inherit the in-memory caches, and (when the disk
-cache is enabled) spawned workers find warm ``.repro-cache`` entries
-written atomically by :mod:`repro.synth.workloads`.
+A cell receives nothing from the engine but its ``kwargs``: no engine
+state travels to workers through the environment.
 """
 
 from __future__ import annotations
@@ -77,12 +78,11 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.errors import CellExecutionError
-from repro.evalx import faults
 from repro.evalx.checkpoint import (
     CheckpointCorrupt,
     CheckpointKeyError,
@@ -93,12 +93,10 @@ from repro.evalx.metrics import RunMetrics
 from repro.evalx.report import render_failures
 from repro.evalx.result import ExperimentResult
 from repro.synth.workloads import (
-    CHECKPOINT_ENV,
     cache_counters,
     prewarm_workload,
-    trace_cache_path,
+    sweep_orphan_tmp_files,
 )
-from repro.utils.fsio import env_handoff
 from repro.utils.memo import memo_counters
 
 
@@ -204,14 +202,8 @@ def _cache_snapshot() -> dict[str, int]:
     return {**cache_counters(), **memo_counters()}
 
 
-def _run_cell_instrumented(cell: Cell, attempt: int = 1) -> _CellOutcome:
-    """Run one cell and measure it (executes inside the worker).
-
-    The fault hook fires first: inert unless a chaos plan is armed
-    (see :mod:`repro.evalx.faults`), in which case a planned victim
-    attempt raises, hangs, or hard-kills this worker right here.
-    """
-    faults.fire(cell.label, attempt)
+def _run_cell_instrumented(cell: Cell) -> _CellOutcome:
+    """Run one cell and measure it (executes inside the worker)."""
     before = _cache_snapshot()
     started = time.perf_counter()
     payload = cell.fn(**cell.kwargs)
@@ -331,7 +323,7 @@ def _execute_serial(
             attempts += 1
             started = time.perf_counter()
             try:
-                outcome = _run_cell_instrumented(cell, attempts)
+                outcome = _run_cell_instrumented(cell)
             except Exception as exc:
                 wall = time.perf_counter() - started
                 final = attempts > policy.retries
@@ -454,9 +446,7 @@ class _PooledRun:
         state.attempts += 1
         state.submitted_at = time.monotonic()
         self.in_flight[
-            self.pool.submit(
-                _run_cell_instrumented, state.cell, state.attempts
-            )
+            self.pool.submit(_run_cell_instrumented, state.cell)
         ] = state
 
     def _submit_due(self) -> None:
@@ -703,45 +693,12 @@ def _graceful_interrupts(recorder: RunMetrics):
             signal.signal(signum, handler)
 
 
-def _announce_faults(plan, cells: Sequence[Cell], recorder: RunMetrics):
-    """Emit one ``armed`` fault event per trigger aimed at this grid."""
-    labels = {cell.label for cell in cells}
-    for trigger in plan.triggers:
-        if trigger.label in labels:
-            recorder.fault_event(
-                trigger.label, trigger.action, trigger.attempt, "armed"
-            )
-
-
-def _corrupt_trace_records(
-    plan, cells: Sequence[Cell], recorder: RunMetrics
-) -> None:
-    """Apply planned ``corrupt-trace`` damage before any cell runs."""
-    done: set[str] = set()
-    for trigger in plan.store_triggers():
-        if trigger.action != "corrupt-trace" or trigger.label in done:
-            continue
-        for cell in cells:
-            if cell.label == trigger.label and cell.workload is not None:
-                path = trace_cache_path(*cell.workload)
-                if path is not None and faults.corrupt_file(path):
-                    done.add(trigger.label)
-                    recorder.fault_event(
-                        cell.label,
-                        trigger.action,
-                        trigger.attempt,
-                        "fired",
-                    )
-                break
-
-
 def _prefill_from_store(
     store: CheckpointStore,
     experiment_id: str,
     cells: Sequence[Cell],
     results: list,
     fingerprints: dict[int, str],
-    plan,
     recorder: RunMetrics,
 ) -> None:
     """Fingerprint every cell; serve verified records when resuming.
@@ -749,8 +706,6 @@ def _prefill_from_store(
     Fills ``fingerprints`` for all checkpointable cells (so completions
     get persisted either way) and, when the store was opened with
     ``resume=True``, fills ``results`` slots from verified records.
-    Planned ``corrupt-checkpoint`` faults are applied just before the
-    load so the corruption-detection path runs against real damage.
     """
     for index, cell in enumerate(cells):
         try:
@@ -763,19 +718,6 @@ def _prefill_from_store(
         fingerprints[index] = fingerprint
         if not store.resume:
             continue
-        if plan is not None:
-            for trigger in plan.store_triggers():
-                if (
-                    trigger.action == "corrupt-checkpoint"
-                    and trigger.label == cell.label
-                    and faults.corrupt_file(store.path_for(fingerprint))
-                ):
-                    recorder.fault_event(
-                        cell.label,
-                        trigger.action,
-                        trigger.attempt,
-                        "fired",
-                    )
         record = store.load(fingerprint, cell.label)
         if record is None:
             continue
@@ -813,6 +755,9 @@ def run_sharded(
     so a killed run restarts and completes with byte-identical output
     to an uninterrupted one. SIGINT/SIGTERM are caught, flushed to the
     metrics stream, and re-raised, leaving the store consistent.
+
+    Before any cell runs, temp files orphaned by killed writers are
+    reaped from the trace cache and from the store's directory.
     """
     recorder = metrics or RunMetrics.disabled()
     cells = module.cells(n_tasks=n_tasks, quick=quick, **kwargs)
@@ -820,21 +765,13 @@ def run_sharded(
     recorder.begin_experiment(
         experiment_id, n_cells=len(cells), jobs=resolve_jobs(jobs)
     )
-    plan = faults.active_plan()
-    if plan is not None:
-        _announce_faults(plan, cells, recorder)
-        _corrupt_trace_records(plan, cells, recorder)
+    sweep_orphan_tmp_files()
     results: list[Any] = [_PENDING] * len(cells)
     fingerprints: dict[int, str] = {}
     if checkpoint is not None:
+        sweep_orphan_tmp_files(checkpoint.directory)
         _prefill_from_store(
-            checkpoint,
-            experiment_id,
-            cells,
-            results,
-            fingerprints,
-            plan,
-            recorder,
+            checkpoint, experiment_id, cells, results, fingerprints, recorder
         )
     remaining = [i for i, slot in enumerate(results) if slot is _PENDING]
     index_of = {id(cells[i]): i for i in remaining}
@@ -850,15 +787,8 @@ def run_sharded(
             cell.label, "saved" if saved else "save-failed", fingerprint
         )
 
-    # Publish the store location so the workload prewarm sweep can reap
-    # orphaned record temp files from earlier killed runs.
-    handoff = (
-        env_handoff(CHECKPOINT_ENV, str(checkpoint.directory))
-        if checkpoint is not None
-        else nullcontext()
-    )
     try:
-        with handoff, _graceful_interrupts(recorder):
+        with _graceful_interrupts(recorder):
             executed = execute_cells(
                 [cells[i] for i in remaining],
                 jobs=jobs,

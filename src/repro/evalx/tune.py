@@ -10,10 +10,11 @@ trace length. Cheap rungs screen out the bulk of the space; the full
 budget is spent only on configurations that earned it.
 
 Each rung is one batch of the :mod:`~repro.evalx.experiments.tune_rung`
-driver dispatched through the ordinary engine — so ``--jobs`` fans the
-rung over worker processes, ``--checkpoint-dir/--resume`` makes the
-search crash-safe, ``--metrics`` records every cell, and
-``--inject-faults`` applies the chaos harness.
+driver dispatched through the ordinary engine, with the same engine
+options as ``python -m repro.evalx`` (:mod:`repro.evalx.cli`):
+``--jobs`` fans the rung over worker processes,
+``--checkpoint-dir/--resume`` makes the search crash-safe, and
+``--metrics`` records every cell.
 
 The determinism contract
 ------------------------
@@ -58,18 +59,15 @@ import argparse
 import json
 import sys
 from collections.abc import Callable, Sequence
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import PredictorConfigError, ReproError
-from repro.evalx.__main__ import (
-    _armed_fault_plan,
-    _fault_spec,
-    _jobs_arg,
-    _nonnegative_int,
-    _positive_float,
-    _positive_int,
+from repro.evalx.cli import (
+    add_engine_options,
+    engine_from_args,
+    nonnegative_int,
+    positive_int,
 )
 from repro.evalx.experiments.common import BENCHMARKS
 from repro.evalx.registry import run_experiment
@@ -109,6 +107,12 @@ class TuneSpec:
     def __post_init__(self) -> None:
         if not self.benchmarks:
             raise TuneError("at least one benchmark is required")
+        unknown = [b for b in self.benchmarks if b not in BENCHMARKS]
+        if unknown:
+            raise TuneError(
+                f"unknown benchmark(s) {', '.join(unknown)}; "
+                f"known: {', '.join(BENCHMARKS)}"
+            )
         if self.budget < 1:
             raise TuneError("budget must be >= 1 candidate")
         if self.eta < 2:
@@ -355,7 +359,7 @@ def render_report(artifact: dict) -> str:
 
 
 def _eta_arg(text: str) -> int:
-    value = _positive_int(text)
+    value = positive_int(text)
     if value < 2:
         raise argparse.ArgumentTypeError(
             f"--eta must be >= 2 so each rung prunes, got {value}"
@@ -378,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="NAME", help="workloads to evaluate candidates on",
     )
     search.add_argument(
-        "--budget", type=_positive_int, default=16, metavar="N",
+        "--budget", type=positive_int, default=16, metavar="N",
         help="rung-0 population size (seeded sample of the space; "
         "default 16)",
     )
@@ -387,27 +391,27 @@ def _build_parser() -> argparse.ArgumentParser:
         help="promotion divisor: each rung keeps ~1/eta (default 2)",
     )
     search.add_argument(
-        "--rungs", type=_positive_int, default=3, metavar="N",
+        "--rungs", type=positive_int, default=3, metavar="N",
         help="number of rungs (default 3)",
     )
     search.add_argument(
-        "--rung0-tasks", type=_positive_int, default=5_000, metavar="N",
+        "--rung0-tasks", type=positive_int, default=5_000, metavar="N",
         help="trace length of the cheapest rung (default 5000)",
     )
     search.add_argument(
-        "--final-tasks", type=_positive_int, default=40_000, metavar="N",
+        "--final-tasks", type=positive_int, default=40_000, metavar="N",
         help="trace length of the last rung (default 40000)",
     )
     search.add_argument(
-        "--seed", type=_nonnegative_int, default=0, metavar="N",
+        "--seed", type=nonnegative_int, default=0, metavar="N",
         help="seed for the population sample (default 0)",
     )
     search.add_argument(
-        "--depths", type=_nonnegative_int, nargs="+", default=None,
+        "--depths", type=nonnegative_int, nargs="+", default=None,
         metavar="D", help="history depths to search (default 0..7)",
     )
     search.add_argument(
-        "--index-bits", type=_positive_int, nargs="+", default=None,
+        "--index-bits", type=positive_int, nargs="+", default=None,
         metavar="B", help="PHT index widths to search (default 10 12 14)",
     )
     search.add_argument(
@@ -416,51 +420,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "VC2-MRU VC3-MRU)",
     )
     search.add_argument(
-        "--folds", type=_positive_int, nargs="+", default=None,
+        "--folds", type=positive_int, nargs="+", default=None,
         metavar="F", help="XOR-fold counts to search (default 1 2 3)",
     )
-    engine = parser.add_argument_group("execution engine")
-    engine.add_argument(
-        "--jobs", type=_jobs_arg, default=None, metavar="N",
-        help="fan each rung's cells over N worker processes "
-        "(0 = one per CPU; default serial)",
-    )
-    engine.add_argument(
-        "--keep-going", action="store_true",
-        help="a failed cell drops its candidate from the search "
-        "instead of aborting the rung",
-    )
-    engine.add_argument(
-        "--retries", type=_nonnegative_int, default=0, metavar="N",
-        help="extra attempts granted to each failing cell (default 0)",
-    )
-    engine.add_argument(
-        "--retry-backoff", type=_positive_float, default=0.25,
-        metavar="SECONDS",
-        help="delay before a cell's first retry; doubles per retry",
-    )
-    engine.add_argument(
-        "--metrics", metavar="FILE", default=None,
-        help="append per-cell JSONL metrics to FILE",
-    )
-    engine.add_argument(
-        "--checkpoint-dir", metavar="DIR", default=None,
-        help="persist every completed rung cell to DIR (crash-safe); "
-        "combine with --resume to replay a killed search",
-    )
-    engine.add_argument(
-        "--resume", action="store_true",
-        help="serve verified records from --checkpoint-dir; a resumed "
-        "search reaches byte-identical promotions and frontier",
-    )
-    engine.add_argument(
-        "--inject-faults", type=_fault_spec, default=None, metavar="SPEC",
-        help="chaos harness over the rung cells (see repro.evalx.faults)",
-    )
-    engine.add_argument(
-        "--fault-seed", type=_nonnegative_int, default=0, metavar="N",
-        help="seed for the fault injector's victim choice (default 0)",
-    )
+    add_engine_options(parser)
     parser.add_argument(
         "--out", metavar="FILE", default=None,
         help="write the frontier artifact JSON to FILE",
@@ -471,8 +434,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.resume and not args.checkpoint_dir:
-        parser.error("--resume requires --checkpoint-dir")
     try:
         spec = TuneSpec(
             benchmarks=tuple(args.benchmarks),
@@ -503,47 +464,20 @@ def main(argv: list[str] | None = None) -> int:
                 else DEFAULT_FOLDS
             ),
         )
-        population = initial_population(spec)
+        initial_population(spec)  # an empty design space exits here
     except TuneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    injection = (
-        _armed_fault_plan(
-            args.inject_faults,
-            args.fault_seed,
-            _rung_labels(population, spec),
-        )
-        if args.inject_faults
-        else nullcontext()
-    )
-
-    from repro.evalx.metrics import RunMetrics
-    from repro.evalx.parallel import RetryPolicy
-
-    checkpoint = None
-    if args.checkpoint_dir:
-        from repro.evalx.checkpoint import CheckpointStore
-
-        checkpoint = CheckpointStore(
-            args.checkpoint_dir, resume=args.resume
-        )
-    metrics = RunMetrics(path=args.metrics)
-    with injection, metrics:
+    engine = engine_from_args(parser, args)
+    with engine["metrics"]:
         try:
             artifact = run_search(
                 spec,
                 progress=lambda message: print(
                     f"[{message}]", file=sys.stderr
                 ),
-                jobs=args.jobs,
-                keep_going=args.keep_going,
-                retry=RetryPolicy(
-                    retries=args.retries,
-                    backoff_seconds=args.retry_backoff,
-                ),
-                metrics=metrics,
-                checkpoint=checkpoint,
+                **engine,
             )
         except TuneError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -555,20 +489,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"[frontier artifact written to {args.out}]", file=sys.stderr)
     return 0
-
-
-def _rung_labels(population: list[str], spec: TuneSpec) -> list[str]:
-    """This search's rung cell labels: the ``--inject-faults`` victims."""
-    from repro.evalx.experiments import tune_rung
-
-    return [
-        cell.label
-        for cell in tune_rung.cells(
-            n_tasks=1,
-            configs=population,
-            benchmarks=spec.benchmarks,
-        )
-    ]
 
 
 if __name__ == "__main__":

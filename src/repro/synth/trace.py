@@ -121,7 +121,7 @@ class TaskTrace:
 
         The file embeds a SHA-256 checksum over every column, so a
         record damaged after its atomic publication (bad sector, torn
-        copy, deliberate chaos-test corruption) is detected at load
+        copy, deliberate corruption in a test) is detected at load
         time instead of silently feeding wrong data to a simulator.
         """
         arrays = {name: getattr(self, name) for name in _FIELDS}

@@ -34,11 +34,6 @@ from repro.utils.hashing import stable_hash
 #: Set the REPRO_CACHE_DIR environment variable to move the trace cache.
 _CACHE_ENV = "REPRO_CACHE_DIR"
 
-#: Set by the experiment engine while a checkpoint store is active
-#: (see :mod:`repro.evalx.checkpoint`), so the prewarm sweep can reap
-#: orphaned record temp files left by killed runs.
-CHECKPOINT_ENV = "REPRO_CHECKPOINT_DIR"
-
 
 @dataclass(frozen=True)
 class Workload:
@@ -156,6 +151,8 @@ def sweep_orphan_tmp_files(cache_dir: Path | None = None) -> list[Path]:
     (pid-recycling guard). Files being written right now belong to live
     pids and are recent, so they are never touched. Returns the paths
     removed; the count lands in the ``orphan_tmp_reaps`` cache counter.
+    :func:`repro.evalx.parallel.run_sharded` sweeps the trace cache and
+    its checkpoint store's directory once per run, before any cell runs.
     """
     if cache_dir is None:
         cache_dir = _cache_dir()
@@ -181,27 +178,14 @@ def sweep_orphan_tmp_files(cache_dir: Path | None = None) -> list[Path]:
     return removed
 
 
-def _checkpoint_dir() -> Path | None:
-    """The active checkpoint store directory, if any (env-published)."""
-    configured = os.environ.get(CHECKPOINT_ENV, "")
-    return Path(configured) if configured else None
-
-
 def prewarm_workload(name: str, n_tasks: int | None = None) -> str:
     """Generate one workload and publish its trace to the disk cache.
 
     The parallel experiment scheduler runs this once per distinct
     (benchmark, length) before fanning cells out, so worker processes
     find warm cache entries instead of each regenerating the same trace.
-    Also sweeps orphaned temp files left by killed processes — in the
-    trace cache and, when a checkpoint store is active, in its record
-    directory too. Returns the benchmark name (a picklable
-    acknowledgement for pools).
+    Returns the benchmark name (a picklable acknowledgement for pools).
     """
-    sweep_orphan_tmp_files()
-    checkpoint_dir = _checkpoint_dir()
-    if checkpoint_dir is not None:
-        sweep_orphan_tmp_files(checkpoint_dir)
     load_workload(name, n_tasks)
     return name
 
@@ -292,8 +276,6 @@ def trace_cache_path(name: str, n_tasks: int | None = None) -> Path | None:
     """Disk-cache entry path for a (benchmark, length), or None if off.
 
     The file may or may not exist; this only computes where it lives.
-    Used by cache-hygiene tooling and the fault injector's
-    ``corrupt-trace`` action.
     """
     cache_dir = _cache_dir()
     if cache_dir is None:

@@ -1,4 +1,4 @@
-"""The only module in ``repro`` that publishes store files or edits the env.
+"""The only module in ``repro`` that renames store files into place.
 
 Two on-disk stores are shared between processes: the checkpoint
 store's per-cell records (:mod:`repro.evalx.checkpoint`) and the trace
@@ -15,23 +15,18 @@ calls ``os.fsync`` on it, then moves it over the destination with
   truncating each other's temp.
 
 A temp left behind by a killed process is reaped by
-:func:`repro.synth.workloads.sweep_orphan_tmp_files`.
+:func:`repro.synth.workloads.sweep_orphan_tmp_files`, which every
+experiment run calls before its first cell.
 
-Pool workers inherit two handoffs through the environment: the fault
-plan (``REPRO_FAULTS``) and the checkpoint directory
-(``REPRO_CHECKPOINT_DIR``). :func:`env_handoff` sets one for the length
-of a block and then restores what was there before, so a handoff never
-outlives the run that armed it.
-
-The CKP003 analysis rule forbids ``os.replace``/``os.rename`` and any
-``os.environ`` mutation everywhere else in ``repro``.
+The CKP003 analysis rule forbids ``os.replace``/``os.rename`` everywhere
+else in ``repro``, and an ``os.environ`` write anywhere, this module
+included: no engine state reaches a worker through the environment.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable
 from pathlib import Path
 from typing import BinaryIO
 
@@ -57,20 +52,3 @@ def publish(destination: Path, write: Callable[[BinaryIO], object]) -> None:
         tmp_path.unlink(missing_ok=True)
         raise
 
-
-@contextmanager
-def env_handoff(name: str, value: str) -> Iterator[None]:
-    """Set ``os.environ[name]`` for the block, then restore its old state.
-
-    On exit, normal or by exception, the previous value comes back, or
-    the variable is removed if it was unset.
-    """
-    previous = os.environ.get(name)
-    os.environ[name] = value
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = previous

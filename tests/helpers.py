@@ -2,16 +2,22 @@
 
 These construct tiny, fully deterministic ProgramCFGs so tests can assert
 exact traces and prediction outcomes without depending on the synthetic
-generator's sampling. The kill tests also share :func:`kill_process_group`
-from here.
+generator's sampling. The kill tests also share their fixtures from here:
+:func:`run_with_hung_cell` pins a victim run with :func:`hang_forever`,
+:func:`kill_process_group` kills it, and :func:`corrupt_file` damages a
+record it left behind.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import os
 import signal
 import subprocess
+import sys
 import time
+from collections.abc import Sequence
 from pathlib import Path
 
 from repro.cfg.basicblock import BasicBlock, Terminator, TerminatorKind
@@ -196,3 +202,67 @@ def kill_process_group(
     ):
         time.sleep(0.05)
     return live
+
+
+def hang_forever(**kwargs) -> None:
+    """A cell function that never returns: it pins a run for a kill."""
+    while True:
+        time.sleep(60)
+
+
+def run_with_hung_cell(
+    driver: str, prefix: str, cli: str, argv: Sequence[str]
+) -> int:
+    """Run ``cli``'s ``main(argv)`` with one cell of ``driver`` hung.
+
+    Runs inside the victim process of a kill test, never in the test
+    process itself. Every grid that ``driver``'s ``cells`` builds has
+    its first cell whose label starts with ``prefix`` replaced by
+    :func:`hang_forever`, so the run cannot finish before the kill
+    lands. Pool workers unpickle that function by reference, so the
+    repository root must be on the victim's ``PYTHONPATH``.
+    """
+    module = importlib.import_module(driver)
+    build = module.cells
+
+    def cells(*args, **kwargs):
+        grid = build(*args, **kwargs)
+        for index, cell in enumerate(grid):
+            if cell.label.startswith(prefix):
+                grid[index] = dataclasses.replace(cell, fn=hang_forever)
+                break
+        return grid
+
+    module.cells = cells
+    return importlib.import_module(cli).main(list(argv))
+
+
+def hung_cli_command(
+    driver: str, prefix: str, cli: str, argv: Sequence[str]
+) -> list[str]:
+    """The victim's command line: :func:`run_with_hung_cell` in a new
+    interpreter, exiting with the CLI's status."""
+    call = (
+        f"run_with_hung_cell({driver!r}, {prefix!r}, {cli!r}, "
+        f"{list(argv)!r})"
+    )
+    return [
+        sys.executable,
+        "-c",
+        f"import sys; from tests.helpers import run_with_hung_cell; "
+        f"sys.exit({call})",
+    ]
+
+
+def corrupt_file(path: str | Path, flip_bytes: int = 16) -> None:
+    """Invert ``flip_bytes`` bytes in the middle of a non-empty file.
+
+    Enough to defeat any checksum while keeping the length plausible,
+    which is the damage a torn write or a bad sector leaves.
+    """
+    path = Path(path)
+    data = bytearray(path.read_bytes())
+    start = len(data) // 2
+    for offset in range(start, min(start + flip_bytes, len(data))):
+        data[offset] ^= 0xFF
+    path.write_bytes(bytes(data))

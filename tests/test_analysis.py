@@ -51,7 +51,7 @@ class TestRuleRegistry:
         assert ids == sorted(ids)
         assert len(ids) == len(set(ids))
         assert set(ids) == {
-            "CKP001", "CKP002", "CKP003",
+            "CKP001", "CKP003",
             "DET001", "DET002", "DET003", "DET004",
             "NPW001", "NPW002", "NPW003",
             "PROT001", "PROT002", "PROT003",
@@ -473,59 +473,22 @@ class TestCheckpointRules:
         findings, _ = _run(tmp_path, ["CKP001"])
         assert findings == []
 
-    def test_fault_install_outside_optin_flagged(self, tmp_path):
-        _project(tmp_path, {
-            "evalx/experiments/sneaky.py": """\
-                from repro.evalx import faults
-                from repro.evalx.faults import armed
-
-
-                def arm(plan, run):
-                    with faults.armed(plan):
-                        run()
-
-
-                def arm_by_name(plan, run):
-                    with armed(plan):
-                        run()
-                """,
-        })
-        findings, _ = _run(tmp_path, ["CKP002"])
-        assert _rule_ids(findings) == ["CKP002", "CKP002"]
-        assert "arms the chaos injector" in findings[0].message
-
-    def test_fault_install_in_sanctioned_modules_passes(self, tmp_path):
-        _project(tmp_path, {
-            "repro/evalx/faults.py": """\
-                from repro.utils.fsio import env_handoff
-
-
-                def armed(plan):
-                    return env_handoff("REPRO_FAULTS", plan)
-                """,
-            "repro/evalx/__main__.py": """\
-                from repro.evalx import faults
-
-
-                def main(plan, run):
-                    with faults.armed(plan):
-                        run()
-                """,
-        })
-        findings, _ = _run(tmp_path, ["CKP002"])
-        assert findings == []
-
     def test_other_environ_assignments_pass(self, tmp_path):
+        # A copy of os.environ built for a child process is not this
+        # process's environment: writing into it is no CKP finding.
         _project(tmp_path, {
-            "evalx/parallel.py": """\
+            "repro/evalx/launch.py": """\
                 import os
 
 
-                def publish(directory):
-                    os.environ["REPRO_CHECKPOINT_DIR"] = directory
+                def child_env(directory):
+                    env = dict(os.environ)
+                    env["REPRO_CACHE_DIR"] = directory
+                    env.pop("PYTHONPATH", None)
+                    return env
                 """,
         })
-        findings, _ = _run(tmp_path, ["CKP002"])
+        findings, _ = _run(tmp_path, ["CKP001", "CKP003"])
         assert findings == []
 
 
@@ -661,8 +624,9 @@ class TestVectorizationRules:
 
 
 class TestPublicationRule:
-    """CKP003: only ``repro.utils.fsio`` renames files into place or
-    edits ``os.environ``; the two store modules never write in place."""
+    """CKP003: only ``repro.utils.fsio`` renames files into place, no
+    module edits ``os.environ``, and the two store modules never write
+    in place."""
 
     def test_replace_and_rename_outside_fsio_flagged(self, tmp_path):
         _project(tmp_path, {
@@ -698,11 +662,11 @@ class TestPublicationRule:
 
 
                 def arm(directory):
-                    os.environ["REPRO_CHECKPOINT_DIR"] = directory
-                    environ["REPRO_FAULTS"] = "{}"
+                    os.environ["REPRO_STORE_DIR"] = directory
+                    environ["REPRO_PLAN"] = "{}"
                     os.environ["PATH"] += ":/opt/bin"
-                    del os.environ["REPRO_FAULTS"]
-                    os.environ.pop("REPRO_CHECKPOINT_DIR", None)
+                    del os.environ["REPRO_PLAN"]
+                    os.environ.pop("REPRO_STORE_DIR", None)
                     environ.setdefault("A", "1")
                     os.environ.update({"B": "2"})
                     os.environ.clear()
@@ -712,7 +676,7 @@ class TestPublicationRule:
         })
         findings, _ = _run(tmp_path, ["CKP003"])
         assert [f.line for f in findings] == list(range(6, 16))
-        assert all("env_handoff" in f.message for f in findings)
+        assert all("Cell kwargs" in f.message for f in findings)
 
     def test_environ_reads_pass(self, tmp_path):
         _project(tmp_path, {
@@ -808,9 +772,18 @@ class TestPublicationRule:
                         write(handle)
                         os.fsync(handle.fileno())
                     os.replace(tmp_path, destination)
+                """,
+        })
+        findings, _ = _run(tmp_path, ["CKP003"])
+        assert findings == []
+
+    def test_environ_writes_in_fsio_flagged(self, tmp_path):
+        _project(tmp_path, {
+            "repro/utils/fsio.py": """\
+                import os
 
 
-                def env_handoff(name, value):
+                def export(name, value):
                     previous = os.environ.get(name)
                     os.environ[name] = value
                     if previous is None:
@@ -818,7 +791,8 @@ class TestPublicationRule:
                 """,
         })
         findings, _ = _run(tmp_path, ["CKP003"])
-        assert findings == []
+        assert [f.line for f in findings] == [6, 8]
+        assert {f.symbol for f in findings} == {"export"}
 
     def test_writes_outside_store_modules_pass(self, tmp_path):
         _project(tmp_path, {

@@ -1,12 +1,11 @@
-"""Chaos harness: fault injection, graceful interrupts, kill-and-resume.
+"""Graceful interrupts and kill-and-resume of the experiment engine.
 
-The acceptance scenario from the robustness issue lives here: a pooled
-CLI run is hard-killed (SIGKILL — no cleanup whatsoever) partway through
-a checkpointed sweep, then restarted with ``--resume`` and must complete
-with byte-identical output and without re-running the finished cells.
-Around it: the fault-spec grammar, deterministic victim selection,
-inert-by-default guarantees, each worker-side fault action driven
-through the real scheduler, and SIGTERM/KeyboardInterrupt handling.
+A pooled CLI run is hard-killed (SIGKILL — no cleanup whatsoever)
+partway through a checkpointed sweep, then restarted with ``--resume``
+and must complete with byte-identical output and without re-running the
+finished cells. A fixture cell that never returns pins the victim, so
+the kill always lands mid-sweep. Around it: a corrupted record detected
+and re-run, and SIGTERM/KeyboardInterrupt handling.
 """
 
 from __future__ import annotations
@@ -22,188 +21,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.evalx import faults
 from repro.evalx.checkpoint import CheckpointStore
-from repro.evalx.faults import (
-    FaultPlan,
-    FaultSpecError,
-    InjectedFault,
-    parse_spec,
-)
 from repro.evalx.metrics import RunMetrics
-from repro.evalx.parallel import (
-    Cell,
-    execute_cells,
-    is_failure,
-    run_sharded,
-)
+from repro.evalx.parallel import Cell, run_sharded
 from repro.evalx.result import ExperimentResult
-from tests.helpers import kill_process_group
-
-
-class TestSpecGrammar:
-    def test_full_clause_parses(self):
-        (clause,) = parse_spec("hang(2.5)@gcc:*#3~2")
-        assert clause.action == "hang"
-        assert clause.seconds == 2.5
-        assert clause.glob == "gcc:*"
-        assert clause.count == 3
-        assert clause.attempt == 2
-
-    def test_defaults(self):
-        (clause,) = parse_spec("raise")
-        assert (clause.glob, clause.count, clause.attempt) == ("*", 1, 1)
-
-    def test_multiple_clauses(self):
-        clauses = parse_spec("kill@gcc, raise@*#2, corrupt-checkpoint@sc")
-        assert [c.action for c in clauses] == [
-            "kill", "raise", "corrupt-checkpoint"
-        ]
-
-    @pytest.mark.parametrize(
-        "bad", ["", "explode@x", "hang@x", "raise@", "kill#x", "42"]
-    )
-    def test_bad_specs_rejected(self, bad):
-        with pytest.raises(FaultSpecError):
-            parse_spec(bad)
-
-
-class TestPlanDeterminism:
-    LABELS = [f"bench{i}:cfg{j}" for i in range(4) for j in range(3)]
-
-    def test_same_inputs_same_victims(self):
-        one = FaultPlan.compile("raise@*#3", seed=7, labels=self.LABELS)
-        two = FaultPlan.compile(
-            "raise@*#3", seed=7, labels=list(reversed(self.LABELS))
-        )
-        assert one.triggers == two.triggers  # label order is irrelevant
-
-    def test_seed_changes_victims(self):
-        one = FaultPlan.compile("raise@*#2", seed=1, labels=self.LABELS)
-        two = FaultPlan.compile("raise@*#2", seed=2, labels=self.LABELS)
-        assert one.triggers != two.triggers
-
-    def test_glob_restricts_victims(self):
-        plan = FaultPlan.compile(
-            "kill@bench2:*#99", seed=0, labels=self.LABELS
-        )
-        assert all(
-            t.label.startswith("bench2:") for t in plan.triggers
-        )
-        assert len(plan.triggers) == 3  # count capped at the matches
-
-    def test_json_round_trip(self):
-        plan = FaultPlan.compile(
-            "hang(1.5)@*#2,corrupt-trace@bench0:cfg0",
-            seed=9,
-            labels=self.LABELS,
-        )
-        assert FaultPlan.from_json(plan.to_json()) == plan
-        assert all(
-            t.action == "corrupt-trace" for t in plan.store_triggers()
-        )
-
-
-class TestInertByDefault:
-    """Satellite guarantee: no plan installed means zero behaviour change."""
-
-    def test_fire_is_a_noop_without_env(self, monkeypatch):
-        monkeypatch.delenv(faults.ENV_VAR, raising=False)
-        faults.fire("any-cell", 1)  # must not raise, hang, or exit
-
-    def test_install_uninstall_round_trip(self, monkeypatch):
-        monkeypatch.delenv(faults.ENV_VAR, raising=False)
-        plan = FaultPlan.compile("raise@a", seed=0, labels=["a", "b"])
-        with faults.armed(plan):
-            assert faults.active_plan() == plan
-        assert faults.active_plan() is None
-
-
-class TestCliDisarmsOnReturn:
-    """``--inject-faults`` arms its plan only for the CLI's own run."""
-
-    @pytest.mark.parametrize("previous", [None, "preset"])
-    def test_plan_does_not_leak_past_main(self, monkeypatch, previous):
-        from repro.evalx.__main__ import main
-        from repro.evalx.registry import run_experiment
-
-        monkeypatch.delenv(faults.ENV_VAR, raising=False)
-        if previous is not None:
-            preset = FaultPlan.compile("raise@nothing", seed=0, labels=[])
-            previous = preset.to_json()
-            monkeypatch.setenv(faults.ENV_VAR, previous)
-        status = main([
-            "table2", "--quick", "--tasks", "300", "--keep-going",
-            "--inject-faults", "raise@gcc*", "--fault-seed", "1",
-        ])
-        assert status == 1  # the planned gcc cell failed, as a gap
-        assert os.environ.get(faults.ENV_VAR) == previous
-        library = run_experiment(
-            "table2", n_tasks=300, quick=True, keep_going=True
-        )
-        assert library.failures == ()
+from tests.helpers import corrupt_file, hung_cli_command, kill_process_group
 
 
 def _identity(x):
     return x
-
-
-def _install_for_test(monkeypatch, spec, labels, seed=0):
-    plan = FaultPlan.compile(spec, seed=seed, labels=labels)
-    monkeypatch.setenv(faults.ENV_VAR, plan.to_json())
-    return plan
-
-
-class TestWorkerSideFaults:
-    """Each action driven through the real scheduler, serial and pooled."""
-
-    def _cells(self):
-        return [
-            Cell(label=f"c{v}", fn=_identity, kwargs={"x": v})
-            for v in (1, 2, 3)
-        ]
-
-    def test_raise_fault_fails_the_planned_cell_only(self, monkeypatch):
-        _install_for_test(monkeypatch, "raise@c2", ["c1", "c2", "c3"])
-        results = execute_cells(self._cells(), keep_going=True)
-        assert results[0] == 1 and results[2] == 3
-        assert is_failure(results[1])
-        assert "injected fault" in results[1].error
-
-    def test_raise_fault_on_attempt_one_only_lets_retry_succeed(
-        self, monkeypatch
-    ):
-        from repro.evalx.parallel import RetryPolicy
-
-        _install_for_test(monkeypatch, "raise@c2~1", ["c1", "c2", "c3"])
-        results = execute_cells(
-            self._cells(),
-            retry=RetryPolicy(retries=1, backoff_seconds=0.01),
-        )
-        assert results == [1, 2, 3]  # attempt 2 is not a victim
-
-    def test_kill_fault_crashes_worker_and_is_attributed(
-        self, monkeypatch
-    ):
-        _install_for_test(monkeypatch, "kill@c2", ["c1", "c2", "c3"])
-        results = execute_cells(self._cells(), jobs=2, keep_going=True)
-        assert results[0] == 1 and results[2] == 3
-        assert is_failure(results[1])
-        assert results[1].kind == "crash"
-
-    def test_hang_fault_trips_the_cell_timeout(self, monkeypatch):
-        from repro.evalx.parallel import RetryPolicy
-
-        _install_for_test(monkeypatch, "hang(5)@c2", ["c1", "c2", "c3"])
-        started = time.monotonic()
-        results = execute_cells(
-            self._cells(),
-            jobs=2,
-            keep_going=True,
-            retry=RetryPolicy(timeout_seconds=0.5),
-        )
-        assert is_failure(results[1]) and results[1].kind == "timeout"
-        assert time.monotonic() - started < 5
 
 
 # -- graceful interrupts ----------------------------------------------
@@ -351,9 +177,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 def _cli_env(cache_dir: Path) -> dict:
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    # The repository root lets a victim import tests.helpers.
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), str(REPO_ROOT)]
+    )
     env["REPRO_CACHE_DIR"] = str(cache_dir)
-    env.pop(faults.ENV_VAR, None)
     return env
 
 
@@ -390,19 +218,22 @@ class TestKillAndResumeCLI:
         reference = _run_cli(base, env)
         assert reference.returncode == 0, reference.stderr
 
-        # A hang fault pins the last cell so the run cannot finish
-        # before the kill lands; SIGKILL gives it zero chance to clean
-        # up — exactly an OOM-killer or CI-preemption death. The run
-        # gets its own session so the kill takes its pool workers too.
+        # The xlisp cell never returns, so the run cannot finish before
+        # the kill lands; SIGKILL gives it zero chance to clean up —
+        # exactly an OOM-killer or CI-preemption death. The run gets
+        # its own session so the kill takes its pool workers too.
         victim = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.evalx", *base,
-                "--jobs", "2",
-                "--checkpoint-dir", str(store),
-                "--inject-faults", "hang(120)@xlisp",
-                "--fault-seed", "7",
-                "--metrics", str(tmp_path / "killed.jsonl"),
-            ],
+            hung_cli_command(
+                "repro.evalx.experiments.table2",
+                "xlisp",
+                "repro.evalx.__main__",
+                [
+                    *base,
+                    "--jobs", "2",
+                    "--checkpoint-dir", str(store),
+                    "--metrics", str(tmp_path / "killed.jsonl"),
+                ],
+            ),
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
@@ -420,6 +251,7 @@ class TestKillAndResumeCLI:
                 time.sleep(0.05)
             else:
                 pytest.fail("no checkpoint records appeared in time")
+            assert victim.poll() is None, "the run ended before the kill"
         finally:
             orphans = kill_process_group(victim)
         assert orphans == [], f"workers outlived the kill: {orphans}"
@@ -473,7 +305,7 @@ class TestKillAndResumeCLI:
         reference = _strip_timing(populate.stdout)
 
         victim = sorted(store.glob("*.ckpt.json"))[2]
-        faults.corrupt_file(victim)
+        corrupt_file(victim)
 
         resume = _run_cli(
             [
@@ -497,36 +329,6 @@ class TestKillAndResumeCLI:
         assert actions.count("corrupt") == 1
         assert actions.count("resume") == 4
         assert actions.count("saved") == 1  # the re-run re-persisted
-
-
-class TestAnyAttemptWildcard:
-    """``~0`` fires on *every* attempt — the poison-cell grammar.
-
-    A default clause (``~1``) lets retries succeed; ``~0`` models a
-    cell that misbehaves no matter which attempt touches it.
-    """
-
-    def test_parse_attempt_zero(self):
-        (clause,) = parse_spec("kill@gcc~0")
-        assert clause.action == "kill"
-        assert clause.glob == "gcc"
-        assert clause.attempt == 0
-
-    def test_wildcard_fires_on_every_attempt(self, monkeypatch):
-        plan = FaultPlan.compile(
-            "raise@poison~0", seed=0, labels=["poison", "clean"]
-        )
-        monkeypatch.setenv(faults.ENV_VAR, plan.to_json())
-        for attempt in (1, 2, 7):
-            with pytest.raises(InjectedFault):
-                faults.fire("poison", attempt)
-        faults.fire("clean", 1)  # untargeted labels stay clean
-
-    def test_default_attempt_still_fires_once(self, monkeypatch):
-        plan = FaultPlan.compile(
-            "raise@poison", seed=0, labels=["poison"]
-        )
-        monkeypatch.setenv(faults.ENV_VAR, plan.to_json())
-        with pytest.raises(InjectedFault):
-            faults.fire("poison", 1)
-        faults.fire("poison", 2)  # the retry succeeds
+        summary = records[-1]
+        assert summary["event"] == "experiment"
+        assert summary["cells"] == 5 and summary["failed"] == 0

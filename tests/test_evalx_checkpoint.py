@@ -5,13 +5,17 @@ Covers the tentpole guarantees in isolation: canonical kwargs encoding
 fingerprints that miss on any input change, atomic save/load
 round-trips, checksum detection of corrupted records, stale-format
 rejection, and `run_sharded` populate-then-resume producing identical
-results with zero re-executions.
+results with zero re-executions. Every run reaps the temps that killed
+writers left in both stores, serial or pooled, and hands its cells
+nothing through the environment.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
 from types import SimpleNamespace
 
 import pytest
@@ -353,3 +357,84 @@ class TestRunShardedResume:
             module, checkpoint=CheckpointStore(store_dir, resume=True)
         )
         assert repr(first.data) == repr(second.data)
+
+
+# -- run hygiene: orphaned temps and the environment ------------------
+
+def _dead_pid() -> int:
+    proc = subprocess.Popen(["true"])
+    proc.wait()
+    return proc.pid
+
+
+def _grid_module(fn, workload=None):
+    def cells(n_tasks=None, quick=False):
+        return [
+            Cell(label=f"c{v}", fn=fn, kwargs={"x": v}, workload=workload)
+            for v in (1, 2)
+        ]
+
+    def combine(cells, results, n_tasks=None, quick=False):
+        return ExperimentResult(
+            experiment_id="hygiene-fixture",
+            title="run hygiene fixture",
+            text="",
+            data={"values": list(results)},
+        )
+
+    return SimpleNamespace(
+        __name__="tests.hygiene", cells=cells, combine=combine
+    )
+
+
+def _repro_environ(x):
+    return {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
+
+
+class TestRunHygiene:
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_run_reaps_dead_pid_temps_in_both_stores(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        cache_dir = tmp_path / "cache"
+        store_dir = tmp_path / "ckpt"
+        cache_dir.mkdir()
+        store_dir.mkdir()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        dead, live = _dead_pid(), os.getpid()
+        orphans = [
+            cache_dir / f".gcc-0badf00d-s1-n300.npz.tmp-{dead}",
+            store_dir / f".{'e' * 40}.ckpt.json.tmp-{dead}",
+        ]
+        in_flight = [
+            cache_dir / f".sc-0badf00d-s1-n300.npz.tmp-{live}",
+            store_dir / f".{'f' * 40}.ckpt.json.tmp-{live}",
+        ]
+        for path in orphans + in_flight:
+            path.write_bytes(b"torn")
+        keeper = store_dir / f"{'e' * 40}.ckpt.json"
+        keeper.write_text("{}")
+        result = run_sharded(
+            _grid_module(_double, workload=("compress", 300)),
+            jobs=jobs,
+            checkpoint=CheckpointStore(store_dir),
+        )
+        assert result.data["values"] == [2, 4]
+        assert [path.exists() for path in orphans] == [False, False]
+        assert [path.exists() for path in in_flight] == [True, True]
+        assert keeper.read_text() == "{}"  # records are never swept
+        assert len(list(store_dir.glob("*.ckpt.json"))) == 3
+
+    def test_checkpointed_runs_leave_the_environment_as_found(
+        self, tmp_path
+    ):
+        caller = _repro_environ(0)
+        before = dict(os.environ)
+        for jobs in (None, 2):
+            result = run_sharded(
+                _grid_module(_repro_environ),
+                jobs=jobs,
+                checkpoint=CheckpointStore(tmp_path / f"ckpt-{jobs}"),
+            )
+            assert dict(os.environ) == before
+            assert result.data["values"] == [caller, caller]

@@ -326,13 +326,6 @@ class TestRobustnessFlagValidation:
         assert code == 2
         assert "integer" in err
 
-    def test_nonpositive_backoff_rejected(self, capsys):
-        code, err = self._run(
-            ["table2", "--retry-backoff", "0"], capsys
-        )
-        assert code == 2
-        assert "positive" in err
-
     def test_nonpositive_timeout_rejected(self, capsys):
         code, err = self._run(
             ["table2", "--cell-timeout", "-3"], capsys
@@ -344,28 +337,6 @@ class TestRobustnessFlagValidation:
         code, err = self._run(["table2", "--resume"], capsys)
         assert code == 2
         assert "--resume requires --checkpoint-dir" in err
-
-    def test_bad_fault_spec_rejected(self, capsys):
-        code, err = self._run(
-            ["table2", "--inject-faults", "explode@gcc"], capsys
-        )
-        assert code == 2
-        assert "unknown fault action" in err
-
-    def test_hang_without_duration_rejected(self, capsys):
-        code, err = self._run(
-            ["table2", "--inject-faults", "hang@gcc"], capsys
-        )
-        assert code == 2
-        assert "hang needs an explicit duration" in err
-
-    def test_negative_fault_seed_rejected(self, capsys):
-        code, err = self._run(
-            ["table2", "--inject-faults", "raise", "--fault-seed", "-5"],
-            capsys,
-        )
-        assert code == 2
-        assert ">= 0" in err
 
     @pytest.mark.parametrize("tasks", ["0", "-5"])
     def test_nonpositive_tasks_rejected(self, tasks, capsys):

@@ -24,7 +24,6 @@ from pathlib import Path
 import pytest
 
 from repro.errors import PredictorConfigError
-from repro.evalx import faults
 from repro.evalx.checkpoint import CheckpointStore
 from repro.evalx.registry import run_experiment
 from repro.evalx.tune import (
@@ -44,7 +43,7 @@ from repro.predictors.design_space import (
     enumerate_space,
 )
 from repro.predictors.folding import DolcSpec
-from tests.helpers import kill_process_group
+from tests.helpers import hung_cli_command, kill_process_group
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -257,14 +256,20 @@ class TestKillMidRungResume:
     """SIGKILL a live search mid-rung; --resume must replay it exactly."""
 
     def test_sigkilled_search_resumes_byte_identically(self, tmp_path):
-        args = [
-            sys.executable, "-m", "repro.evalx.tune",
+        search = [
             "--benchmarks", "gcc", "compress",
             "--budget", "4", "--eta", "2", "--rungs", "2",
             "--rung0-tasks", "800", "--final-tasks", "1500",
             "--seed", "1", "--jobs", "2",
         ]
-        env = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
+        args = [sys.executable, "-m", "repro.evalx.tune", *search]
+        # The repository root lets the victim import tests.helpers.
+        env = {
+            "PYTHONPATH": os.pathsep.join(
+                [str(REPO_ROOT / "src"), str(REPO_ROOT)]
+            ),
+            "PATH": "/usr/bin:/bin",
+        }
         clean_ckpt = tmp_path / "clean-ckpt"
         clean_out = tmp_path / "clean.json"
         subprocess.run(
@@ -273,9 +278,16 @@ class TestKillMidRungResume:
             env=env, check=True, capture_output=True, timeout=300,
         )
         ckpt = tmp_path / "ckpt"
+        # One rung-0 compress cell never returns, so rung 0 cannot
+        # finish: the search is still running when the kill lands.
         victim = subprocess.Popen(
-            [*args, "--checkpoint-dir", str(ckpt),
-             "--out", str(tmp_path / "never.json")],
+            hung_cli_command(
+                "repro.evalx.experiments.tune_rung",
+                "compress:",
+                "repro.evalx.tune",
+                [*search, "--checkpoint-dir", str(ckpt),
+                 "--out", str(tmp_path / "never.json")],
+            ),
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
@@ -291,10 +303,13 @@ class TestKillMidRungResume:
                 time.sleep(0.02)
             else:
                 pytest.fail("no checkpoint records appeared")
+            assert victim.poll() is None, "the search ended before the kill"
         finally:
             orphans = kill_process_group(victim)
         assert orphans == [], f"workers outlived the kill: {orphans}"
         assert not (tmp_path / "never.json").exists()
+        # Killed mid rung 0: at most 7 of its 8 cells were persisted.
+        assert 3 <= len(list(ckpt.glob("*.ckpt.json"))) < 8
         resumed_out = tmp_path / "resumed.json"
         subprocess.run(
             [*args, "--checkpoint-dir", str(ckpt), "--resume",
@@ -307,6 +322,7 @@ class TestKillMidRungResume:
         assert [r["promoted"] for r in artifact["rungs"]] == [
             r["promoted"] for r in clean["rungs"]
         ]
+        assert sorted(clean["frontier"]) == ["compress", "gcc"]
 
 
 class TestCliRejectsUnbatchedAutomata:
@@ -327,29 +343,18 @@ class TestCliRejectsUnbatchedAutomata:
         assert automaton in capsys.readouterr().err
 
 
-class TestCliDisarmsOnReturn:
-    """``--inject-faults`` arms its plan only for the tuner's own run."""
+class TestCliRejectsUnknownBenchmarks:
+    @pytest.mark.parametrize("names", [["nosuch"], ["gcc", "nosuch"]])
+    def test_exits_2_before_any_cell_runs(self, monkeypatch, capsys, names):
+        from repro.evalx import tune
 
-    @pytest.mark.parametrize("previous", [None, "preset"])
-    def test_plan_does_not_leak_past_main(
-        self, monkeypatch, capsys, previous
-    ):
-        from repro.evalx.tune import main
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search must not start")
 
-        monkeypatch.delenv(faults.ENV_VAR, raising=False)
-        if previous is not None:
-            preset = faults.FaultPlan.compile(
-                "raise@nothing", seed=0, labels=[]
-            )
-            previous = preset.to_json()
-            monkeypatch.setenv(faults.ENV_VAR, previous)
-        status = main([
-            "--benchmarks", "gcc", "compress",
-            "--budget", "2", "--rungs", "1",
+        monkeypatch.setattr(tune, "run_search", no_search)
+        status = tune.main([
+            "--benchmarks", *names, "--budget", "2", "--rungs", "1",
             "--rung0-tasks", "300", "--final-tasks", "300",
-            "--keep-going", "--inject-faults", "raise@*", "--fault-seed", "1",
         ])
-        assert status == 0
-        # The planned cell failed, dropping its candidate from the search.
-        assert "Final ranking (1 candidate(s))" in capsys.readouterr().out
-        assert os.environ.get(faults.ENV_VAR) == previous
+        assert status == 2
+        assert "nosuch" in capsys.readouterr().err

@@ -1,17 +1,12 @@
-"""Store publication and env handoffs: the two helpers in ``repro.utils.fsio``.
+"""Store publication: ``repro.utils.fsio.publish``.
 
 ``publish`` is the only way either on-disk store (checkpoint records,
-trace-cache entries) reaches its destination, and ``env_handoff`` is the
-only way a variable reaches pool workers through ``os.environ``; the
-CKP003 analysis rule keeps it that way. These tests pin what the two
-helpers promise:
-
-* publication is byte-identical to a plain write, fsyncs before it
-  renames (at both store sites), leaves the old destination intact and
-  no temp behind when the write fails, and names its temp so that the
-  orphan sweep reaps it after a crash;
-* a handoff is restored on every exit path, whether the variable was
-  set before or not, including around a checkpointed experiment run.
+trace-cache entries) reaches its destination; the CKP003 analysis rule
+keeps it that way. These tests pin what it promises: publication is
+byte-identical to a plain write, fsyncs before it renames (at both store
+sites), leaves the old destination intact and no temp behind when the
+write fails, and names its temp so that the orphan sweep reaps it after
+a crash.
 """
 
 from __future__ import annotations
@@ -20,18 +15,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.evalx.checkpoint import CheckpointStore
-from repro.evalx.parallel import Cell, run_sharded
-from repro.evalx.registry import run_experiment
-from repro.evalx.result import ExperimentResult
 from repro.synth import workloads
 from repro.synth.trace import TaskTrace
-from repro.utils.fsio import env_handoff, publish
+from repro.utils.fsio import publish
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -168,81 +159,6 @@ class TestPublicationSitesAreDurable:
         store = CheckpointStore(blocker / "store")
         assert not store.save("b" * 40, "cell", "table2", {"value": 7})
         assert sorted(tmp_path.iterdir()) == [blocker]
-
-
-_VAR = "REPRO_FSIO_TEST_HANDOFF"
-
-
-class TestEnvHandoff:
-    @pytest.mark.parametrize("previous", [None, "before"])
-    def test_restored_on_normal_exit(self, monkeypatch, previous):
-        monkeypatch.delenv(_VAR, raising=False)
-        if previous is not None:
-            monkeypatch.setenv(_VAR, previous)
-        with env_handoff(_VAR, "during"):
-            assert os.environ[_VAR] == "during"
-        assert os.environ.get(_VAR) == previous
-
-    @pytest.mark.parametrize("previous", [None, "before"])
-    def test_restored_when_the_block_raises(self, monkeypatch, previous):
-        monkeypatch.delenv(_VAR, raising=False)
-        if previous is not None:
-            monkeypatch.setenv(_VAR, previous)
-        with pytest.raises(RuntimeError):
-            with env_handoff(_VAR, "during"):
-                raise RuntimeError("cell failed")
-        assert os.environ.get(_VAR) == previous
-
-
-def _checkpoint_env_probe():
-    return os.environ.get(workloads.CHECKPOINT_ENV)
-
-
-def _probe_module():
-    def cells(n_tasks=None, quick=False):
-        return [Cell(label="probe", fn=_checkpoint_env_probe, kwargs={})]
-
-    def combine(cells, results, **kwargs):
-        return ExperimentResult(
-            experiment_id="probe",
-            title="probe",
-            text="",
-            data={"seen": results[0]},
-        )
-
-    return SimpleNamespace(
-        __name__="tests.checkpoint_env", cells=cells, combine=combine
-    )
-
-
-class TestCheckpointDirHandoff:
-    @pytest.mark.parametrize("previous", [None, "/elsewhere"])
-    def test_set_during_the_run_and_restored_after(
-        self, tmp_path, monkeypatch, previous
-    ):
-        monkeypatch.delenv(workloads.CHECKPOINT_ENV, raising=False)
-        if previous is not None:
-            monkeypatch.setenv(workloads.CHECKPOINT_ENV, previous)
-        store = CheckpointStore(tmp_path / "store")
-        result = run_sharded(_probe_module(), checkpoint=store)
-        assert result.data["seen"] == str(store.directory)
-        assert os.environ.get(workloads.CHECKPOINT_ENV) == previous
-
-    @pytest.mark.parametrize("previous", [None, "/elsewhere"])
-    def test_run_experiment_leaves_env_as_found(
-        self, tmp_path, monkeypatch, previous
-    ):
-        monkeypatch.delenv(workloads.CHECKPOINT_ENV, raising=False)
-        if previous is not None:
-            monkeypatch.setenv(workloads.CHECKPOINT_ENV, previous)
-        run_experiment(
-            "table2",
-            n_tasks=300,
-            quick=True,
-            checkpoint=CheckpointStore(tmp_path / "store"),
-        )
-        assert list((tmp_path / "store").glob("*.ckpt.json"))
-        assert os.environ.get(workloads.CHECKPOINT_ENV) == previous
 
 
 if __name__ == "__main__":

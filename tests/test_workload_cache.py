@@ -119,7 +119,7 @@ class TestOrphanTempSweep:
         (entry,) = cache_dir.glob("*.npz")
         orphan = cache_dir / f".w.tmp-{self._dead_pid()}.npz"
         orphan.write_bytes(b"junk")
-        workloads.prewarm_workload("compress", 1500)  # sweeps on entry
+        assert workloads.sweep_orphan_tmp_files(cache_dir) == [orphan]
         assert entry.exists()
         assert not orphan.exists()
 
@@ -141,26 +141,6 @@ class TestOrphanTempSweep:
         orphan.write_bytes(b"half a checkpoint record")
         removed = workloads.sweep_orphan_tmp_files(cache_dir)
         assert orphan in removed
-
-    def test_prewarm_sweeps_active_checkpoint_dir(
-        self, cache_dir, tmp_path, monkeypatch
-    ):
-        ckpt_dir = tmp_path / "ckpt-store"
-        ckpt_dir.mkdir()
-        orphan = ckpt_dir / f".{'e' * 40}.tmp-{self._dead_pid()}"
-        orphan.write_bytes(b"torn record")
-        keeper = ckpt_dir / (("e" * 40) + ".ckpt.json")
-        keeper.write_text("{}")
-        monkeypatch.setenv(workloads.CHECKPOINT_ENV, str(ckpt_dir))
-        workloads.prewarm_workload("compress", 1500)
-        assert not orphan.exists()
-        assert keeper.exists()  # published records are never touched
-
-    def test_prewarm_ignores_unset_checkpoint_env(
-        self, cache_dir, monkeypatch
-    ):
-        monkeypatch.delenv(workloads.CHECKPOINT_ENV, raising=False)
-        assert workloads.prewarm_workload("compress", 1500) == "compress"
 
 
 class TestCacheCounters:
