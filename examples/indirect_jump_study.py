@@ -56,7 +56,7 @@ def target_buffer_comparison(name: str) -> None:
 def full_prediction_breakdown(name: str) -> None:
     workload = load_workload(name, n_tasks=TRACE_LENGTH)
     predictor = HeaderTaskPredictor(
-        program=workload.compiled.program,
+        program=workload.program,
         exit_predictor=PathExitPredictor(DolcSpec.parse("6-5-8-9(3)")),
         cttb=CorrelatedTaskTargetBuffer(DolcSpec.parse("5-5-6-7(3)")),
         ras=ReturnAddressStack(depth=32),

@@ -15,7 +15,7 @@ from repro.sim import simulate_exit_prediction
 def main() -> None:
     print("Loading the synthetic gcc workload (50k dynamic tasks)...")
     workload = load_workload("gcc", n_tasks=50_000)
-    program = workload.compiled.program
+    program = workload.program
     print(
         f"  {program.static_task_count} static tasks, "
         f"{workload.trace.distinct_tasks_seen()} seen, "

@@ -28,7 +28,7 @@ def main() -> None:
     benchmark = sys.argv[1] if len(sys.argv) > 1 else "xlisp"
     n_tasks = int(sys.argv[2]) if len(sys.argv) > 2 else 100_000
     workload = load_workload(benchmark, n_tasks=n_tasks)
-    program = workload.compiled.program
+    program = workload.program
 
     print(format_program_summary(program))
     print()

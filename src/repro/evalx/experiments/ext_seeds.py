@@ -48,7 +48,7 @@ def _workload_for_seed(name: str, seed_offset: int, n_tasks: int) -> Workload:
     trace = TraceExecutor(
         compiled, seed=profile.seed, phase_period=profile.phase_period
     ).run(n_tasks)
-    return Workload(profile=profile, compiled=compiled, trace=trace)
+    return Workload(profile=profile, program=compiled.program, trace=trace)
 
 
 def _cell(name: str, offset: int, tasks: int) -> dict[str, float]:

@@ -45,7 +45,7 @@ def _build_workload(name: str, cap: int, n_tasks: int) -> Workload:
     trace = TraceExecutor(
         compiled, seed=profile.seed, phase_period=profile.phase_period
     ).run(n_tasks)
-    return Workload(profile=profile, compiled=compiled, trace=trace)
+    return Workload(profile=profile, program=compiled.program, trace=trace)
 
 
 def _cell(name: str, cap: int, tasks: int) -> dict[str, float]:
@@ -55,9 +55,7 @@ def _cell(name: str, cap: int, tasks: int) -> dict[str, float]:
         workload, PathExitPredictor(DolcSpec.parse(_SPEC))
     )
     return {
-        "static_tasks": float(
-            workload.compiled.program.static_task_count
-        ),
+        "static_tasks": float(workload.program.static_task_count),
         "insns_per_task": (
             workload.trace.total_instructions() / len(workload.trace)
         ),

@@ -23,7 +23,7 @@ def _cell(name: str, tasks: int) -> dict[str, int]:
     """Task counts for one benchmark."""
     workload = load_workload(name, n_tasks=tasks)
     return {
-        "static_tasks": workload.compiled.program.static_task_count,
+        "static_tasks": workload.program.static_task_count,
         "dynamic_tasks": workload.trace.dynamic_task_count,
         "distinct_tasks_seen": workload.trace.distinct_tasks_seen(),
     }

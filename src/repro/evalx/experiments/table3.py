@@ -45,7 +45,7 @@ PAPER_EXIT_PREDICTOR = {
 def _cell(name: str, tasks: int) -> dict[str, float]:
     """Both Table 3 prediction methods on one benchmark."""
     workload = load_workload(name, n_tasks=tasks)
-    program = workload.compiled.program
+    program = workload.program
 
     cttb_only = CttbOnlyTaskPredictor(
         CorrelatedTaskTargetBuffer(DolcSpec.parse(CTTB_ONLY_SPEC))

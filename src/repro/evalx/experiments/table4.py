@@ -61,7 +61,7 @@ def _make_predictor(
     scheme: str, workload: Workload
 ) -> NextTaskPredictor:
     """Build the scheme's next-task predictor over this workload."""
-    program = workload.compiled.program
+    program = workload.program
     if scheme == "Perfect":
         return PerfectTaskPredictor(workload.trace)
     if scheme == "Simple":

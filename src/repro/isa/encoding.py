@@ -31,6 +31,8 @@ EXIT_SPECIFIER_BITS = 5
 _CREATE_MASK_BITS = 16
 _COUNT_BITS = 2
 _ADDRESS_BITS = 32
+_SPECIFIER_MASK = bit_mask(EXIT_SPECIFIER_BITS)
+_ADDRESS_MASK = bit_mask(_ADDRESS_BITS)
 
 _TYPE_CODES: dict[ControlFlowType, int] = {
     ControlFlowType.BRANCH: 0,
@@ -54,22 +56,6 @@ class _BitWriter:
             raise EncodingError(f"field {field} does not fit in {width} bits")
         self.value |= field << self.width
         self.width += width
-
-
-class _BitReader:
-    """Reads fields LSB-first from a single integer."""
-
-    def __init__(self, value: int, width: int) -> None:
-        self._value = value
-        self._width = width
-        self._cursor = 0
-
-    def read(self, width: int) -> int:
-        if self._cursor + width > self._width:
-            raise EncodingError("header bitstream exhausted")
-        field = (self._value >> self._cursor) & bit_mask(width)
-        self._cursor += width
-        return field
 
 
 def header_size_bits(header: TaskHeader) -> int:
@@ -108,19 +94,25 @@ def encode_header(header: TaskHeader) -> tuple[int, int]:
 
 def decode_header(value: int, width: int) -> TaskHeader:
     """Unpack a header previously produced by :func:`encode_header`."""
-    reader = _BitReader(value, width)
-    n_exits = reader.read(_COUNT_BITS) + 1
-    create_mask = reader.read(_CREATE_MASK_BITS)
+    n_exits = (value & bit_mask(_COUNT_BITS)) + 1
+    create_mask = (value >> _COUNT_BITS) & bit_mask(_CREATE_MASK_BITS)
+    cursor = _COUNT_BITS + _CREATE_MASK_BITS
     exits = []
     for _ in range(n_exits):
-        specifier = reader.read(EXIT_SPECIFIER_BITS)
+        specifier = (value >> cursor) & _SPECIFIER_MASK
+        cursor += EXIT_SPECIFIER_BITS
+        target = return_address = None
+        if specifier & (1 << 3):
+            target = (value >> cursor) & _ADDRESS_MASK
+            cursor += _ADDRESS_BITS
+        if specifier & (1 << 4):
+            return_address = (value >> cursor) & _ADDRESS_MASK
+            cursor += _ADDRESS_BITS
+        if cursor > width:
+            raise EncodingError("header bitstream exhausted")
         type_code = specifier & 0b111
         if type_code not in _CODE_TYPES:
             raise EncodingError(f"unknown control-flow type code {type_code}")
-        has_target = bool(specifier & (1 << 3))
-        has_return = bool(specifier & (1 << 4))
-        target = reader.read(_ADDRESS_BITS) if has_target else None
-        return_address = reader.read(_ADDRESS_BITS) if has_return else None
         exits.append(
             TaskExit(
                 cf_type=_CODE_TYPES[type_code],

@@ -283,7 +283,7 @@ def simulate_timing(
     if config.dependence_aware:
         dependence_masks = {
             task.address: (task.header.create_mask, task.use_mask)
-            for task in workload.compiled.program.tfg
+            for task in workload.program.tfg
         }
 
     issue_width = config.issue_width

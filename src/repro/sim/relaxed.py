@@ -166,7 +166,7 @@ def _perfect_repair_stats(
     headers = _HEADER_CACHE.get(
         (workload,),
         "relaxed-headers",
-        lambda: _HeaderColumns(workload.compiled.program),
+        lambda: _HeaderColumns(workload.program),
     )
     addrs = int64_column(trace.task_addr)
     actual_exits = int64_column(trace.exit_index)
@@ -319,7 +319,7 @@ def speculative_loop(
     of the batched ``"perfect"`` replay.
     """
     info: dict[int, tuple[int, tuple]] = {}
-    for task in workload.compiled.program.tfg:
+    for task in workload.program.tfg:
         info[task.address] = (
             task.n_exits,
             tuple(e.target for e in task.header.exits),

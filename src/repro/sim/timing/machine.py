@@ -145,7 +145,7 @@ def simulate_timing(
     if config.dependence_aware:
 
         def dependence_mask() -> np.ndarray:
-            program_tasks = workload.compiled.program.tfg
+            program_tasks = workload.program.tfg
             addr_table = np.array(
                 sorted(task.address for task in program_tasks),
                 dtype=np.int64,

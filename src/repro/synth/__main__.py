@@ -44,7 +44,7 @@ def _cmd_info(name: str, n_tasks: int | None) -> int:
     workload = load_workload(name, n_tasks=n_tasks)
     from repro.isa.display import format_program_summary
 
-    print(format_program_summary(workload.compiled.program))
+    print(format_program_summary(workload.program))
     print()
     report = validate_workload(workload)
     print(report)

@@ -57,7 +57,7 @@ class WorkloadStats:
 
 def compute_stats(workload: Workload) -> WorkloadStats:
     """Measure all Figure 3/4 distributions for one workload."""
-    program = workload.compiled.program
+    program = workload.program
     trace = workload.trace
 
     arity_counts = dict.fromkeys(_ARITIES, 0)

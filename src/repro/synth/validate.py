@@ -93,7 +93,7 @@ def validate_workload(
     """
     profile = workload.profile
     trace = workload.trace
-    program = workload.compiled.program
+    program = workload.program
     checks: list[ValidationCheck] = []
 
     # -- structural invariants ------------------------------------------

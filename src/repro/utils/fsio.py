@@ -1,8 +1,9 @@
 """The only module in ``repro`` that renames store files into place.
 
 Two on-disk stores are shared between processes: the checkpoint
-store's per-cell records (:mod:`repro.evalx.checkpoint`) and the trace
-cache (:mod:`repro.synth.workloads`). Both publish through
+store's per-cell records (:mod:`repro.evalx.checkpoint`) and the
+workload cache's program images and traces
+(:mod:`repro.synth.workloads`). Both publish through
 :func:`publish`. It writes a pid-unique sibling temp file, flushes it,
 calls ``os.fsync`` on it, then moves it over the destination with
 ``os.replace``:

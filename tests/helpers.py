@@ -5,7 +5,8 @@ exact traces and prediction outcomes without depending on the synthetic
 generator's sampling. The kill tests also share their fixtures from here:
 :func:`run_with_hung_cell` pins a victim run with :func:`hang_forever`,
 :func:`kill_process_group` kills it, and :func:`corrupt_file` damages a
-record it left behind.
+record it left behind. The program-image tests compare programs with
+:func:`assert_same_program` and damage images at :func:`target_byte_offset`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.cfg.basicblock import BasicBlock, Terminator, TerminatorKind
 from repro.cfg.graph import ControlFlowGraph, ProgramCFG
 from repro.compiler import PartitionConfig, compile_program
 from repro.compiler.compiled import CompiledProgram
+from repro.isa.encoding import encode_header
 from repro.synth.behavior import ChoiceBehavior, FixedChoice
 from repro.synth.executor import TraceExecutor
 from repro.synth.trace import TaskTrace
@@ -160,7 +162,44 @@ def make_workload(
         call_levels=1,
         constructs_per_function=(1, 1),
     )
-    return Workload(profile=profile, compiled=compiled, trace=trace)
+    return Workload(profile=profile, program=compiled.program, trace=trace)
+
+
+def assert_same_program(decoded, built):
+    """Field-for-field equality, task by task in TFG iteration order."""
+    assert decoded.name == built.name
+    assert decoded.entry == built.entry
+    decoded_tasks, built_tasks = list(decoded.tfg), list(built.tfg)
+    assert len(decoded_tasks) == len(built_tasks)
+    for restored, original in zip(decoded_tasks, built_tasks):
+        assert restored.address == original.address
+        assert restored.header == original.header
+        assert restored.instruction_count == original.instruction_count
+        assert (
+            restored.internal_branch_count == original.internal_branch_count
+        )
+        assert restored.use_mask == original.use_mask
+        assert restored.name == original.name
+
+
+def target_byte_offset(program):
+    """(offset, task): a byte inside ``task``'s first exit target field.
+
+    ``task`` is the first task, in image order, whose first exit has a
+    compile-time target.
+
+    Walks the v2 layout: a 14-byte file header, then per task a 14-byte
+    task header, the name, a 2-byte header width and the header payload,
+    whose first exit's target field covers payload bits 23..54.
+    """
+    offset = 14
+    for task in program.tfg:
+        payload = offset + 14 + len(task.name.encode("utf-8")) + 2
+        if task.header.exits[0].target is not None:
+            return payload + 4, task  # payload bits 32..39
+        _, width = encode_header(task.header)
+        offset = payload + (width + 7) // 8
+    raise AssertionError("no task has a first-exit target")
 
 
 def _live_group_members(pgid: int) -> list[int]:

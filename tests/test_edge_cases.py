@@ -99,7 +99,7 @@ class TestSimulatorEdges:
         exit_index[position] = 1
         corrupt = Workload(
             profile=compress_workload.profile,
-            compiled=compress_workload.compiled,
+            program=compress_workload.program,
             trace=TaskTrace(
                 task_addr=trace.task_addr,
                 exit_index=exit_index,
@@ -140,7 +140,7 @@ def _with_task_addrs(workload, task_addrs):
     trace = workload.trace
     return Workload(
         profile=workload.profile,
-        compiled=workload.compiled,
+        program=workload.program,
         trace=TaskTrace(
             task_addr=task_addrs,
             exit_index=trace.exit_index,

@@ -29,7 +29,7 @@ class TestPipelineEndToEnd:
         )
         trace = TraceExecutor(compiled, seed=profile.seed).run(5000)
         workload = Workload(
-            profile=profile, compiled=compiled, trace=trace
+            profile=profile, program=compiled.program, trace=trace
         )
         stats = simulate_exit_prediction(
             workload, PathExitPredictor(DolcSpec.parse("4-5-6-7(2)"))

@@ -9,7 +9,7 @@ from tests.helpers import call_program, compile_small, diamond_program
 
 class TestProgramMetrics:
     def test_counts_consistent(self, compress_workload):
-        program = compress_workload.compiled.program
+        program = compress_workload.program
         metrics = compute_program_metrics(program)
         assert metrics.task_count == program.static_task_count
         assert sum(metrics.arity_histogram.values()) == metrics.task_count
@@ -18,7 +18,7 @@ class TestProgramMetrics:
 
     def test_mean_exits_in_legal_range(self, compress_workload):
         metrics = compute_program_metrics(
-            compress_workload.compiled.program
+            compress_workload.program
         )
         assert 1.0 <= metrics.mean_exits_per_task <= 4.0
 
@@ -38,13 +38,13 @@ class TestProgramMetrics:
     def test_cold_functions_statically_unreachable(self, gcc_workload):
         """Cold functions are never called, so static reach must be well
         below 100% for a benchmark with cold code."""
-        metrics = compute_program_metrics(gcc_workload.compiled.program)
+        metrics = compute_program_metrics(gcc_workload.program)
         assert metrics.static_reach_fraction < 0.9
 
     def test_exit_type_counts_match_figure4_totals(self, gcc_workload):
         from repro.synth.stats_view import compute_stats
 
-        metrics = compute_program_metrics(gcc_workload.compiled.program)
+        metrics = compute_program_metrics(gcc_workload.program)
         stats = compute_stats(gcc_workload)
         total = sum(metrics.exit_type_counts.values())
         for name, count in metrics.exit_type_counts.items():
@@ -52,7 +52,7 @@ class TestProgramMetrics:
 
     def test_format_metrics_renders(self, compress_workload):
         metrics = compute_program_metrics(
-            compress_workload.compiled.program
+            compress_workload.program
         )
         text = format_metrics(metrics)
         assert "tasks:" in text

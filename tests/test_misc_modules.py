@@ -109,27 +109,27 @@ class TestValidateWorkload:
 
 class TestDisplay:
     def test_format_task_includes_exits(self, compress_workload):
-        program = compress_workload.compiled.program
+        program = compress_workload.program
         task = next(iter(program.tfg))
         text = format_task(task)
         assert f"{task.address:#x}" in text
         assert "exit 0:" in text
 
     def test_format_exit_mnemonics(self, compress_workload):
-        program = compress_workload.compiled.program
+        program = compress_workload.program
         for task in program.tfg:
             for task_exit in task.header.exits:
                 text = format_exit(task_exit)
                 assert "->" in text
 
     def test_program_summary(self, compress_workload):
-        program = compress_workload.compiled.program
+        program = compress_workload.program
         text = format_program_summary(program)
         assert "tasks" in text
         assert "header bits" in text
 
     def test_neighbourhood_lists_successors(self, compress_workload):
-        program = compress_workload.compiled.program
+        program = compress_workload.program
         text = format_task_neighbourhood(program, program.entry)
         assert "task" in text
 

@@ -251,7 +251,7 @@ class TestGateKeepsTieBreakStream:
         for simulate in (reference.simulate_timing, simulate_timing):
             rng = DeterministicRng(0).fork("vc-random")
             predictor = HeaderTaskPredictor(
-                program=gcc_workload.compiled.program,
+                program=gcc_workload.program,
                 exit_predictor=PathExitPredictor(
                     DolcSpec.parse(self._GATE),
                     make_automaton_factory("VC2-RANDOM", rng),

@@ -105,7 +105,7 @@ class TestCttbOnlyPredictor:
         with_header = simulate_task_prediction(
             xlisp_workload,
             HeaderTaskPredictor(
-                program=xlisp_workload.compiled.program,
+                program=xlisp_workload.program,
                 exit_predictor=PathExitPredictor(
                     DolcSpec.parse("7-4-9-9(3)")
                 ),

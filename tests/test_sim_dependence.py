@@ -11,7 +11,7 @@ from repro.sim.timing import TimingConfig, simulate_timing
 
 class TestMaskPlumbing:
     def test_tasks_carry_masks(self, gcc_workload):
-        program = gcc_workload.compiled.program
+        program = gcc_workload.program
         for task in program.tfg:
             assert 0 <= task.header.create_mask <= 0xFFFF
             assert 0 <= task.use_mask <= 0xFFFF
@@ -24,7 +24,7 @@ class TestMaskPlumbing:
     def test_masks_vary_across_tasks(self, gcc_workload):
         masks = {
             task.header.create_mask
-            for task in gcc_workload.compiled.program.tfg
+            for task in gcc_workload.program.tfg
         }
         assert len(masks) > 10
 

@@ -20,7 +20,7 @@ from repro.sim.timing import TimingConfig, simulate_timing
 
 def header_predictor(workload):
     return HeaderTaskPredictor(
-        program=workload.compiled.program,
+        program=workload.program,
         exit_predictor=PathExitPredictor(DolcSpec.parse("6-5-8-9(3)")),
         cttb=CorrelatedTaskTargetBuffer(DolcSpec.parse("5-5-6-7(3)")),
         ras=ReturnAddressStack(depth=32),
@@ -89,7 +89,7 @@ class TestSimulateTiming:
         """PATH beats the Simple (task-address-indexed) predictor on gcc —
         the mechanism behind Table 4."""
         simple_predictor = HeaderTaskPredictor(
-            program=gcc_workload.compiled.program,
+            program=gcc_workload.program,
             exit_predictor=SimpleExitPredictor(index_bits=14),
             cttb=CorrelatedTaskTargetBuffer(DolcSpec.parse("5-5-6-7(3)")),
             ras=ReturnAddressStack(depth=32),

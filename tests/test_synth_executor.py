@@ -8,6 +8,7 @@ from repro.isa.controlflow import ControlFlowType
 from repro.synth.behavior import FixedChoice, PeriodicChoice
 from repro.synth.executor import TraceExecutor
 from repro.synth.trace import CF_TYPE_CODES
+from repro.synth.workloads import build_program
 
 from tests.helpers import (
     call_program,
@@ -129,8 +130,8 @@ class TestBranchAndSwitchExecution:
 
 
 class TestExecutorDeterminism:
-    def test_same_seed_same_trace(self, compress_workload):
-        compiled = compress_workload.compiled
+    def test_same_seed_same_trace(self):
+        compiled = build_program("compress")
         a = TraceExecutor(compiled, seed=7).run(2000)
         b = TraceExecutor(compiled, seed=7).run(2000)
         np.testing.assert_array_equal(a.task_addr, b.task_addr)
@@ -138,8 +139,8 @@ class TestExecutorDeterminism:
         np.testing.assert_array_equal(a.internal_mispredicts,
                                       b.internal_mispredicts)
 
-    def test_different_seed_differs(self, compress_workload):
-        compiled = compress_workload.compiled
+    def test_different_seed_differs(self):
+        compiled = build_program("compress")
         a = TraceExecutor(compiled, seed=1).run(2000)
         b = TraceExecutor(compiled, seed=2).run(2000)
         assert not np.array_equal(a.task_addr, b.task_addr)
@@ -157,7 +158,7 @@ class TestTraceInvariantsOnBenchmarks:
     def test_exits_within_header_bounds(self, xlisp_workload):
         n_exits_of = {
             t.address: t.n_exits
-            for t in xlisp_workload.compiled.program.tfg
+            for t in xlisp_workload.program.tfg
         }
         for addr, exit_index in zip(
             xlisp_workload.trace.task_addr.tolist(),
@@ -166,7 +167,7 @@ class TestTraceInvariantsOnBenchmarks:
             assert exit_index < n_exits_of[addr]
 
     def test_cf_type_matches_header_exit(self, xlisp_workload):
-        program = xlisp_workload.compiled.program
+        program = xlisp_workload.program
         trace = xlisp_workload.trace
         for addr, exit_index, cf_code in zip(
             trace.task_addr.tolist()[:5000],
@@ -207,11 +208,12 @@ class TestIntraTaskPrediction:
         assert accuracy(compress_workload) > 0.85
         assert accuracy(gcc_workload) > 0.6
 
-    def test_mispredict_counts_deterministic(self, compress_workload):
+    def test_mispredict_counts_deterministic(self):
         from repro.synth.executor import TraceExecutor
 
-        a = TraceExecutor(compress_workload.compiled, seed=5).run(3000)
-        b = TraceExecutor(compress_workload.compiled, seed=5).run(3000)
+        compiled = build_program("compress")
+        a = TraceExecutor(compiled, seed=5).run(3000)
+        b = TraceExecutor(compiled, seed=5).run(3000)
         assert (
             a.internal_mispredicts.tolist()
             == b.internal_mispredicts.tolist()

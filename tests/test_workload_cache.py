@@ -1,22 +1,36 @@
-"""Disk trace cache: atomic publication and corruption tolerance."""
+"""Disk cache of program images and traces: atomic publication,
+corruption tolerance and a key that covers the code."""
 
 from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.isa.image import decode_program
 from repro.synth import workloads
+from tests.helpers import assert_same_program, target_byte_offset
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
 def cache_dir(tmp_path, monkeypatch):
-    """Point the disk cache at a temp dir, isolating the memory cache."""
+    """Point the disk cache at a temp dir, isolating the memory caches."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    saved_traces = dict(workloads._trace_cache)
-    workloads._trace_cache.clear()
+    memos = (workloads._program_cache, workloads._trace_cache)
+    saved = [dict(memo) for memo in memos]
+    for memo in memos:
+        memo.clear()
     yield tmp_path
-    workloads._trace_cache.clear()
-    workloads._trace_cache.update(saved_traces)
+    for memo, entries in zip(memos, saved):
+        memo.clear()
+        memo.update(entries)
 
 
 class TestDiskCache:
@@ -174,7 +188,7 @@ class TestCacheCounters:
         workloads.clear_caches()
         rebuilt = workloads.load_workload("compress", n_tasks=1500)
         assert rebuilt is not first
-        assert rebuilt.compiled is not first.compiled
+        assert rebuilt.program is not first.program
 
     def test_counters_snapshot_is_a_copy(self, cache_dir):
         snapshot = workloads.cache_counters()
@@ -232,3 +246,169 @@ class TestTraceChecksum:
         np.savez_compressed(path, **arrays)
         trace = TaskTrace.load(path)  # unverified, but not rejected
         assert len(trace) == 1500
+
+
+class TestProgramImage:
+    """Each benchmark's executable is cached as a checksummed image."""
+
+    def test_image_published_beside_the_trace(self, cache_dir):
+        workloads.load_workload("compress", n_tasks=1500)
+        (image,) = cache_dir.glob("*.msx")
+        (trace,) = cache_dir.glob("*.npz")
+        assert trace.name.startswith(image.stem + "-n1500")
+
+    def test_warm_load_builds_no_program(self, cache_dir):
+        cold = workloads.load_workload("compress", n_tasks=1500)
+        workloads.clear_caches()
+        before = workloads.cache_counters()
+        warm = workloads.load_workload("compress", n_tasks=1500)
+        after = workloads.cache_counters()
+        assert after["program_disk_hits"] == before["program_disk_hits"] + 1
+        assert after["program_builds"] == before["program_builds"]
+        assert warm.program is not cold.program
+        assert_same_program(warm.program, cold.program)
+
+    def test_trace_miss_keeps_the_decoded_executable(self, cache_dir):
+        workloads.load_workload("compress", n_tasks=1500)
+        workloads.clear_caches()
+        first = workloads.load_workload("compress", n_tasks=1500)
+        longer = workloads.load_workload("compress", n_tasks=1600)
+        assert longer.program is first.program
+        assert workloads.load_workload("compress", n_tasks=1500) is first
+
+    @pytest.mark.parametrize("damage", ["flipped target byte", "truncated"])
+    def test_damaged_image_is_detected_and_rebuilt(self, cache_dir, damage):
+        first = workloads.load_workload("compress", n_tasks=1500)
+        (path,) = cache_dir.glob("*.msx")
+        blob = bytearray(path.read_bytes())
+        if damage == "truncated":
+            del blob[len(blob) // 2:]
+        else:
+            offset, _ = target_byte_offset(first.program)
+            blob[offset] ^= 0xFF
+        path.write_bytes(bytes(blob))
+
+        workloads.clear_caches()
+        before = workloads.cache_counters()
+        second = workloads.load_workload("compress", n_tasks=1500)
+        after = workloads.cache_counters()
+        assert after["program_builds"] == before["program_builds"] + 1
+        assert after["program_disk_hits"] == before["program_disk_hits"]
+        assert_same_program(second.program, first.program)
+        # The damaged image was republished whole.
+        assert_same_program(
+            decode_program(path.read_bytes(), "compress"), first.program
+        )
+
+    @pytest.mark.parametrize("name", ["gcc", "xlisp"])
+    def test_warm_workload_simulates_like_cold(self, cache_dir, name):
+        from repro.predictors.exit_predictors import PathExitPredictor
+        from repro.predictors.folding import DolcSpec
+        from repro.predictors.ras import ReturnAddressStack
+        from repro.predictors.task_predictor import HeaderTaskPredictor
+        from repro.predictors.ttb import CorrelatedTaskTargetBuffer
+        from repro.sim.functional import simulate_task_prediction
+        from repro.sim.timing import TimingConfig, simulate_timing
+
+        def results(workload):
+            def predictor():
+                return HeaderTaskPredictor(
+                    program=workload.program,
+                    exit_predictor=PathExitPredictor(
+                        DolcSpec.parse("6-5-8-9(3)")
+                    ),
+                    cttb=CorrelatedTaskTargetBuffer(
+                        DolcSpec.parse("5-5-6-7(3)")
+                    ),
+                    ras=ReturnAddressStack(depth=32),
+                )
+
+            return (
+                simulate_timing(
+                    workload,
+                    predictor(),
+                    TimingConfig(dependence_aware=True),
+                ),
+                simulate_task_prediction(workload, predictor()),
+            )
+
+        cold = workloads.load_workload(name, n_tasks=3000)
+        expected = results(cold)
+        workloads.clear_caches()
+        warm = workloads.load_workload(name, n_tasks=3000)
+        assert warm.program is not cold.program
+        assert results(warm) == expected
+
+
+class TestSourceDigest:
+    """The cache key covers the code that generates, compiles and
+    executes programs, so a disk hit equals a cold build."""
+
+    def test_digest_covers_every_module_the_build_imports(self):
+        probe = (
+            "import json, sys\n"
+            "import repro.synth.generator, repro.synth.executor\n"
+            "import repro.compiler, repro.isa.image\n"
+            "print(json.dumps(sorted(\n"
+            "    m.__file__ for name, m in sys.modules.items()\n"
+            "    if name == 'repro' or name.startswith('repro.'))))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        loaded = {Path(f).resolve() for f in json.loads(done.stdout)}
+        digested = set(workloads._build_source_files())
+        assert loaded - digested == set()
+
+    def test_changed_digest_misses(self, cache_dir, monkeypatch):
+        workloads.load_workload("compress", n_tasks=1500)
+        workloads.clear_caches()
+        monkeypatch.setattr(workloads, "_source_digest", lambda: "other")
+        before = workloads.cache_counters()
+        workloads.load_workload("compress", n_tasks=1500)
+        after = workloads.cache_counters()
+        for key in ("program_builds", "trace_builds"):
+            assert after[key] == before[key] + 1
+        for key in ("program_disk_hits", "trace_disk_hits"):
+            assert after[key] == before[key]
+
+
+class TestWarmRunBuildsNothing:
+    """A second CLI run on one cache generates and compiles nothing."""
+
+    def test_second_run_reads_every_program_image(self, tmp_path):
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(REPO_ROOT / "src"),
+            REPRO_CACHE_DIR=str(tmp_path / "cache"),
+        )
+        totals, outputs = [], []
+        for run in (1, 2):
+            metrics = tmp_path / f"m{run}.jsonl"
+            output = tmp_path / f"out{run}.json"
+            subprocess.run(
+                [
+                    sys.executable, "-m", "repro.evalx", "table2",
+                    "--quick", "--tasks", "2000",
+                    "--metrics", str(metrics), "--json", str(output),
+                ],
+                env=env, cwd=tmp_path, capture_output=True, check=True,
+                timeout=300,
+            )
+            total: dict[str, int] = {}
+            for line in metrics.read_text().splitlines():
+                record = json.loads(line)
+                if record["event"] == "cell":
+                    for key, value in record.get("cache", {}).items():
+                        total[key] = total.get(key, 0) + value
+            totals.append(total)
+            outputs.append(
+                [json.loads(line)["data"]
+                 for line in output.read_text().splitlines()]
+            )
+        assert totals[0].get("program_builds") == 5
+        assert totals[1].get("program_builds", 0) == 0
+        assert totals[1].get("program_disk_hits") == 5
+        assert outputs[1] == outputs[0]

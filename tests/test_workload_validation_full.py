@@ -34,6 +34,6 @@ class TestCalibration:
         assert 0.3 * target <= seen <= 2.0 * target
 
     def test_static_tasks_within_band(self, calibrated_workload):
-        static = calibrated_workload.compiled.program.static_task_count
+        static = calibrated_workload.program.static_task_count
         target = calibrated_workload.profile.paper.static_tasks
         assert 0.5 * target <= static <= 2.0 * target
