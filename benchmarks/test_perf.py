@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import time
 
-from repro.evalx.experiments.common import BENCHMARKS
+from repro.evalx.experiments.common import BENCHMARKS, CTTB_DOLC_CONFIGS
 from repro.evalx.experiments.table4 import SCHEMES, _make_predictor
 from repro.evalx.registry import run_experiment
 from repro.predictors.automata import make_automaton_factory
@@ -28,7 +28,11 @@ from repro.predictors.ideal import (
     IdealPerTaskPredictor,
 )
 from repro.predictors.speculative import SpeculativePathPredictor
-from repro.predictors.ttb import IdealCorrelatedTargetBuffer
+from repro.predictors.ttb import (
+    CorrelatedTaskTargetBuffer,
+    IdealCorrelatedTargetBuffer,
+    TaskTargetBuffer,
+)
 from repro.sim import reference
 from repro.sim.functional import (
     simulate_exit_prediction,
@@ -132,6 +136,33 @@ def test_target_kernel_speedup():
         total_slow += slow
         total_fast += fast
     _report("target_kernel[gcc-100k]", total_slow, total_fast)
+
+
+def test_real_target_kernel_speedup():
+    """Figure 12's eight real CTTBs and an 11-bit TTB vs the generic loop.
+
+    Every buffer kind replays through the same target-entry kernel; the
+    real ones add the D-O-L-C fold (CTTB) or a factorize (TTB).
+    """
+    workload = load_workload("gcc", n_tasks=_TASKS)
+    buffers = [
+        lambda spec=spec: CorrelatedTaskTargetBuffer(DolcSpec.parse(spec))
+        for spec in CTTB_DOLC_CONFIGS
+    ] + [lambda: TaskTargetBuffer(index_bits=11)]
+    total_slow = total_fast = 0.0
+    for make in buffers:
+        looped, slow = _time(
+            lambda: reference.simulate_indirect_target_prediction(
+                workload, make()
+            )
+        )
+        batched, fast = _time(
+            lambda: simulate_indirect_target_prediction(workload, make())
+        )
+        assert batched == looped
+        total_slow += slow
+        total_fast += fast
+    _report("target_kernel_real[gcc-100k]", total_slow, total_fast)
 
 
 def test_table4_sweep_speedup():

@@ -14,9 +14,10 @@ Design, in the same discipline as the trace cache
 
 * **Content-addressed** — each record is keyed by a fingerprint of
   (experiment id, cell fn qualname, canonicalized kwargs, workload seed,
-  code version). Any change to the code version, the sweep's
-  configuration, or the cell's inputs misses the store, so resuming can
-  never mix results from different sweeps.
+  code version). The code version digests every module of the package,
+  so any change to the code, the sweep's configuration, or the cell's
+  inputs misses the store, and resuming can never mix results from
+  different code or sweeps.
 * **Atomic and durable** — records are published with
   :func:`repro.utils.fsio.publish` (fsynced pid-unique sibling temp,
   then ``os.replace``); a crash mid-write leaves only a ``.tmp-<pid>``
@@ -45,7 +46,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ReproError
-from repro.synth.generator import GENERATOR_VERSION
+from repro.synth.workloads import source_digest
 from repro.utils.fsio import publish
 
 #: Bump when the record envelope or fingerprint recipe changes; old
@@ -98,11 +99,11 @@ class CheckpointHit:
 def code_version() -> str:
     """Version component of every fingerprint.
 
-    Couples records to both the checkpoint format and the synthetic
-    workload generator semantics: a generator bump regenerates traces,
-    so cached cell results computed from the old traces must miss too.
+    Couples records to the checkpoint format and to a SHA-256 of every
+    module in the ``repro`` package (read once per process): a record
+    that other code computed misses the store.
     """
-    return f"ckpt{CHECKPOINT_FORMAT_VERSION}:gen{GENERATOR_VERSION}"
+    return f"ckpt{CHECKPOINT_FORMAT_VERSION}:{source_digest(('.',))}"
 
 
 def canonical_value(value: Any) -> Any:

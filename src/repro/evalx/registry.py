@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import importlib
-import inspect
 
 from repro.errors import ExperimentError
 from repro.evalx.parallel import run_sharded
@@ -25,7 +24,10 @@ EXPERIMENT_IDS = (
 )
 
 #: Extension studies beyond the paper's evaluation (see each module's
-#: docstring): repair-policy cost, RAS depth, CTTB sizing.
+#: docstring): history repair policies, RAS depth, CTTB sizing, a
+#: PATH+PER tournament, confidence estimation, task granularity, real
+#: PATH against ideal GLOBAL/PER, static hints, seed robustness and
+#: confidence-gated speculation.
 EXTENSION_IDS = (
     "ext_repair",
     "ext_ras",
@@ -95,8 +97,6 @@ def run_experiment(
             checkpoint=checkpoint,
             **kwargs,
         )
-    # Legacy monolithic drivers (extensions, summary) run serially;
-    # summary forwards ``jobs`` to the paper experiments it re-runs.
-    if "jobs" in inspect.signature(module.run).parameters:
-        kwargs["jobs"] = jobs
-    return module.run(n_tasks=n_tasks, quick=quick, **kwargs)
+    # The one monolithic driver, summary, runs serially and forwards
+    # ``jobs`` to the paper experiments it re-runs.
+    return module.run(n_tasks=n_tasks, quick=quick, jobs=jobs, **kwargs)

@@ -17,6 +17,8 @@ Contents map onto the paper's sections:
 * :mod:`repro.predictors.task_predictor` — composed next-task predictors:
   exit predictor + header + RAS + CTTB, the CTTB-only headerless scheme
   (§5.4, Table 3), and a perfect oracle.
+* :mod:`repro.predictors.headers` — a program's task headers as one
+  table (§2.1), read by every batched simulator.
 """
 
 from repro.predictors.automata import (

@@ -250,6 +250,16 @@ def make_automaton_factory(
     )
 
 
+def resolve_factory(
+    automaton: str | Callable[[], MultiwayAutomaton]
+) -> Callable[[], MultiwayAutomaton]:
+    """A zero-argument factory for ``automaton``: a callable already is
+    one, and a name goes through :func:`make_automaton_factory`."""
+    if callable(automaton):
+        return automaton
+    return make_automaton_factory(automaton)
+
+
 class AutomatonTable:
     """Exact tabular form of an automaton's reachable state space.
 

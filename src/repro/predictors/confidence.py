@@ -162,10 +162,11 @@ def simulate_confidence(
     # which depends on this package — not the other way around.
     from repro.sim.functional import (
         batched_exit_prediction_column,
+        checked_trace,
         exit_count_column,
     )
 
-    trace = workload.trace if limit is None else workload.trace.head(limit)
+    trace = checked_trace(workload, limit)
     n_exits_col = exit_count_column(workload, trace.task_addr)
     predicted = batched_exit_prediction_column(
         predictor, trace.task_addr, trace.exit_index, n_exits_col

@@ -42,13 +42,13 @@ from repro.predictors.automata import (
     MultiwayAutomaton,
     VotingCountersReplay,
     batch_automaton,
-    make_automaton_factory,
+    resolve_factory,
 )
 from repro.predictors.folding import DolcSpec
 from repro.predictors.pht import PatternHistoryTable, PlannedExitPredictor
 from repro.utils.bits import bit_mask, fold_xor
 from repro.utils.memo import DerivedColumnCache, int64_column
-from repro.utils.scan import stable_argsort
+from repro.utils.windows import lag_columns
 
 #: Per-key history columns per (trace columns, depth/index geometry) —
 #: identical for every PER-scheme predictor swept over one trace.
@@ -69,14 +69,6 @@ def _fold_to(value: int, width: int, index_bits: int) -> int:
     return fold_xor(value, folds * index_bits, folds)
 
 
-def _resolve_factory(
-    automaton: str | Callable[[], MultiwayAutomaton]
-) -> Callable[[], MultiwayAutomaton]:
-    if callable(automaton):
-        return automaton
-    return make_automaton_factory(automaton)
-
-
 def _fold_column(
     values: np.ndarray, width: int, index_bits: int
 ) -> np.ndarray:
@@ -91,57 +83,32 @@ def _fold_column(
     return out
 
 
-def _global_history_column(exits: np.ndarray, depth: int) -> np.ndarray:
-    """Global exit-history register contents just before each step.
-
-    The register shifts in every retired exit, so the value read at step
-    ``i`` packs ``exits[i-1]`` into the low 2 bits, ``exits[i-2]`` into
-    the next 2, out to ``depth`` exits back; missing history (cold start)
-    contributes zero bits, matching the register's initial value.
-    """
-    n = len(exits)
-    history = np.zeros(n, dtype=np.int64)
-    for lag in range(1, depth + 1):
-        if lag >= n:
-            break
-        history[lag:] |= exits[:-lag] << (2 * (lag - 1))
-    return history
-
-
-def _per_key_history_column(
-    keys: np.ndarray, exits: np.ndarray, depth: int
+def _history_index_column(
+    task_addrs: np.ndarray, history: np.ndarray, depth: int, index_bits: int
 ) -> np.ndarray:
-    """Per-key exit-history register contents just before each step.
+    """Vectorized ``_index`` of GLOBAL and PER: each step's history
+    register folded with its task's address bits."""
+    addr_bits = (int64_column(task_addrs) >> _ALIGN_SHIFT) & bit_mask(
+        index_bits
+    )
+    return _fold_column(
+        (history << index_bits) | addr_bits, 2 * depth + index_bits, index_bits
+    )
 
-    Same packing as :func:`_global_history_column`, but each step reads
-    the register selected by ``keys[i]`` — i.e. its history is the trail
-    of exits taken by *earlier steps with the same key*. A stable sort by
-    key makes every register's trail contiguous, so the lagged shifts of
-    the global case apply per segment, guarded by each step's occurrence
-    index so cold registers still read 0.
+
+def _history_register(
+    exits: np.ndarray, depth: int, keys: np.ndarray | None = None
+) -> np.ndarray:
+    """Exit-history register contents just before each step.
+
+    The register holds the last ``depth`` exits, 2 bits each, the most
+    recent lowest — of every earlier step, or of the earlier steps with
+    the same key when ``keys`` selects one register per step. A cold
+    register reads 0.
     """
-    n = len(keys)
-    history = np.zeros(n, dtype=np.int64)
-    if n == 0 or depth == 0:
-        return history
-    order = stable_argsort(keys)
-    keys_sorted = keys[order]
-    exits_sorted = exits[order]
-    starts = np.empty(n, dtype=bool)
-    starts[0] = True
-    starts[1:] = keys_sorted[1:] != keys_sorted[:-1]
-    positions = np.arange(n, dtype=np.int64)
-    segment_start = np.maximum.accumulate(np.where(starts, positions, 0))
-    occurrence = positions - segment_start
-    packed = np.zeros(n, dtype=np.int64)
-    for lag in range(1, depth + 1):
-        if lag >= n:
-            break
-        contribution = np.zeros(n, dtype=np.int64)
-        contribution[lag:] = exits_sorted[:-lag] << (2 * (lag - 1))
-        contribution[occurrence < lag] = 0
-        packed |= contribution
-    history[order] = packed
+    history = np.zeros(len(exits), dtype=np.int64)
+    for lag, column in enumerate(lag_columns(exits, depth, keys)):
+        history |= column << (2 * lag)
     return history
 
 
@@ -179,7 +146,7 @@ class PathExitPredictor(PlannedExitPredictor):
     ) -> None:
         self._spec = spec
         self._pht = PatternHistoryTable(
-            spec.index_bits, _resolve_factory(automaton)
+            spec.index_bits, resolve_factory(automaton)
         )
         self._batched = _pht_batch_automaton(self._pht)
         self._update_on_single_exit = update_on_single_exit
@@ -273,7 +240,7 @@ class GlobalExitPredictor(PlannedExitPredictor):
         self._depth = depth
         self._index_bits = index_bits
         self._pht = PatternHistoryTable(
-            index_bits, _resolve_factory(automaton)
+            index_bits, resolve_factory(automaton)
         )
         self._batched = _pht_batch_automaton(self._pht)
         self._update_on_single_exit = update_on_single_exit
@@ -318,20 +285,13 @@ class GlobalExitPredictor(PlannedExitPredictor):
         The history register shifts on every update, so each step's index
         folds the register state built from *all* preceding exits.
         """
-        addrs = int64_column(task_addrs)
-        indices = (addrs >> _ALIGN_SHIFT) & bit_mask(self._index_bits)
-        if self._depth:
-            history = _global_history_column(
-                int64_column(actual_exits), self._depth
-            )
-            combined = (history << self._index_bits) | indices
-            indices = _fold_column(
-                combined,
-                2 * self._depth + self._index_bits,
-                self._index_bits,
-            )
+        history = _history_register(int64_column(actual_exits), self._depth)
         return BatchPlan(
-            indices, self._batched, self._update_on_single_exit
+            _history_index_column(
+                task_addrs, history, self._depth, self._index_bits
+            ),
+            self._batched,
+            self._update_on_single_exit,
         )
 
 
@@ -358,7 +318,7 @@ class PerTaskExitPredictor(PlannedExitPredictor):
         self._index_bits = index_bits
         self._hrt_index_bits = hrt_index_bits
         self._pht = PatternHistoryTable(
-            index_bits, _resolve_factory(automaton)
+            index_bits, resolve_factory(automaton)
         )
         self._batched = _pht_batch_automaton(self._pht)
         self._update_on_single_exit = update_on_single_exit
@@ -411,21 +371,18 @@ class PerTaskExitPredictor(PlannedExitPredictor):
         the history column is computed per HRT slot.
         """
         addrs = int64_column(task_addrs)
-        indices = (addrs >> _ALIGN_SHIFT) & bit_mask(self._index_bits)
-        if self._depth:
-            keys = (addrs >> _ALIGN_SHIFT) & bit_mask(self._hrt_index_bits)
-            exits = int64_column(actual_exits)
-            history = _HISTORY_CACHE.get(
-                (task_addrs, actual_exits),
-                ("per-history", self._depth, self._hrt_index_bits),
-                lambda: _per_key_history_column(keys, exits, self._depth),
-            )
-            combined = (history << self._index_bits) | indices
-            indices = _fold_column(
-                combined,
-                2 * self._depth + self._index_bits,
-                self._index_bits,
-            )
+        keys = (addrs >> _ALIGN_SHIFT) & bit_mask(self._hrt_index_bits)
+        history = _HISTORY_CACHE.get(
+            (task_addrs, actual_exits),
+            ("per-history", self._depth, self._hrt_index_bits),
+            lambda: _history_register(
+                int64_column(actual_exits), self._depth, keys
+            ),
+        )
         return BatchPlan(
-            indices, self._batched, self._update_on_single_exit
+            _history_index_column(
+                task_addrs, history, self._depth, self._index_bits
+            ),
+            self._batched,
+            self._update_on_single_exit,
         )

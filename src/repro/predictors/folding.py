@@ -19,7 +19,7 @@ always-zero low bits are stripped before bit extraction.
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +27,7 @@ import numpy as np
 from repro.errors import PredictorConfigError
 from repro.utils.bits import bit_mask, fold_xor
 from repro.utils.memo import DerivedColumnCache, int64_column
+from repro.utils.windows import lag_columns
 
 #: Path-index columns per (trace address column, spec) — every predictor
 #: sharing a spec over the same trace reuses one folded column.
@@ -153,32 +154,42 @@ class DolcSpec:
         int64 column of folded table indices, bit-identical to calling
         :meth:`index` per step with a growing path.
 
+        The result is memoised per (address column, spec): a sweep that
+        runs several predictors with one spec over one trace folds the
+        column once. The returned array is shared — do not mutate it.
+        """
+
+        def fold() -> np.ndarray:
+            addrs = int64_column(task_addrs)
+            return self.fold_columns(addrs, lag_columns(addrs, self.depth))
+
+        return _INDEX_COLUMN_CACHE.get((task_addrs,), self, fold)
+
+    def fold_columns(
+        self, current: np.ndarray, path: Iterable[np.ndarray]
+    ) -> np.ndarray:
+        """Vectorized :meth:`index` over rows of explicit path columns.
+
+        ``current`` holds each row's current task address; ``path``
+        yields one column per preceding task, most recent first, with 0
+        where a row's path is shorter (a missing task contributes no
+        bits, as in :meth:`index`). Columns past ``depth`` are not read.
+
         Instead of materialising the up-to-63-bit intermediate index,
         each contribution is folded *incrementally*: bits destined for
         absolute position ``p`` of the intermediate index land XORed at
         ``p mod index_bits`` of the output, which is algebraically the
         same fold and keeps every array operation inside int64.
-
-        The result is memoised per (address column, spec): a sweep that
-        runs several predictors with one spec over one trace folds the
-        column once. The returned array is shared — do not mutate it.
         """
-        return _INDEX_COLUMN_CACHE.get(
-            (task_addrs,), self, lambda: self._index_column(task_addrs)
-        )
-
-    def _index_column(self, task_addrs: np.ndarray) -> np.ndarray:
-        addrs = int64_column(task_addrs) >> _ALIGN_SHIFT
-        n = len(addrs)
-        out = np.zeros(n, dtype=np.int64)
+        out = np.zeros(len(current), dtype=np.int64)
         field_width = self.index_bits
 
         def fold_in(values: np.ndarray, width: int, position: int) -> None:
-            # XOR a width-bit contribution at intermediate-index offset
-            # ``position`` into the folded output, splitting it wherever
-            # it straddles a fold boundary.
+            # XOR the low ``width`` bits of each task's word address at
+            # intermediate-index offset ``position`` into the output,
+            # splitting them wherever they straddle a fold boundary.
             remaining, shift = width, position
-            chunk = values
+            chunk = values >> _ALIGN_SHIFT
             while remaining > 0:
                 offset = shift % field_width
                 take = min(field_width - offset, remaining)
@@ -189,21 +200,14 @@ class DolcSpec:
                 shift += take
                 remaining -= take
 
-        fold_in(addrs & bit_mask(self.current_bits), self.current_bits, 0)
+        fold_in(current, self.current_bits, 0)
         position = self.current_bits
-        if self.depth >= 1:
-            lagged = np.zeros(n, dtype=np.int64)
-            lagged[1:] = addrs[:-1] & bit_mask(self.last_bits)
-            fold_in(lagged, self.last_bits, position)
-            position += self.last_bits
-            if self.older_bits:
-                older_mask = bit_mask(self.older_bits)
-                for back in range(2, self.depth + 1):
-                    lagged = np.zeros(n, dtype=np.int64)
-                    if back < n:
-                        lagged[back:] = addrs[:-back] & older_mask
-                    fold_in(lagged, self.older_bits, position)
-                    position += self.older_bits
+        widths = [self.last_bits] + [self.older_bits] * (self.depth - 1)
+        for width, column in zip(widths[: self.depth], path):
+            if not width:  # no older task contributes either
+                break
+            fold_in(column, width, position)
+            position += width
         return out
 
     def __str__(self) -> str:

@@ -29,7 +29,7 @@ from repro.predictors.automata import (
     BatchPlan,
     MultiwayAutomaton,
     batch_automaton,
-    make_automaton_factory,
+    resolve_factory,
 )
 from repro.predictors.pht import PlannedExitPredictor
 from repro.utils.memo import int64_column
@@ -38,14 +38,6 @@ from repro.utils.windows import (
     group_by_path,
     group_by_per_key_history,
 )
-
-
-def _resolve_factory(
-    automaton: str | Callable[[], MultiwayAutomaton]
-) -> Callable[[], MultiwayAutomaton]:
-    if callable(automaton):
-        return automaton
-    return make_automaton_factory(automaton)
 
 
 class _IdealPredictorBase(PlannedExitPredictor):
@@ -60,7 +52,7 @@ class _IdealPredictorBase(PlannedExitPredictor):
         if depth < 0:
             raise PredictorConfigError("history depth must be >= 0")
         self._depth = depth
-        self._factory = _resolve_factory(automaton)
+        self._factory = resolve_factory(automaton)
         # predict() answers 0 for a key it has never updated, without
         # consulting (or building) an automaton: no tie-break draw.
         self._batched = batch_automaton(

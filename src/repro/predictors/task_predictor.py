@@ -22,24 +22,26 @@ from repro.errors import PredictorConfigError, SimulationError
 from repro.isa.controlflow import ControlFlowType
 from repro.isa.program import MultiscalarProgram
 from repro.predictors.base import ExitPredictor, NextTaskPredictor
+from repro.predictors.headers import task_headers
 from repro.predictors.ras import ReturnAddressStack
-from repro.predictors.ttb import CorrelatedTaskTargetBuffer
+from repro.predictors.ttb import (
+    CorrelatedTaskTargetBuffer,
+    replay_target_entries,
+)
 from repro.synth.trace import CF_TYPE_CODES, TaskTrace
 from repro.utils.memo import DerivedColumnCache, int64_column
 from repro.utils.scan import stable_argsort
 
 #: Columns derived from (trace, program) pairs that every scheme in a
-#: sweep re-derives identically: header tables, the actual call/return
-#: stack timeline, target-buffer entry timelines.
+#: sweep re-derives identically: the per-task header dict of the stepped
+#: path, the actual call/return stack timeline, target-buffer entry
+#: timelines.
 _DERIVED = DerivedColumnCache()
 
 _CF_RETURN = CF_TYPE_CODES[ControlFlowType.RETURN]
 _CF_CALL = CF_TYPE_CODES[ControlFlowType.CALL]
 _CF_ICALL = CF_TYPE_CODES[ControlFlowType.INDIRECT_CALL]
 _CF_IBRANCH = CF_TYPE_CODES[ControlFlowType.INDIRECT_BRANCH]
-
-#: Hysteresis bound of a target-buffer entry (mirrors ``ttb._COUNTER_MAX``).
-_TARGET_COUNTER_MAX = 3
 
 #: Sentinel predicted address when no structure can supply a target.
 NO_PREDICTION = 0
@@ -53,39 +55,22 @@ def _cttb_pretarget_column(
     """Per-step target the buffer would predict, before that step trains.
 
     The training stream (``writes`` rows, in trace order) is replayed
-    once through the hysteresis rule, recording each entry's stored
-    target after every write; a grouped forward-fill then assigns every
-    step the last value written to its slot strictly earlier — exactly
-    what a read at that step would observe, for *any* read mask. Rows
-    whose slot was never written resolve to :data:`NO_PREDICTION`.
+    once (:func:`~repro.predictors.ttb.replay_target_entries`), giving
+    each entry's stored target after every write; a grouped forward-fill
+    then assigns every step the last value written to its slot strictly
+    earlier — exactly what a read at that step would observe, for *any*
+    read mask. Rows whose slot was never written resolve to
+    :data:`NO_PREDICTION`.
     """
     n = len(slot_ids)
     if not n:
         return np.zeros(0, dtype=np.int64)
     write_rows = np.flatnonzero(writes)
+    stored, _ = replay_target_entries(
+        slot_ids[write_rows], actual_targets[write_rows]
+    )
     target_after = np.zeros(n, dtype=np.int64)
-    target_of: dict[int, int] = {}
-    counter_of: dict[int, int] = {}
-    stored_targets: list[int] = []
-    record = stored_targets.append
-    for slot, actual in zip(
-        slot_ids[write_rows].tolist(),
-        actual_targets[write_rows].tolist(),
-    ):
-        stored = target_of.get(slot)
-        if stored is None:
-            target_of[slot] = actual
-            counter_of[slot] = 1
-        elif actual == stored:
-            if counter_of[slot] < _TARGET_COUNTER_MAX:
-                counter_of[slot] += 1
-        elif counter_of[slot] > 0:
-            counter_of[slot] -= 1
-        else:
-            target_of[slot] = actual
-            counter_of[slot] = 1
-        record(target_of[slot])
-    target_after[write_rows] = stored_targets
+    target_after[write_rows] = stored
 
     # Grouped forward-fill: sort by slot (stable, so trace order holds
     # within a slot), encode (segment, write position + 1) so one running
@@ -194,75 +179,6 @@ def _build_task_info(program: MultiscalarProgram) -> dict[int, _TaskInfo]:
     return info
 
 
-class _TaskTable:
-    """Header facts as 2-D columns, for batched address resolution.
-
-    Row order is sorted task address, so trace addresses map to rows with
-    one ``searchsorted``. Absent targets / return addresses (exits whose
-    type carries none) are stored as ``NO_PREDICTION`` / ``-1``. Built
-    straight from the program — the scalar path's per-task dict is never
-    needed when only batched runs happen.
-    """
-
-    __slots__ = ("addrs", "cf_codes", "targets", "return_addrs")
-
-    def __init__(self, program: MultiscalarProgram) -> None:
-        tasks = sorted(program.tfg, key=lambda task: task.address)
-        self.addrs = np.array(
-            [task.address for task in tasks], dtype=np.int64
-        )
-        # One flat pass over every exit, scattered into the 2-D columns
-        # with a single fancy-indexed store per column — much cheaper
-        # than building a padded row list per task.
-        flat = [e for task in tasks for e in task.header.exits]
-        n_flat = len(flat)
-        lengths = np.fromiter(
-            (len(task.header.exits) for task in tasks),
-            dtype=np.int64,
-            count=len(tasks),
-        )
-        max_exits = int(lengths.max()) if len(tasks) else 1
-        rows = np.repeat(np.arange(len(tasks), dtype=np.int64), lengths)
-        row_starts = np.cumsum(lengths) - lengths
-        cols = np.arange(n_flat, dtype=np.int64) - row_starts[rows]
-        codes = CF_TYPE_CODES
-        shape = (len(self.addrs), max_exits)
-        self.cf_codes = np.zeros(shape, dtype=np.int64)
-        self.cf_codes[rows, cols] = np.fromiter(
-            (codes[e.cf_type] for e in flat), dtype=np.int64, count=n_flat
-        )
-        self.targets = np.full(shape, NO_PREDICTION, dtype=np.int64)
-        self.targets[rows, cols] = np.fromiter(
-            (
-                NO_PREDICTION if e.target is None else e.target
-                for e in flat
-            ),
-            dtype=np.int64,
-            count=n_flat,
-        )
-        self.return_addrs = np.full(shape, -1, dtype=np.int64)
-        self.return_addrs[rows, cols] = np.fromiter(
-            (
-                -1 if e.return_address is None else e.return_address
-                for e in flat
-            ),
-            dtype=np.int64,
-            count=n_flat,
-        )
-
-    def rows_of(self, task_addrs: np.ndarray) -> np.ndarray:
-        """Table row of each trace step; raises on unknown addresses."""
-        rows = np.searchsorted(self.addrs, task_addrs)
-        rows = np.minimum(rows, len(self.addrs) - 1)
-        bad = np.flatnonzero(self.addrs[rows] != task_addrs)
-        if bad.size:
-            raise SimulationError(
-                f"no task at {int(task_addrs[bad[0]]):#x} in the "
-                "predictor's program"
-            )
-        return rows
-
-
 class HeaderTaskPredictor(NextTaskPredictor):
     """Exit predictor + header targets + RAS + CTTB (the paper's design)."""
 
@@ -286,8 +202,8 @@ class HeaderTaskPredictor(NextTaskPredictor):
 
     @property
     def _info(self) -> dict[int, _TaskInfo]:
-        # Built lazily: batched runs resolve headers through _TaskTable
-        # columns and never need the per-task dict of the stepped path.
+        # Built lazily: batched runs resolve headers through the header
+        # table and never need the per-task dict of the stepped path.
         info = self._info_cache
         if info is None:
             program = self._program
@@ -369,22 +285,16 @@ class HeaderTaskPredictor(NextTaskPredictor):
         addrs = int64_column(task_addrs)
         slot_ids = self._cttb.batch_slot_ids(addrs)
         program = self._program
-        table = _DERIVED.get(
-            (program,), "task-table", lambda: _TaskTable(program)
-        )
-        rows = _DERIVED.get(
-            (task_addrs, program),
-            "task-rows",
-            lambda: table.rows_of(addrs),
-        )
+        table = task_headers(program)
+        rows = table.rows(task_addrs)
         predicted_exits = int64_column(predicted_exits)
         actual_exits = int64_column(actual_exits)
         cf_codes = int64_column(cf_codes)
         next_addrs = int64_column(next_addrs)
         predicted_cf = table.cf_codes[rows, predicted_exits]
 
-        # Header targets answer BRANCH/CALL exits; RAS and CTTB rows are
-        # overwritten below (every such row is a "read" of its structure).
+        # Header targets answer BRANCH/CALL exits. Every other exit has
+        # NO_ADDRESS there and is a RAS or CTTB read, overwritten below.
         out = table.targets[rows, predicted_exits].copy()
 
         # Both timelines replay the actual (committed) outcome stream, so

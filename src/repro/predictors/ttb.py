@@ -16,7 +16,9 @@ in the task header, so they must be predicted. Three structures:
 
 Each entry stores a target address and a 2-bit saturating hysteresis
 counter: a hit increments, a different target decrements, and the stored
-target is replaced only when the counter has drained to zero.
+target is replaced only when the counter has drained to zero. Every
+buffer's batched form is :func:`replay_target_entries` over the slot ids
+its ``batch_slot_ids`` gives.
 """
 
 from __future__ import annotations
@@ -56,6 +58,43 @@ class _TargetEntry:
         else:
             self.target = actual_target
             self.counter = 1
+
+
+def replay_target_entries(
+    slot_ids: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Replay a stream of writes through one :class:`_TargetEntry` per slot.
+
+    ``slot_ids`` name the entry each write trains, in trace order, as
+    small non-negative ints (dense ids or table indices); ``targets``
+    are the actual targets. Returns ``(stored, hit)``: each write's
+    entry target just after it, and whether the entry held that target
+    before it (so a read just before the write predicted it). A slot's
+    first write is a compulsory miss, whatever its target. Bit-identical
+    to a ``predict``/``update`` pair per write.
+    """
+    stored: list[int] = []
+    hits: list[bool] = []
+    if len(slot_ids):
+        n_slots = int(slot_ids.max()) + 1
+        target_of = [0] * n_slots
+        counter_of = [-1] * n_slots  # -1: never written
+        record = stored.append
+        mark = hits.append
+        for slot, actual in zip(slot_ids.tolist(), targets.tolist()):
+            counter = counter_of[slot]
+            hit = counter >= 0 and target_of[slot] == actual
+            if hit:
+                if counter < _COUNTER_MAX:
+                    counter_of[slot] = counter + 1
+            elif counter > 0:
+                counter_of[slot] = counter - 1
+            else:  # a first write, or a drained counter: (re)allocate
+                target_of[slot] = actual
+                counter_of[slot] = 1
+            record(target_of[slot])
+            mark(hit)
+    return np.array(stored, dtype=np.int64), np.array(hits, dtype=bool)
 
 
 class _BufferBase:
@@ -112,9 +151,9 @@ class TaskTargetBuffer(_BufferBase):
     def batch_slot_ids(self, task_addrs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`_slot` over a whole trace column.
 
-        Returns dense slot ids for the batched kernel in
-        :mod:`repro.sim.functional`; ids are only meaningful relative to
-        each other. Only valid for a freshly constructed buffer.
+        Returns dense slot ids for :func:`replay_target_entries`; ids
+        are only meaningful relative to each other. Only valid for a
+        freshly constructed buffer.
         """
         slots = (
             int64_column(task_addrs) >> _ALIGN_SHIFT

@@ -19,10 +19,13 @@ driving the predictor's ``predict``/``update`` pair once per trace record
 and benchmarks use). Every exit predictor computes its whole prediction
 column itself (``ExitPredictor.batch_column``), which serves both the
 statistics and the next-task, confidence and timing simulators; target
-buffers expose their per-step entries as dense integer ids
-(``batch_slot_ids``). The kernels replace per-step tuple hashing and
-method dispatch with numpy preprocessing plus a tight integer loop over
-only the steps that can miss.
+buffers expose their per-step entries as small integer ids
+(``batch_slot_ids``), replayed by
+:func:`repro.predictors.ttb.replay_target_entries`. Header facts come
+from one table per program (:mod:`repro.predictors.headers`). The
+kernels replace per-step tuple hashing and method dispatch with numpy
+preprocessing plus a tight integer loop over only the steps that can
+miss.
 
 Kernels never mutate the predictor object; a predictor that must be
 inspected after simulation should be driven through the reference. The
@@ -42,67 +45,44 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.predictors.base import ExitPredictor, NextTaskPredictor
+from repro.predictors.headers import task_headers
+from repro.predictors.ttb import replay_target_entries
 from repro.sim.result import (
     ExitPredictionStats,
     TargetPredictionStats,
     TaskPredictionStats,
 )
-from repro.synth.trace import CF_TYPE_FROM_CODE
+from repro.synth.trace import CF_TYPE_FROM_CODE, TaskTrace
 from repro.synth.workloads import Workload
-from repro.utils.memo import DerivedColumnCache, int64_column
-
-#: Exit-count columns per (workload, trace address column) — shared by
-#: every predictor scheme swept over the same trace.
-_EXIT_COUNT_CACHE = DerivedColumnCache()
+from repro.utils.memo import int64_column
 
 #: Codes of INDIRECT_BRANCH / INDIRECT_CALL in trace arrays.
 _INDIRECT_CODES = (3, 4)
 
-#: Hysteresis bounds of a target-buffer entry (see ``_TargetEntry``).
-_TARGET_COUNTER_MAX = 3
+
+def checked_trace(workload: Workload, limit: int | None) -> TaskTrace:
+    """The workload's trace, or its first ``limit`` records.
+
+    Raises :class:`SimulationError` if the trace references a task the
+    program doesn't define.
+    """
+    trace = workload.trace if limit is None else workload.trace.head(limit)
+    task_headers(workload.program).rows(trace.task_addr)
+    return trace
 
 
 def exit_count_column(
     workload: Workload, task_addrs: np.ndarray
 ) -> np.ndarray:
-    """Per-step header-exit counts as a numpy column.
+    """Per-step header-exit counts of a trace address column.
 
-    Vectorizes the address -> exit-count mapping once per trace instead
-    of a dict lookup per step, and memoises the column per (workload,
-    address column) — the result is shared, do not mutate it. Raises
+    Read from the program's header table
+    (:func:`repro.predictors.headers.task_headers`) and shared per
+    (program, address column): do not mutate it. Raises
     :class:`SimulationError` if the trace references a task the program
     doesn't define.
     """
-    return _EXIT_COUNT_CACHE.get(
-        (workload, task_addrs),
-        "exit-count",
-        lambda: _exit_count_column(workload, task_addrs),
-    )
-
-
-def _exit_count_column(
-    workload: Workload, task_addrs: np.ndarray
-) -> np.ndarray:
-    addrs = int64_column(task_addrs)
-    if addrs.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    counts = workload.exit_counts()
-    if not counts:
-        raise SimulationError(
-            f"trace references unknown task {int(addrs[0]):#x}"
-        )
-    keys = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-    vals = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-    order = np.argsort(keys)
-    keys, vals = keys[order], vals[order]
-    pos = np.minimum(np.searchsorted(keys, addrs), len(keys) - 1)
-    mismatched = np.flatnonzero(keys[pos] != addrs)
-    if mismatched.size:
-        missing = int(addrs[mismatched[0]])
-        raise SimulationError(
-            f"trace references unknown task {missing:#x}"
-        )
-    return vals[pos]
+    return task_headers(workload.program).n_exits_column(task_addrs)
 
 
 def _check_single_exit_legality(
@@ -148,7 +128,7 @@ def simulate_exit_prediction(
     Raises :class:`SimulationError` when a single-exit task is recorded
     taking another exit (a corrupt trace).
     """
-    trace = workload.trace if limit is None else workload.trace.head(limit)
+    trace = checked_trace(workload, limit)
     n_exits_col = exit_count_column(workload, trace.task_addr)
     multiway = n_exits_col > 1
     _check_single_exit_legality(trace.task_addr, trace.exit_index, multiway)
@@ -166,46 +146,6 @@ def simulate_exit_prediction(
     )
 
 
-def _target_group_kernel(
-    group_ids: np.ndarray, next_addrs: np.ndarray
-) -> tuple[int, int]:
-    """Replay hysteresis target entries over pre-grouped indirect steps.
-
-    ``group_ids`` are dense buffer-slot ids at each indirect exit, in
-    trace order. Returns ``(misses, entries_touched)`` — bit-identical to
-    driving a buffer's ``predict``/``update`` pair per indirect step.
-    """
-    if not len(group_ids):
-        return 0, 0
-    n_groups = int(group_ids.max()) + 1
-    target_of = [0] * n_groups
-    counter_of = [0] * n_groups
-    seen = bytearray(n_groups)
-    misses = 0
-    entries = 0
-    for group, actual in zip(group_ids.tolist(), next_addrs.tolist()):
-        if seen[group]:
-            stored = target_of[group]
-            if stored != actual:
-                misses += 1
-                counter = counter_of[group]
-                if counter > 0:
-                    counter_of[group] = counter - 1
-                else:
-                    target_of[group] = actual
-                    counter_of[group] = 1
-            elif counter_of[group] < _TARGET_COUNTER_MAX:
-                counter_of[group] += 1
-        else:
-            # Compulsory miss: predict() returns None, update() allocates.
-            seen[group] = 1
-            entries += 1
-            misses += 1
-            target_of[group] = actual
-            counter_of[group] = 1
-    return misses, entries
-
-
 def simulate_indirect_target_prediction(
     workload: Workload,
     buffer,
@@ -219,20 +159,19 @@ def simulate_indirect_target_prediction(
     into its path register, so its slot column is computed over the whole
     trace; a history-free one only needs the indirect rows.
     """
-    trace = workload.trace if limit is None else workload.trace.head(limit)
-    exit_count_column(workload, trace.task_addr)  # rejects unknown tasks
+    trace = checked_trace(workload, limit)
     indirect_steps = np.flatnonzero(np.isin(trace.cf_type, _INDIRECT_CODES))
     if buffer.observes_steps:
         slot_ids = buffer.batch_slot_ids(trace.task_addr)[indirect_steps]
     else:
         slot_ids = buffer.batch_slot_ids(trace.task_addr[indirect_steps])
-    misses, entries = _target_group_kernel(
+    _, hit = replay_target_entries(
         slot_ids, trace.next_addr[indirect_steps].astype(np.int64)
     )
     return TargetPredictionStats(
         trials=int(indirect_steps.size),
-        misses=misses,
-        entries_touched=entries,
+        misses=int(hit.size - hit.sum()),
+        entries_touched=int(np.unique(slot_ids).size),
         storage_bits=buffer.storage_bits(),
     )
 
@@ -301,8 +240,7 @@ def simulate_task_prediction(
     limit: int | None = None,
 ) -> TaskPredictionStats:
     """Measure full next-task-address prediction accuracy (Table 3)."""
-    trace = workload.trace if limit is None else workload.trace.head(limit)
-    exit_count_column(workload, trace.task_addr)  # rejects unknown tasks
+    trace = checked_trace(workload, limit)
     predicted = batched_task_prediction_column(workload, predictor, trace)
     wrong = predicted != int64_column(trace.next_addr)
     return task_prediction_stats(trace, wrong, predictor.storage_bits())

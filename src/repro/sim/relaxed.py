@@ -19,20 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.predictors.folding import DolcSpec, _ALIGN_SHIFT
+from repro.predictors.headers import task_headers
 from repro.predictors.pht import PackedPatternTable
 from repro.predictors.speculative import SpeculativePathPredictor
-from repro.sim.functional import exit_count_column
+from repro.sim.functional import checked_trace
 from repro.synth.workloads import Workload
-from repro.utils.bits import bit_mask
-from repro.utils.memo import DerivedColumnCache, int64_column
-
-#: Header columns per program, shared by every relaxed run over it.
-_HEADER_CACHE = DerivedColumnCache()
-
-#: Sentinel for "this exit's target is not in the header" (the walk stops).
-_NO_TARGET = -1
-
+from repro.utils.memo import int64_column
 
 @dataclass(frozen=True)
 class RelaxedPredictionStats:
@@ -55,95 +47,6 @@ class RelaxedPredictionStats:
         return self.misses / self.trials if self.trials else 0.0
 
 
-class _HeaderColumns:
-    """Per-program header facts for the batched wrong-path walk."""
-
-    __slots__ = ("addrs", "n_exits", "targets")
-
-    def __init__(self, program) -> None:
-        tasks = sorted(program.tfg, key=lambda task: task.address)
-        self.addrs = np.array(
-            [task.address for task in tasks], dtype=np.int64
-        )
-        self.n_exits = np.array(
-            [task.n_exits for task in tasks], dtype=np.int64
-        )
-        max_exits = int(self.n_exits.max()) if tasks else 1
-        self.targets = np.full(
-            (len(tasks), max_exits), _NO_TARGET, dtype=np.int64
-        )
-        for row, task in enumerate(tasks):
-            for col, e in enumerate(task.header.exits):
-                if e.target is not None:
-                    self.targets[row, col] = e.target
-
-    def rows_of(self, addrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(row, known)`` per address; row is clamped when unknown."""
-        rows = np.searchsorted(self.addrs, addrs)
-        rows = np.minimum(rows, max(len(self.addrs) - 1, 0))
-        known = (
-            self.addrs[rows] == addrs if len(self.addrs)
-            else np.zeros(len(addrs), dtype=bool)
-        )
-        return rows, known
-
-
-def _dolc_index_rows(
-    spec: DolcSpec,
-    current: np.ndarray,
-    window: np.ndarray | None,
-    n_path: np.ndarray | None,
-) -> np.ndarray:
-    """Vectorized :meth:`DolcSpec.index` over per-row path windows.
-
-    ``window`` holds each row's path register contents (most recent
-    last, ``spec.depth`` columns); ``n_path`` is how many of those
-    entries are real (cold-start rows have fewer — absent tasks
-    contribute zero bits, as in the scalar method).
-    """
-    out = np.zeros(len(current), dtype=np.int64)
-    field_width = spec.index_bits
-
-    def fold_in(values: np.ndarray, width: int, position: int) -> None:
-        remaining, shift = width, position
-        chunk = values
-        while remaining > 0:
-            offset = shift % field_width
-            take = min(field_width - offset, remaining)
-            np.bitwise_xor(
-                out, (chunk & bit_mask(take)) << offset, out=out
-            )
-            chunk = chunk >> take
-            shift += take
-            remaining -= take
-
-    fold_in(
-        (current >> _ALIGN_SHIFT) & bit_mask(spec.current_bits),
-        spec.current_bits,
-        0,
-    )
-    position = spec.current_bits
-    if spec.depth >= 1:
-        last = np.where(n_path >= 1, window[:, -1], 0)
-        fold_in(
-            (last >> _ALIGN_SHIFT) & bit_mask(spec.last_bits),
-            spec.last_bits,
-            position,
-        )
-        position += spec.last_bits
-        if spec.older_bits:
-            older_mask = bit_mask(spec.older_bits)
-            for back in range(2, spec.depth + 1):
-                older = np.where(n_path >= back, window[:, -back], 0)
-                fold_in(
-                    (older >> _ALIGN_SHIFT) & older_mask,
-                    spec.older_bits,
-                    position,
-                )
-                position += spec.older_bits
-    return out
-
-
 def _perfect_repair_stats(
     workload: Workload,
     predictor: SpeculativePathPredictor,
@@ -163,18 +66,14 @@ def _perfect_repair_stats(
     """
     spec = predictor.spec
     table = predictor.pht_table
-    headers = _HEADER_CACHE.get(
-        (workload,),
-        "relaxed-headers",
-        lambda: _HeaderColumns(workload.program),
-    )
+    headers = task_headers(workload.program)
     addrs = int64_column(trace.task_addr)
     actual_exits = int64_column(trace.exit_index)
     n = len(addrs)
     if n == 0:
         return RelaxedPredictionStats(0, 0, 0)
-    rows, _ = headers.rows_of(addrs)  # every task is known (validated)
-    n_exits_col = headers.n_exits[rows]
+    rows = headers.rows(trace.task_addr)
+    n_exits_col = headers.n_exits_column(trace.task_addr)
 
     # Committed stream: perfect repair keeps the path register equal to
     # the committed-path tail at every step, so the index column is the
@@ -214,61 +113,35 @@ def _perfect_repair_stats(
     wrong_path_predictions = 0
     if origin.size and wrong_path_depth > 0:
         current = headers.targets[rows[origin], predicted[origin]]
-        depth = spec.depth
-        if depth:
-            # Path register contents just after step i's own predict:
-            # the last `depth` committed addresses, most recent last.
-            window = np.zeros((origin.size, depth), dtype=np.int64)
-            for k in range(depth):
-                lag = depth - 1 - k
-                valid = origin >= lag
-                window[valid, k] = addrs[origin[valid] - lag]
-            n_path = np.minimum(origin + 1, depth)
-        else:
-            window = None
-            n_path = None
+        # Path register contents just after step i's own predict: the
+        # last `depth` committed addresses, most recent first.
+        path = [
+            np.where(origin >= lag, addrs[np.maximum(origin - lag, 0)], 0)
+            for lag in range(spec.depth)
+        ]
         for _ in range(wrong_path_depth):
-            live = current != _NO_TARGET
-            if not live.any():
-                break
-            current = current[live]
-            origin = origin[live]
-            if depth:
-                window = window[live]
-                n_path = n_path[live]
-            walk_rows, walk_known = headers.rows_of(current)
-            if not walk_known.all():
-                keep = walk_known
-                current = current[keep]
-                origin = origin[keep]
-                walk_rows = walk_rows[keep]
-                if depth:
-                    window = window[keep]
-                    n_path = n_path[keep]
+            # The walk stops where the header gives no target
+            # (NO_ADDRESS) or the target starts no task.
+            walk_rows, known = headers.lookup(current)
+            if not known.all():
+                current = current[known]
+                origin = origin[known]
+                walk_rows = walk_rows[known]
+                path = [column[known] for column in path]
                 if not len(current):
                     break
-            walk_exits = headers.n_exits[walk_rows]
-            index = _dolc_index_rows(spec, current, window, n_path)
+            index = spec.fold_columns(current, path)
             query = index * stride + origin
             pos = np.searchsorted(update_keys, query) - 1
             hit = (pos >= 0) & (update_index[np.maximum(pos, 0)] == index)
             states = np.where(
                 hit, update_states[np.maximum(pos, 0)], 0
             )
-            walk_predicted = np.where(
-                walk_exits > 1,
-                np.minimum(
-                    table.predictions[states],
-                    np.maximum(walk_exits - 1, 0),
-                ),
-                0,
+            walk_predicted = np.minimum(
+                table.predictions[states], headers.n_exits[walk_rows] - 1
             )
             wrong_path_predictions += len(current)
-            if depth:
-                window = np.concatenate(
-                    (window[:, 1:], current[:, None]), axis=1
-                )
-                n_path = np.minimum(n_path + 1, depth)
+            path = ([current] + path)[: spec.depth]
             current = headers.targets[walk_rows, walk_predicted]
 
     return RelaxedPredictionStats(
@@ -296,8 +169,7 @@ def simulate_speculative_exit_prediction(
     batched form yet and run :func:`speculative_loop`, which mutates the
     predictor as real hardware would.
     """
-    trace = workload.trace if limit is None else workload.trace.head(limit)
-    exit_count_column(workload, trace.task_addr)  # rejects unknown tasks
+    trace = checked_trace(workload, limit)
     if predictor.repair_policy == "perfect":
         return _perfect_repair_stats(
             workload, predictor, wrong_path_depth, trace

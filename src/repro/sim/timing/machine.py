@@ -30,9 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.predictors.base import NextTaskPredictor
+from repro.predictors.headers import task_headers
 from repro.sim.functional import (
     batched_task_prediction_column,
-    exit_count_column,
+    checked_trace,
 )
 from repro.sim.timing.config import TimingConfig
 from repro.sim.timing.scan import (
@@ -114,8 +115,7 @@ def simulate_timing(
     the stepped loop of :func:`repro.sim.reference.simulate_timing`.
     """
     config = config or TimingConfig()
-    trace = workload.trace if limit is None else workload.trace.head(limit)
-    exit_count_column(workload, trace.task_addr)  # rejects unknown tasks
+    trace = checked_trace(workload, limit)
     predicted = batched_task_prediction_column(workload, predictor, trace)
     correct = predicted == int64_column(trace.next_addr)
 
@@ -143,28 +143,17 @@ def simulate_timing(
         cycle_columns,
     )
     if config.dependence_aware:
+        headers = task_headers(workload.program)
 
         def dependence_mask() -> np.ndarray:
-            program_tasks = workload.program.tfg
-            addr_table = np.array(
-                sorted(task.address for task in program_tasks),
-                dtype=np.int64,
-            )
-            create_table = np.zeros(len(addr_table), dtype=np.int64)
-            use_table = np.zeros(len(addr_table), dtype=np.int64)
-            for task in program_tasks:
-                row = int(np.searchsorted(addr_table, task.address))
-                create_table[row] = task.header.create_mask
-                use_table[row] = task.use_mask
-            # Every trace address is a program task (checked above).
-            rows = np.searchsorted(addr_table, int64_column(trace.task_addr))
+            rows = headers.rows(trace.task_addr)
             prev_create = np.empty(len(rows), dtype=np.int64)
             prev_create[:1] = 0xFFFF  # pre-trace state feeds task 0
-            prev_create[1:] = create_table[rows[:-1]]
-            return (prev_create & use_table[rows]) != 0
+            prev_create[1:] = headers.create_mask[rows[:-1]]
+            return (prev_create & headers.use_mask[rows]) != 0
 
         dependent = _CYCLE_CACHE.get(
-            (trace.task_addr, workload), "dependence", dependence_mask
+            (trace.task_addr, headers), "dependence", dependence_mask
         )
         forward_stalls = np.where(dependent, forward_stalls, 0)
 

@@ -32,9 +32,6 @@ from repro.synth.behavior import (
 from repro.synth.profiles import BenchmarkProfile
 from repro.utils.rng import DeterministicRng
 
-#: Bump when generation semantics change: invalidates on-disk trace caches.
-GENERATOR_VERSION = 3
-
 _CONSTRUCTS = (
     "if", "ifelse", "loop", "call", "switch", "icall", "straight",
 )

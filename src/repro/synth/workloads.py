@@ -270,26 +270,40 @@ _BUILD_SOURCES = (
 _PACKAGE = Path(__file__).resolve().parent.parent
 
 
-def _build_source_files() -> list[Path]:
-    """The files :data:`_BUILD_SOURCES` names, in digest order."""
+def _source_files(entries: tuple[str, ...]) -> list[Path]:
+    """The ``repro`` modules ``entries`` name, in digest order.
+
+    Entries are paths relative to the package; a directory stands for
+    every module under it.
+    """
     files: list[Path] = []
-    for entry in _BUILD_SOURCES:
+    for entry in entries:
         path = _PACKAGE / entry
-        files.extend(sorted(path.glob("*.py")) if path.is_dir() else [path])
+        files.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
     return files
 
 
 @functools.cache
-def _source_digest() -> str:
-    """SHA-256 over the build sources' package-relative names and bytes.
+def source_digest(entries: tuple[str, ...]) -> str:
+    """SHA-256 over the named modules' package-relative names and bytes.
 
-    Read once per process, on first use of the disk cache.
+    Read once per process and entry list.
     """
     digest = hashlib.sha256()
-    for path in _build_source_files():
+    for path in _source_files(entries):
         digest.update(path.relative_to(_PACKAGE).as_posix().encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def _build_source_files() -> list[Path]:
+    """The files :data:`_BUILD_SOURCES` names, in digest order."""
+    return _source_files(_BUILD_SOURCES)
+
+
+def _source_digest() -> str:
+    """The build sources' digest: read on first use of the disk cache."""
+    return source_digest(_BUILD_SOURCES)
 
 
 def _profile_fingerprint(profile: BenchmarkProfile) -> str:

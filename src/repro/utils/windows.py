@@ -10,11 +10,13 @@ The pipeline, chosen for speed on hundreds of thousands of steps:
 
 1. **Factorize** each value domain once (:func:`factorize`): one sort of
    the base sequence maps arbitrary addresses to dense codes.
-2. Build **trailing-window columns** of shifted codes. Codes are offset
-   by one so 0 can mean "no history yet": a row recorded before ``D``
-   outcomes exist is left-padded with zeros, which keeps short histories
-   distinct from full-depth ones exactly the way tuples of different
-   lengths are distinct dictionary keys.
+2. Build **trailing-window columns** of shifted codes
+   (:func:`lag_columns`, which also builds the real GLOBAL/PER history
+   registers and the D-O-L-C path). Codes are offset by one so 0 can
+   mean "no history yet": a row recorded before ``D`` outcomes exist is
+   left-padded with zeros, which keeps short histories distinct from
+   full-depth ones exactly the way tuples of different lengths are
+   distinct dictionary keys.
 3. **Bit-pack** the columns into as few int64 words as possible
    (:func:`group_columns`): with dense codes, a depth-7 exit history plus
    the task address usually fits one word, so grouping costs a single
@@ -30,9 +32,12 @@ do not mutate them.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro.utils.memo import REUSE_BYTES, DerivedColumnCache
+from repro.utils.scan import stable_argsort
 
 _GROUPINGS = DerivedColumnCache(max_bytes=REUSE_BYTES)
 
@@ -107,68 +112,45 @@ def group_columns(
     return ids, int(ranked_ids[-1]) + 1
 
 
-def _window_columns(
-    codes: np.ndarray, cardinality: int, depth: int
-) -> list[tuple[np.ndarray, int]]:
-    """Trailing-window columns of a code sequence, one per history lag.
+def lag_columns(
+    values: np.ndarray, depth: int, keys: np.ndarray | None = None
+) -> Iterator[np.ndarray]:
+    """Trailing-window columns of ``values``, most recent first.
 
-    Column ``lag`` holds ``codes[i - lag] + 1`` at row ``i`` (0 where the
-    sequence hasn't produced that many items yet) — the vectorized
-    equivalent of a ``deque(maxlen=depth)`` snapshot taken before step
-    ``i`` is appended.
+    Column ``lag`` (1 to ``depth``) holds, at row ``i``, the value
+    ``lag`` rows before ``i`` — counting only rows with the same
+    ``keys`` value when ``keys`` is given — and 0 where there are fewer
+    than ``lag`` such rows. That is a ``deque(maxlen=depth)`` (one per
+    key) read newest first just before row ``i`` is appended; a caller
+    whose values can be 0 offsets them so that 0 means "no history".
+    The per-key form costs one stable sort. Columns are built one at a
+    time, as the caller consumes them.
     """
-    n = len(codes)
-    columns = []
+    n = len(values)
+    keyed = keys is not None and n > 0
+    if keyed:
+        # A stable sort keeps each key's rows contiguous and in order;
+        # a lag reaching back past the key's first row reads nothing.
+        order = stable_argsort(keys)
+        values = values[order]
+        sorted_keys = keys[order]
+        new_key = np.empty(n, dtype=bool)
+        new_key[0] = True
+        new_key[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        positions = np.arange(n)
+        occurrence = positions - np.maximum.accumulate(
+            np.where(new_key, positions, 0)
+        )
     for lag in range(1, depth + 1):
         column = np.zeros(n, dtype=np.int64)
         if lag < n:
-            column[lag:] = codes[: n - lag] + 1
-        columns.append((column, cardinality + 1))
-    return columns
-
-
-def _per_key_window_columns(
-    key_codes: np.ndarray,
-    codes: np.ndarray,
-    cardinality: int,
-    depth: int,
-) -> list[tuple[np.ndarray, int]]:
-    """Trailing-window columns of each key's own code subsequence.
-
-    Like :func:`_window_columns`, but row ``i``'s window reads only
-    earlier steps with the same ``key_codes[i]`` — the vectorized
-    equivalent of one ``deque(maxlen=depth)`` per distinct key. Used by
-    the PER (per-task history) predictor.
-    """
-    n = len(codes)
-    if n == 0 or depth == 0:
-        return [
-            (np.zeros(n, dtype=np.int64), cardinality + 1)
-        ] * depth
-    order = np.argsort(key_codes, kind="stable")
-    sorted_keys = key_codes[order]
-    sorted_codes = codes[order]
-    # Occurrence index of each step within its key's subsequence. The
-    # stable sort keeps each key's steps contiguous and in trace order.
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    group_start = np.maximum.accumulate(
-        np.where(new_group, np.arange(n), 0)
-    )
-    occurrence = np.arange(n) - group_start
-    columns = []
-    for lag in range(1, depth + 1):
-        column = np.zeros(n, dtype=np.int64)
-        if lag < n:
-            column[lag:] = sorted_codes[: n - lag] + 1
-        # A lag crossing into the previous key's segment is history that
-        # doesn't exist for this key yet.
-        column[occurrence < lag] = 0
-        unsorted = np.empty(n, dtype=np.int64)
-        unsorted[order] = column
-        columns.append((unsorted, cardinality + 1))
-    return columns
+            column[lag:] = values[: n - lag]
+        if keyed:
+            column[occurrence < lag] = 0
+            unsorted = np.empty(n, dtype=np.int64)
+            unsorted[order] = column
+            column = unsorted
+        yield column
 
 
 def _combine_windows(
@@ -230,19 +212,8 @@ def group_by_global_history(
     return _GROUPINGS.get(
         (addrs, outcomes),
         ("global", depth),
-        lambda: _global_history_ids(addrs, outcomes, depth),
+        lambda: _history_ids(addrs, outcomes, depth, per_key=False),
     )
-
-
-def _global_history_ids(
-    addrs: np.ndarray, outcomes: np.ndarray, depth: int
-) -> np.ndarray:
-    addr_codes, addr_card = _codes(addrs)
-    outcome_codes, outcome_card = _codes(outcomes)
-    columns = [(addr_codes, addr_card)]
-    columns += _window_columns(outcome_codes, outcome_card, depth)
-    ids, _ = group_columns(columns)
-    return ids
 
 
 def group_by_per_key_history(
@@ -255,18 +226,20 @@ def group_by_per_key_history(
     return _GROUPINGS.get(
         (addrs, outcomes),
         ("per-key", depth),
-        lambda: _per_key_history_ids(addrs, outcomes, depth),
+        lambda: _history_ids(addrs, outcomes, depth, per_key=True),
     )
 
 
-def _per_key_history_ids(
-    addrs: np.ndarray, outcomes: np.ndarray, depth: int
+def _history_ids(
+    addrs: np.ndarray, outcomes: np.ndarray, depth: int, per_key: bool
 ) -> np.ndarray:
     addr_codes, addr_card = _codes(addrs)
     outcome_codes, outcome_card = _codes(outcomes)
-    columns = [(addr_codes, addr_card)]
-    columns += _per_key_window_columns(
-        addr_codes, outcome_codes, outcome_card, depth
+    windows = lag_columns(
+        outcome_codes + 1, depth, addr_codes if per_key else None
     )
-    ids, _ = group_columns(columns)
+    ids, _ = group_columns(
+        [(addr_codes, addr_card)]
+        + [(window, outcome_card + 1) for window in windows]
+    )
     return ids

@@ -21,11 +21,15 @@ import time
 from collections.abc import Sequence
 from pathlib import Path
 
+import numpy as np
+
 from repro.cfg.basicblock import BasicBlock, Terminator, TerminatorKind
 from repro.cfg.graph import ControlFlowGraph, ProgramCFG
 from repro.compiler import PartitionConfig, compile_program
 from repro.compiler.compiled import CompiledProgram
 from repro.isa.encoding import encode_header
+from repro.isa.program import MultiscalarProgram
+from repro.isa.task import StaticTask, TaskExit, TaskHeader
 from repro.synth.behavior import ChoiceBehavior, FixedChoice
 from repro.synth.executor import TraceExecutor
 from repro.synth.trace import TaskTrace
@@ -149,20 +153,64 @@ def run_trace(
     return TraceExecutor(compiled, seed=seed).run(n_tasks)
 
 
+_TEST_PROFILE = BenchmarkProfile(
+    name="test",
+    seed=0,
+    paper=PaperStats("test", 0, 0, 0),
+    n_hot_functions=1,
+    n_cold_functions=0,
+    call_levels=1,
+    constructs_per_function=(1, 1),
+)
+
+
 def make_workload(
     compiled: CompiledProgram, trace: TaskTrace
 ) -> Workload:
     """Wrap a compiled program and trace as a Workload for the simulators."""
-    profile = BenchmarkProfile(
-        name="test",
-        seed=0,
-        paper=PaperStats("test", 0, 0, 0),
-        n_hot_functions=1,
-        n_cold_functions=0,
-        call_levels=1,
-        constructs_per_function=(1, 1),
+    return Workload(
+        profile=_TEST_PROFILE, program=compiled.program, trace=trace
     )
-    return Workload(profile=profile, program=compiled.program, trace=trace)
+
+
+#: Trace column dtypes, as the executor records them.
+_TRACE_DTYPES = {
+    "task_addr": np.uint32,
+    "exit_index": np.uint8,
+    "cf_type": np.uint8,
+    "next_addr": np.uint32,
+    "instructions": np.uint16,
+    "internal_branches": np.uint16,
+    "internal_mispredicts": np.uint16,
+}
+
+
+def trace_workload(
+    exits_of: dict[int, Sequence[TaskExit]],
+    task_addrs: Sequence[int],
+    **columns: Sequence[int],
+) -> Workload:
+    """A Workload over a hand-written trace.
+
+    The program holds one task per ``exits_of`` address, with those
+    header exits; ``columns`` gives any other trace column by name, and
+    every column not given is zero.
+    """
+    tasks = [
+        StaticTask(address, TaskHeader(tuple(exits)))
+        for address, exits in exits_of.items()
+    ]
+    program = MultiscalarProgram("test", tasks, entry=tasks[0].address)
+    columns = dict(columns, task_addr=task_addrs)
+    trace = TaskTrace(
+        **{
+            name: np.array(
+                columns.get(name, [0] * len(task_addrs)), dtype=dtype
+            )
+            for name, dtype in _TRACE_DTYPES.items()
+        }
+    )
+    return Workload(profile=_TEST_PROFILE, program=program, trace=trace)
 
 
 def assert_same_program(decoded, built):

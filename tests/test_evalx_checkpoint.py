@@ -15,7 +15,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -34,6 +37,8 @@ from repro.evalx.checkpoint import (
 from repro.evalx.metrics import RunMetrics
 from repro.evalx.parallel import Cell, run_sharded
 from repro.evalx.result import ExperimentResult
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _double(x):
@@ -118,6 +123,51 @@ class TestFingerprint:
     def test_unfingerprintable_kwargs_raise(self):
         with pytest.raises(CheckpointKeyError):
             cell_fingerprint("t", self._cell(x={1: 2}))
+
+
+class TestCodeEditMissesTheStore:
+    """Records are keyed by the source of the whole package, so a resumed
+    run never serves a cell that other code computed."""
+
+    def test_resume_after_an_edit_recomputes_every_cell(self, tmp_path):
+        source = tmp_path / "src"
+        shutil.copytree(
+            REPO_ROOT / "src" / "repro",
+            source / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(source),
+            REPRO_CACHE_DIR=str(tmp_path / "cache"),
+        )
+
+        def resumed_cells(run: int, *flags: str) -> int:
+            metrics = tmp_path / f"m{run}.jsonl"
+            subprocess.run(
+                [
+                    sys.executable, "-m", "repro.evalx", "table2",
+                    "--quick", "--tasks", "300",
+                    "--checkpoint-dir", str(tmp_path / "ckpt"),
+                    "--metrics", str(metrics), *flags,
+                ],
+                env=env, cwd=tmp_path, capture_output=True, check=True,
+                timeout=300,
+            )
+            records = [
+                json.loads(line) for line in metrics.read_text().splitlines()
+            ]
+            return sum(
+                record["event"] == "checkpoint"
+                and record["action"] == "resume"
+                for record in records
+            )
+
+        assert resumed_cells(1) == 0
+        assert resumed_cells(2, "--resume") == 5  # unchanged code
+        with open(source / "repro" / "sim" / "functional.py", "a") as file:
+            file.write("# an edit that changes no result\n")
+        assert resumed_cells(3, "--resume") == 0
 
 
 def _quadruple(x):

@@ -5,15 +5,20 @@ streams; the tests check invariants that must hold for every instance,
 plus reference-model equivalence for the LEH automaton, and equality of
 the batched kernels with the stepped reference (:mod:`repro.sim.reference`)
 for the voting-counter replay, the tournament chooser, training on
-single-exit tasks and the confidence gate.
+single-exit tasks and the confidence gate. Each modelled structure's
+batched form is also pinned to its stepped rule: the D-O-L-C fold to
+:meth:`DolcSpec.index`, target buffers to one ``_TargetEntry`` per slot,
+and history windows to one ``deque(maxlen=depth)`` per key.
 """
 
-from types import SimpleNamespace
+from collections import deque
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.isa.controlflow import ControlFlowType
+from repro.isa.task import TaskExit
 from repro.predictors.automata import (
     AUTOMATON_SPECS,
     LastExitHysteresis,
@@ -32,9 +37,28 @@ from repro.predictors.ideal import (
     IdealPerTaskPredictor,
 )
 from repro.predictors.hybrid import TournamentExitPredictor
+from repro.predictors.task_predictor import (
+    CttbOnlyTaskPredictor,
+    HeaderTaskPredictor,
+)
+from repro.predictors.ttb import (
+    CorrelatedTaskTargetBuffer,
+    TaskTargetBuffer,
+    _TargetEntry,
+)
 from repro.sim import reference
-from repro.sim.functional import simulate_exit_prediction
+from repro.sim.functional import (
+    batched_task_prediction_column,
+    simulate_exit_prediction,
+    simulate_indirect_target_prediction,
+)
+from repro.synth.trace import CF_TYPE_CODES
 from repro.utils.rng import DeterministicRng
+from repro.utils.windows import (
+    group_by_global_history,
+    group_by_per_key_history,
+)
+from tests.helpers import trace_workload
 
 _ADDRESSES = st.integers(min_value=0, max_value=(1 << 32) - 4).map(
     lambda a: a & ~0x3
@@ -88,6 +112,16 @@ class TestDolcSpecProperties:
         prefixed = [0xDEAD_BEE0, 0xFEED_F000] + path
         if spec.depth <= len(path):
             assert spec.index(addr, path) == spec.index(addr, prefixed)
+
+    @settings(max_examples=80)
+    @given(dolc_specs(), st.lists(_ADDRESSES, max_size=24))
+    def test_index_column_is_the_stepped_fold(self, spec, addrs):
+        """Row ``i`` of the batched fold is :meth:`DolcSpec.index` of
+        address ``i`` with every earlier address as its path."""
+        column = spec.index_column(np.array(addrs, dtype=np.int64))
+        assert column.tolist() == [
+            spec.index(addr, addrs[:i]) for i, addr in enumerate(addrs)
+        ]
 
     @settings(max_examples=50)
     @given(dolc_specs())
@@ -161,20 +195,6 @@ class TestPathPredictorProperties:
         assert predictor.states_touched() <= predictor.spec.table_entries
 
 
-class _TraceWorkload:
-    """The slice of a workload :func:`simulate_exit_prediction` reads."""
-
-    def __init__(self, task_addrs, exits, n_exits_of):
-        self.trace = SimpleNamespace(
-            task_addr=np.array(task_addrs, dtype=np.uint32),
-            exit_index=np.array(exits, dtype=np.uint8),
-        )
-        self._n_exits_of = n_exits_of
-
-    def exit_counts(self):
-        return self._n_exits_of
-
-
 @st.composite
 def exit_traces(draw):
     """A short legal trace over a few tasks with 1–4 exits each.
@@ -193,7 +213,14 @@ def exit_traces(draw):
     )
     task_addrs = [addr for addr, _ in steps]
     exits = [choice % n_exits_of[addr] for addr, choice in steps]
-    return _TraceWorkload(task_addrs, exits, n_exits_of)
+    return trace_workload(
+        {
+            addr: [TaskExit(ControlFlowType.BRANCH, target=addr)] * n_exits
+            for addr, n_exits in n_exits_of.items()
+        },
+        task_addrs,
+        exit_index=exits,
+    )
 
 
 _VOTING_SPECS = st.sampled_from(
@@ -363,3 +390,179 @@ class TestConfidenceGate:
             expected.append(estimator.is_high_confidence(addr))
             estimator.update(addr, hit)
         assert flags.tolist() == expected
+
+
+_INDIRECT = CF_TYPE_CODES[ControlFlowType.INDIRECT_BRANCH]
+_BRANCH = CF_TYPE_CODES[ControlFlowType.BRANCH]
+
+
+@st.composite
+def target_streams(draw):
+    """``(slots, targets, indirect)``: writes to at most four slots, so
+    every slot is reused heavily, with targets that include 0."""
+    steps = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),
+                st.sampled_from([0, 4, 8, 0x1000]),
+                st.booleans(),
+            ),
+            max_size=120,
+        )
+    )
+    return tuple(list(column) for column in zip(*steps)) or ([], [], [])
+
+
+def _one_entry_per_slot(slots, targets, writes):
+    """What each step reads from one ``_TargetEntry`` per slot (None
+    before the slot's first write), training the entry at write steps;
+    returns the reads and the number of entries made."""
+    entries: dict[int, _TargetEntry] = {}
+    reads = []
+    for slot, target, write in zip(slots, targets, writes):
+        entry = entries.get(slot)
+        reads.append(None if entry is None else entry.target)
+        if write:
+            if entry is None:
+                entries[slot] = _TargetEntry(target)
+            else:
+                entry.update(target)
+    return reads, len(entries)
+
+
+class TestTargetEntryReplay:
+    """Every target buffer's batched replay is one hysteresis entry per
+    slot: the same misses, entries and stored targets. Slot ``s`` is the
+    task at address ``4 * s``, so a 4-bit TTB or depth-0 CTTB index is
+    the slot itself."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(target_streams())
+    def test_batched_matches_one_entry_per_slot(self, stream):
+        slots, targets, indirect = stream
+        workload = trace_workload(
+            {
+                4 * slot: [TaskExit(ControlFlowType.INDIRECT_BRANCH)]
+                for slot in range(4)
+            },
+            [4 * slot for slot in slots],
+            cf_type=[_INDIRECT if flag else _BRANCH for flag in indirect],
+            next_addr=targets,
+        )
+
+        # TTB: reads and trains at indirect exits only. A read of an
+        # unwritten slot misses, even when the actual target is 0.
+        reads, entries = _one_entry_per_slot(slots, targets, indirect)
+        stats = simulate_indirect_target_prediction(
+            workload, TaskTargetBuffer(index_bits=4)
+        )
+        assert stats.trials == sum(indirect)
+        assert stats.misses == sum(
+            read != target
+            for read, target, flag in zip(reads, targets, indirect)
+            if flag
+        )
+        assert stats.entries_touched == entries
+
+        # Headerless: every step reads, then trains, the CTTB.
+        reads, _ = _one_entry_per_slot(slots, targets, [True] * len(slots))
+        cttb = CorrelatedTaskTargetBuffer(DolcSpec(0, 0, 0, 4))
+        predicted = batched_task_prediction_column(
+            workload, CttbOnlyTaskPredictor(cttb), workload.trace
+        )
+        assert predicted.tolist() == [read or 0 for read in reads]
+
+        # Header scheme: every step predicts its one indirect exit from
+        # the CTTB, which trains only where the trace took one.
+        reads, _ = _one_entry_per_slot(slots, targets, indirect)
+        predictor = HeaderTaskPredictor(
+            workload.program,
+            PathExitPredictor(DolcSpec(0, 0, 0, 4)),
+            CorrelatedTaskTargetBuffer(DolcSpec(0, 0, 0, 4)),
+        )
+        predicted = batched_task_prediction_column(
+            workload, predictor, workload.trace
+        )
+        assert predicted.tolist() == [read or 0 for read in reads]
+
+
+_HISTORY_ADDRS = st.sampled_from([0x100, 0x104, 0x108, 0x2100])
+
+
+@st.composite
+def history_streams(draw):
+    """``(addrs, exits)`` over a few tasks, so per-task histories fill."""
+    steps = draw(
+        st.lists(st.tuples(_HISTORY_ADDRS, st.integers(0, 3)), max_size=60)
+    )
+    return tuple(list(column) for column in zip(*steps)) or ([], [])
+
+
+def _deque_keys(addrs, exits, depth, per_key):
+    """``(addr, window)`` per step, the window read from one
+    ``deque(maxlen=depth)`` (one per address when ``per_key``) before
+    the step's exit is appended."""
+    windows: dict[int, deque] = {}
+    keys = []
+    for addr, actual in zip(addrs, exits):
+        window = windows.setdefault(
+            addr if per_key else 0, deque(maxlen=depth)
+        )
+        keys.append((addr, tuple(window)))
+        window.append(actual)
+    return keys
+
+
+def _same_partition(ids, keys) -> bool:
+    """Equal ids exactly where the keys are equal."""
+    id_of = dict(zip(keys, ids))
+    return len(id_of) == len(set(ids)) and [id_of[k] for k in keys] == ids
+
+
+class TestHistoryWindows:
+    """History windows, global and per task, are one
+    ``deque(maxlen=depth)`` per key: both for the ideal predictors'
+    groupings and for the real GLOBAL/PER history registers."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(history_streams(), st.integers(min_value=0, max_value=6))
+    def test_ideal_groupings_key_the_deque_window(self, stream, depth):
+        addrs, exits = stream
+        for group, per_key in (
+            (group_by_global_history, False),
+            (group_by_per_key_history, True),
+        ):
+            ids = group(
+                np.array(addrs, dtype=np.int64),
+                np.array(exits, dtype=np.int64),
+                depth,
+            )
+            keys = _deque_keys(addrs, exits, depth, per_key)
+            assert _same_partition(ids.tolist(), keys)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        history_streams(),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=2, max_value=10),
+    )
+    def test_real_history_indices_match_stepping(
+        self, stream, depth, index_bits
+    ):
+        addrs, exits = stream
+        for make in (
+            lambda: GlobalExitPredictor(depth, index_bits=index_bits),
+            lambda: PerTaskExitPredictor(
+                depth, index_bits=index_bits, hrt_index_bits=2
+            ),
+        ):
+            stepped = make()
+            expected = []
+            for addr, actual in zip(addrs, exits):
+                expected.append(stepped._index(addr))
+                stepped.update(addr, 4, actual)
+            plan = make().batch_plan(
+                np.array(addrs, dtype=np.uint32),
+                np.array(exits, dtype=np.uint8),
+            )
+            assert plan.group_ids.tolist() == expected

@@ -4,13 +4,19 @@ import pytest
 
 from repro.predictors.exit_predictors import SimpleExitPredictor
 from repro.predictors.folding import DolcSpec
+from repro.predictors.headers import NO_ADDRESS, task_headers
 from repro.predictors.ideal import IdealPathPredictor
-from repro.predictors.task_predictor import PerfectTaskPredictor
+from repro.predictors.task_predictor import (
+    HeaderTaskPredictor,
+    PerfectTaskPredictor,
+)
 from repro.predictors.ttb import (
     CorrelatedTaskTargetBuffer,
     TaskTargetBuffer,
 )
 from repro.sim.functional import (
+    batched_task_prediction_column,
+    exit_count_column,
     simulate_exit_prediction,
     simulate_indirect_target_prediction,
     simulate_task_prediction,
@@ -22,6 +28,7 @@ from repro.sim.result import (
 )
 from repro.synth.behavior import FixedChoice, PeriodicChoice
 from repro.synth.trace import CF_TYPE_CODES
+from repro.synth.workloads import Workload
 from repro.isa.controlflow import ControlFlowType
 
 from tests.helpers import (
@@ -168,3 +175,62 @@ class TestResultRecords:
         assert stats.miss_rate_for("return") == pytest.approx(0.8)
         assert stats.miss_rate_for("branch") == 0.0
         assert stats.miss_rate_for("nothing") == 0.0
+
+
+class TestTaskHeaderTable:
+    """Every batched simulator reads one header table per program."""
+
+    def test_rows_hold_each_task_header(self, xlisp_workload):
+        program = xlisp_workload.program
+        table = task_headers(program)
+        tasks = sorted(program.tfg, key=lambda task: task.address)
+        assert table.addrs.tolist() == [task.address for task in tasks]
+        for row, task in enumerate(tasks):
+            assert table.n_exits[row] == task.n_exits
+            assert table.create_mask[row] == task.header.create_mask
+            assert table.use_mask[row] == task.use_mask
+            for col, e in enumerate(task.header.exits):
+                assert table.cf_codes[row, col] == CF_TYPE_CODES[e.cf_type]
+                assert table.targets[row, col] == (
+                    NO_ADDRESS if e.target is None else e.target
+                )
+                assert table.return_addrs[row, col] == (
+                    NO_ADDRESS if e.return_address is None
+                    else e.return_address
+                )
+        n_exits_of = xlisp_workload.exit_counts()
+        trace = xlisp_workload.trace
+        assert exit_count_column(xlisp_workload, trace.task_addr).tolist() == [
+            n_exits_of[addr] for addr in trace.task_addr.tolist()
+        ]
+
+    def test_one_exit_count_column_per_program_and_trace(
+        self, gcc_workload
+    ):
+        # Replays key their reuse on this column's identity.
+        column = gcc_workload.trace.task_addr
+        first = exit_count_column(gcc_workload, column)
+        assert exit_count_column(gcc_workload, column) is first
+        rewrapped = Workload(
+            profile=gcc_workload.profile,
+            program=gcc_workload.program,
+            trace=gcc_workload.trace,
+        )
+        assert exit_count_column(rewrapped, column) is first
+
+    def test_absent_header_address_never_reaches_a_prediction(
+        self, xlisp_workload
+    ):
+        """RETURN and indirect exits carry no header target; the RAS
+        and the CTTB answer every read of one."""
+        table = task_headers(xlisp_workload.program)
+        assert (table.targets == NO_ADDRESS).any()
+        predictor = HeaderTaskPredictor(
+            xlisp_workload.program,
+            SimpleExitPredictor(),
+            CorrelatedTaskTargetBuffer(DolcSpec.parse("5-5-6-7(3)")),
+        )
+        predicted = batched_task_prediction_column(
+            xlisp_workload, predictor, xlisp_workload.trace
+        )
+        assert predicted.min() >= 0

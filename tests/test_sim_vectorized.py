@@ -17,6 +17,7 @@ import pytest
 
 import repro
 from repro.errors import PredictorConfigError
+from repro.evalx.experiments.common import CTTB_DOLC_CONFIGS
 from repro.predictors.automata import (
     AUTOMATON_SPECS,
     LastExitHysteresis,
@@ -36,6 +37,7 @@ from repro.predictors.ideal import (
 from repro.predictors.speculative import SpeculativePathPredictor
 from repro.predictors.static_hints import StaticHintExitPredictor
 from repro.predictors.ttb import (
+    CorrelatedTaskTargetBuffer,
     IdealCorrelatedTargetBuffer,
     TaskTargetBuffer,
 )
@@ -163,6 +165,17 @@ class TestTargetBufferKernels:
         )
         batched = simulate_indirect_target_prediction(
             gcc_workload, IdealCorrelatedTargetBuffer(depth)
+        )
+        assert batched == looped
+
+    @pytest.mark.parametrize("spec", CTTB_DOLC_CONFIGS)
+    def test_real_cttb(self, gcc_workload, spec):
+        """Figure 12's eight path-indexed CTTBs, aliasing included."""
+        looped = reference.simulate_indirect_target_prediction(
+            gcc_workload, CorrelatedTaskTargetBuffer(DolcSpec.parse(spec))
+        )
+        batched = simulate_indirect_target_prediction(
+            gcc_workload, CorrelatedTaskTargetBuffer(DolcSpec.parse(spec))
         )
         assert batched == looped
 

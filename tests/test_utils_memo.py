@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.evalx.registry import run_experiment
-from repro.sim import functional
+from repro.predictors.headers import TaskHeaders
 from repro.synth import workloads
 from repro.utils import windows
 from repro.utils.memo import DerivedColumnCache, memo_counters
@@ -178,7 +178,8 @@ class TestPathGroupingReuse:
 class TestCrossCellReuse:
     """A figure 6 sweep keys its 70 cells by 10 path groupings of one
     gcc trace: each grouping (one factorize pass, see ``group_by_path``)
-    and the exit-count column are built once."""
+    and the trace's header rows, which give its exit-count column, are
+    built once."""
 
     def test_figure6_builds_each_grouping_once(self, monkeypatch):
         monkeypatch.setattr(workloads, "_trace_cache", {})
@@ -195,9 +196,9 @@ class TestCrossCellReuse:
             windows, "factorize", counting("path", windows.factorize)
         )
         monkeypatch.setattr(
-            functional,
-            "_exit_count_column",
-            counting("exit_counts", functional._exit_count_column),
+            TaskHeaders,
+            "_rows",
+            counting("exit_counts", TaskHeaders._rows),
         )
         result = run_experiment("figure6", n_tasks=1_500)
         assert len(result.data["depths"]) == 10
