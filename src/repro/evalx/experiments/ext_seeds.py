@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.compiler import PartitionConfig, compile_program
 from repro.evalx.experiments.common import BENCHMARKS, effective_tasks
 from repro.evalx.parallel import Cell, is_failure
 from repro.evalx.report import format_percent, render_table
@@ -23,37 +22,20 @@ from repro.predictors.ideal import (
     IdealPerTaskPredictor,
 )
 from repro.sim.functional import simulate_exit_prediction
-from repro.synth.executor import TraceExecutor
-from repro.synth.generator import SyntheticProgramGenerator
 from repro.synth.profiles import get_profile
-from repro.synth.workloads import Workload
+from repro.synth.workloads import load_workload
 
 _DEFAULT_TASKS = 120_000
 _N_SEEDS = 3
 _DEPTH = 7
 
 
-def _workload_for_seed(name: str, seed_offset: int, n_tasks: int) -> Workload:
-    profile = get_profile(name)
-    if seed_offset:
-        profile = replace(profile, seed=profile.seed + seed_offset)
-    program_cfg = SyntheticProgramGenerator(profile).generate()
-    compiled = compile_program(
-        program_cfg,
-        name=f"{name}+{seed_offset}",
-        config=PartitionConfig(
-            max_blocks_per_task=profile.max_blocks_per_task
-        ),
-    )
-    trace = TraceExecutor(
-        compiled, seed=profile.seed, phase_period=profile.phase_period
-    ).run(n_tasks)
-    return Workload(profile=profile, program=compiled.program, trace=trace)
-
-
 def _cell(name: str, offset: int, tasks: int) -> dict[str, float]:
     """Ideal depth-7 scheme miss rates for one (benchmark, seed) pair."""
-    workload = _workload_for_seed(name, offset, tasks)
+    profile = get_profile(name)
+    workload = load_workload(
+        replace(profile, seed=profile.seed + offset), tasks
+    )
     return {
         "global": simulate_exit_prediction(
             workload, IdealGlobalPredictor(_DEPTH)
@@ -70,7 +52,8 @@ def _cell(name: str, offset: int, tasks: int) -> dict[str, float]:
 def cells(n_tasks: int | None = None, quick: bool = False) -> list[Cell]:
     tasks = effective_tasks(n_tasks, quick, _DEFAULT_TASKS)
     seed_offsets = (0, 1) if quick else tuple(range(_N_SEEDS))
-    # Each cell regenerates its own workload, so no prewarm hint.
+    # Each other seed is loaded by its cell alone; prewarming it would
+    # only serialise its build in the parent, so no prewarm hint.
     return [
         Cell(
             label=f"{name}+{offset}",

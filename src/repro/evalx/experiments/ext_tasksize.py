@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.compiler import PartitionConfig, compile_program
 from repro.evalx.experiments.common import effective_tasks
 from repro.evalx.parallel import Cell, is_failure
 from repro.evalx.report import render_table
@@ -22,10 +21,8 @@ from repro.evalx.result import ExperimentResult
 from repro.predictors.exit_predictors import PathExitPredictor
 from repro.predictors.folding import DolcSpec
 from repro.sim.functional import simulate_exit_prediction
-from repro.synth.executor import TraceExecutor
-from repro.synth.generator import SyntheticProgramGenerator
 from repro.synth.profiles import get_profile
-from repro.synth.workloads import Workload
+from repro.synth.workloads import load_workload
 
 _BENCHMARKS = ("xlisp", "gcc")
 _QUICK_BENCHMARKS = ("xlisp",)
@@ -34,23 +31,11 @@ _DEFAULT_TASKS = 120_000
 _SPEC = "6-5-8-9(3)"
 
 
-def _build_workload(name: str, cap: int, n_tasks: int) -> Workload:
-    profile = replace(get_profile(name), max_blocks_per_task=cap)
-    program_cfg = SyntheticProgramGenerator(profile).generate()
-    compiled = compile_program(
-        program_cfg,
-        name=f"{name}-cap{cap}",
-        config=PartitionConfig(max_blocks_per_task=cap),
-    )
-    trace = TraceExecutor(
-        compiled, seed=profile.seed, phase_period=profile.phase_period
-    ).run(n_tasks)
-    return Workload(profile=profile, program=compiled.program, trace=trace)
-
-
 def _cell(name: str, cap: int, tasks: int) -> dict[str, float]:
     """Shape and accuracy of one benchmark re-partitioned at one cap."""
-    workload = _build_workload(name, cap, tasks)
+    workload = load_workload(
+        replace(get_profile(name), max_blocks_per_task=cap), tasks
+    )
     stats = simulate_exit_prediction(
         workload, PathExitPredictor(DolcSpec.parse(_SPEC))
     )
@@ -66,7 +51,8 @@ def _cell(name: str, cap: int, tasks: int) -> dict[str, float]:
 def cells(n_tasks: int | None = None, quick: bool = False) -> list[Cell]:
     benchmarks = _QUICK_BENCHMARKS if quick else _BENCHMARKS
     tasks = effective_tasks(n_tasks, quick, _DEFAULT_TASKS)
-    # The trace is rebuilt per (benchmark, cap) pair, so no prewarm hint.
+    # Each other cap is loaded by its cell alone; prewarming it would
+    # only serialise its build in the parent, so no prewarm hint.
     return [
         Cell(
             label=f"{name}:cap{cap}",

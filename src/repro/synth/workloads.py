@@ -4,7 +4,9 @@
 and the experiment harness: it generates the profile's synthetic program,
 compiles it to tasks, executes it to the requested trace length, and caches
 both in memory (per process) and on disk (under ``.repro-cache/``) so
-repeated experiment runs build nothing. The disk holds each benchmark's
+repeated experiment runs build nothing. A name stands for the profile
+registered under it; any other :class:`BenchmarkProfile` (another seed,
+another task-size cap) loads the same way. The disk holds each profile's
 executable as a checksummed program image (:mod:`repro.isa.image`) beside
 its traces, all keyed by a fingerprint of the profile and of the source
 code that builds them.
@@ -30,7 +32,7 @@ from repro.isa.image import decode_program, encode_program
 from repro.isa.program import MultiscalarProgram
 from repro.synth.executor import TraceExecutor
 from repro.synth.generator import SyntheticProgramGenerator
-from repro.synth.profiles import BenchmarkProfile, get_profile
+from repro.synth.profiles import PROFILES, BenchmarkProfile, get_profile
 from repro.synth.trace import TaskTrace
 from repro.utils.fsio import publish
 from repro.utils.hashing import stable_hash
@@ -57,13 +59,15 @@ class Workload:
         return {task.address: task.n_exits for task in self.program.tfg}
 
 
-#: One entry per benchmark: its executable, or once a trace had to be
-#: executed, its compiled program (the executable plus the block map
+#: One entry per registered profile: its executable, or once a trace had
+#: to be executed, its compiled program (the executable plus the block map
 #: :class:`TraceExecutor` runs), which keeps the same executable object.
-_program_cache: dict[str, MultiscalarProgram | CompiledProgram] = {}
-#: One Workload per (benchmark, length): identity-keyed derived-column
-#: caches anchored on it then hit in every cell that loads it.
-_trace_cache: dict[tuple[str, int], Workload] = {}
+_program_cache: dict[
+    BenchmarkProfile, MultiscalarProgram | CompiledProgram
+] = {}
+#: One Workload per (registered profile, length): identity-keyed
+#: derived-column caches anchored on it then hit in every cell that loads it.
+_trace_cache: dict[tuple[BenchmarkProfile, int], Workload] = {}
 
 #: Monotonically increasing per-process cache accounting. The parallel
 #: scheduler snapshots these around each cell and reports the deltas in
@@ -85,19 +89,32 @@ def cache_counters() -> dict[str, int]:
     return dict(_cache_stats)
 
 
-def build_program(name: str) -> CompiledProgram:
-    """Generate and compile the named benchmark's program (memoised).
+def _memoised(profile: BenchmarkProfile) -> bool:
+    """Whether ``profile`` is the one registered under its name.
 
-    An executable this process already holds (decoded from its image)
-    replaces the compiled one, which equals it: every workload of a
-    benchmark then shares one executable object.
+    Only those are held in memory: they are the workloads many cells
+    load. A variant (another seed or task-size cap) is loaded by one
+    cell, so it is read from the disk cache and freed with that cell.
     """
-    cached = _program_cache.get(name)
+    return PROFILES.get(profile.name) == profile
+
+
+def build_program(benchmark: str | BenchmarkProfile) -> CompiledProgram:
+    """Generate and compile a benchmark's program.
+
+    A name stands for its registered profile; a registered profile's
+    build is memoised. An executable this process already holds
+    (decoded from its image) replaces the compiled one, which equals it:
+    every workload of a profile then shares one executable object.
+    """
+    profile = (
+        get_profile(benchmark) if isinstance(benchmark, str) else benchmark
+    )
+    cached = _program_cache.get(profile)
     if isinstance(cached, CompiledProgram):
         _cache_stats["program_memory_hits"] += 1
         return cached
     _cache_stats["program_builds"] += 1
-    profile = get_profile(name)
     program_cfg = SyntheticProgramGenerator(profile).generate()
     compiled = compile_program(
         program_cfg,
@@ -108,20 +125,27 @@ def build_program(name: str) -> CompiledProgram:
     )
     if cached is not None:
         compiled.program = cached
-    _program_cache[name] = compiled
+    if _memoised(profile):
+        _program_cache[profile] = compiled
     return compiled
 
 
-def _load_program(profile: BenchmarkProfile) -> MultiscalarProgram:
-    """The benchmark's executable: from memory, its image, or a build.
+def _load_program(
+    profile: BenchmarkProfile,
+) -> tuple[MultiscalarProgram, CompiledProgram | None]:
+    """The profile's executable: from memory, its image, or a build.
 
-    A damaged or unreadable image is a miss: the program is rebuilt and
-    its image republished.
+    Also returns the compiled program when one is at hand, so a trace
+    executed right after a build needs no second build. A damaged or
+    unreadable image is a miss: the program is rebuilt and its image
+    republished.
     """
-    cached = _program_cache.get(profile.name)
+    cached = _program_cache.get(profile)
     if cached is not None:
         _cache_stats["program_memory_hits"] += 1
-        return cached.program if isinstance(cached, CompiledProgram) else cached
+        if isinstance(cached, CompiledProgram):
+            return cached.program, cached
+        return cached, None
     image_path = _entry_path(profile, ".msx")
     if image_path is not None:
         try:
@@ -130,13 +154,14 @@ def _load_program(profile: BenchmarkProfile) -> MultiscalarProgram:
             pass
         else:
             _cache_stats["program_disk_hits"] += 1
-            _program_cache[profile.name] = program
-            return program
-    program = build_program(profile.name).program
+            if _memoised(profile):
+                _program_cache[profile] = program
+            return program, None
+    compiled = build_program(profile)
     if image_path is not None:
-        blob = encode_program(program)
+        blob = encode_program(compiled.program)
         publish(image_path, lambda handle: handle.write(blob))
-    return program
+    return compiled.program, compiled
 
 
 def _cache_dir() -> Path | None:
@@ -149,11 +174,6 @@ def _cache_dir() -> Path | None:
     if configured.lower() in ("off", "none", ""):
         return None
     return Path(configured)
-
-
-def disk_cache_enabled() -> bool:
-    """Whether images and traces persist on disk (``REPRO_CACHE_DIR``)."""
-    return _cache_dir() is not None
 
 
 #: Temp files from a process killed mid-publish: both stores leave
@@ -229,30 +249,44 @@ def prewarm_workload(name: str, n_tasks: int | None = None) -> str:
     return name
 
 
-def load_workload(name: str, n_tasks: int | None = None) -> Workload:
-    """Return the named benchmark workload with an ``n_tasks``-long trace.
+def load_workload(
+    benchmark: str | BenchmarkProfile, n_tasks: int | None = None
+) -> Workload:
+    """Return a benchmark workload with an ``n_tasks``-long trace.
 
-    ``n_tasks`` defaults to the profile's ``default_dynamic_tasks``. The
-    executable is cached in memory and on disk keyed by (benchmark, seed),
-    traces by (benchmark, length, seed). Repeated calls return the *same*
-    ``Workload`` object until the program is reloaded (e.g. after
-    :func:`clear_caches`).
+    ``benchmark`` is a profile, or a name standing for the profile
+    registered under it. ``n_tasks`` defaults to the profile's
+    ``default_dynamic_tasks``. Executables and traces are cached on disk
+    keyed by the whole profile. A registered profile's are also held in
+    memory: repeated calls return the *same* ``Workload`` object until
+    :func:`clear_caches`. Any other profile is read from disk afresh.
     """
-    profile = get_profile(name)
+    profile = (
+        get_profile(benchmark) if isinstance(benchmark, str) else benchmark
+    )
     if n_tasks is None:
         n_tasks = profile.default_dynamic_tasks
-    program = _load_program(profile)
-
-    workload = _trace_cache.get((name, n_tasks))
+    workload = _trace_cache.get((profile, n_tasks))
     if workload is not None:
         _cache_stats["trace_memory_hits"] += 1
-        if workload.program is program and workload.profile is profile:
-            return workload
-        trace = workload.trace
+        return workload
+    program, compiled = _load_program(profile)
+    trace_path = _entry_path(profile, f"-n{n_tasks}.npz")
+    trace = _try_load_cached(trace_path, program)
+    if trace is not None:
+        _cache_stats["trace_disk_hits"] += 1
     else:
-        trace = _load_or_run(profile, program, n_tasks)
+        _cache_stats["trace_builds"] += 1
+        trace = TraceExecutor(
+            compiled if compiled is not None else build_program(profile),
+            seed=profile.seed,
+            phase_period=profile.phase_period,
+        ).run(n_tasks)
+        if trace_path is not None:
+            _save_cached(trace, trace_path)
     workload = Workload(profile=profile, program=program, trace=trace)
-    _trace_cache[(name, n_tasks)] = workload
+    if _memoised(profile):
+        _trace_cache[(profile, n_tasks)] = workload
     return workload
 
 
@@ -340,16 +374,17 @@ def _trace_matches_program(
 
 
 def _try_load_cached(
-    cache_path: Path, program: MultiscalarProgram
+    cache_path: Path | None, program: MultiscalarProgram
 ) -> TaskTrace | None:
-    """Load a cached trace, treating any damage as a cache miss.
+    """Load a cached trace (none while the cache is off), treating any
+    damage as a cache miss.
 
     A truncated disk or bit-rot can leave an unreadable or checksum-failing
     ``.npz``; regenerating is always safe, so corruption must never crash
     an experiment. A trace naming a task its executable lacks is damage
     too: image and trace are separate files.
     """
-    if not cache_path.exists():
+    if cache_path is None or not cache_path.exists():
         return None
     try:
         trace = TaskTrace.load(cache_path)
@@ -372,38 +407,6 @@ def _save_cached(trace: TaskTrace, cache_path: Path) -> None:
     entry — the worst case is redundant generation, last writer wins.
     """
     publish(cache_path, trace.save)
-
-
-def trace_cache_path(name: str, n_tasks: int | None = None) -> Path | None:
-    """Disk-cache entry path for a (benchmark, length), or None if off.
-
-    The file may or may not exist; this only computes where it lives.
-    """
-    profile = get_profile(name)
-    if n_tasks is None:
-        n_tasks = profile.default_dynamic_tasks
-    return _entry_path(profile, f"-n{n_tasks}.npz")
-
-
-def _load_or_run(
-    profile: BenchmarkProfile, program: MultiscalarProgram, n_tasks: int
-) -> TaskTrace:
-    cache_path = trace_cache_path(profile.name, n_tasks)
-    if cache_path is not None:
-        cached = _try_load_cached(cache_path, program)
-        if cached is not None:
-            _cache_stats["trace_disk_hits"] += 1
-            return cached
-    _cache_stats["trace_builds"] += 1
-    executor = TraceExecutor(
-        build_program(profile.name),
-        seed=profile.seed,
-        phase_period=profile.phase_period,
-    )
-    trace = executor.run(n_tasks)
-    if cache_path is not None:
-        _save_cached(trace, cache_path)
-    return trace
 
 
 def clear_caches() -> None:

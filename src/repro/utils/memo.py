@@ -15,8 +15,8 @@ revalidated on every hit.
 Anchor a value on the objects it is a pure function of, and on objects
 that live as long as the value is useful: trace columns, programs, and
 workloads (``load_workload`` hands out one ``Workload`` per
-(benchmark, length), so values anchored on it are shared by every cell
-of a sweep).
+(registered profile, length), so values anchored on it are shared by
+every cell of a sweep).
 
 Each cache is bounded twice: by entry count, and optionally by the
 bytes of the ndarrays its values hold. A value larger than the whole

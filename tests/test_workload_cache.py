@@ -7,13 +7,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.compiler import PartitionConfig, compile_program
 from repro.isa.image import decode_program
 from repro.synth import workloads
+from repro.synth.generator import SyntheticProgramGenerator
+from repro.synth.profiles import PROFILES, get_profile
 from tests.helpers import assert_same_program, target_byte_offset
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -74,11 +78,6 @@ class TestDiskCache:
         workloads._trace_cache.clear()
         regenerated = workloads.load_workload("compress", n_tasks=1500)
         assert len(regenerated.trace) == 1500
-
-    def test_disk_cache_enabled_follows_env(self, cache_dir, monkeypatch):
-        assert workloads.disk_cache_enabled()
-        monkeypatch.setenv("REPRO_CACHE_DIR", "off")
-        assert not workloads.disk_cache_enabled()
 
     def test_prewarm_populates_disk(self, cache_dir):
         assert workloads.prewarm_workload("compress", 1500) == "compress"
@@ -189,6 +188,55 @@ class TestCacheCounters:
         rebuilt = workloads.load_workload("compress", n_tasks=1500)
         assert rebuilt is not first
         assert rebuilt.program is not first.program
+
+    def test_replaced_profile_is_not_served_the_old_workload(
+        self, cache_dir, monkeypatch
+    ):
+        first = workloads.load_workload("compress", n_tasks=1500)
+        other = replace(first.profile, seed=first.profile.seed + 1)
+        monkeypatch.setitem(PROFILES, "compress", other)
+        second = workloads.load_workload("compress", n_tasks=1500)
+        assert second.profile == other
+        assert second.program is not first.program
+        assert second.trace is not first.trace
+        fresh = compile_program(
+            SyntheticProgramGenerator(other).generate(),
+            name=other.name,
+            config=PartitionConfig(
+                max_blocks_per_task=other.max_blocks_per_task
+            ),
+        )
+        assert_same_program(second.program, fresh.program)
+
+    def test_equal_profile_shares_the_named_workload(self, cache_dir):
+        named = workloads.load_workload("compress", n_tasks=1500)
+        profile = get_profile("compress")
+        equal = replace(profile, seed=profile.seed + 0)
+        assert equal is not profile
+        assert workloads.load_workload(equal, n_tasks=1500) is named
+
+    def test_variant_is_built_once_then_read_from_disk(self, cache_dir):
+        profile = get_profile("compress")
+        variant = replace(profile, max_blocks_per_task=4)
+        before = workloads.cache_counters()
+        cold = workloads.load_workload(variant, n_tasks=1500)
+        mid = workloads.cache_counters()
+        for key in ("program_builds", "trace_builds"):
+            assert mid[key] == before[key] + 1
+        warm = workloads.load_workload(variant, n_tasks=1500)
+        after = workloads.cache_counters()
+        for key in ("program_builds", "trace_builds"):
+            assert after[key] == mid[key]
+        for key in ("program_disk_hits", "trace_disk_hits"):
+            assert after[key] == mid[key] + 1
+        # Not held in memory: each load is a fresh object from disk.
+        assert warm is not cold
+        assert warm.profile == variant
+        assert_same_program(warm.program, cold.program)
+        assert np.array_equal(warm.trace.task_addr, cold.trace.task_addr)
+        named = workloads.load_workload("compress", n_tasks=1500)
+        assert not np.array_equal(warm.trace.task_addr, named.trace.task_addr)
+        assert len(list(cache_dir.glob("*.msx"))) == 2
 
     def test_counters_snapshot_is_a_copy(self, cache_dir):
         snapshot = workloads.cache_counters()
@@ -378,37 +426,67 @@ class TestSourceDigest:
 class TestWarmRunBuildsNothing:
     """A second CLI run on one cache generates and compiles nothing."""
 
-    def test_second_run_reads_every_program_image(self, tmp_path):
+    @staticmethod
+    def _runs(tmp_path, experiments):
+        """Run ``experiments`` twice on one cache: per run, the cell
+        records' summed cache counters, every cell's counters by label,
+        and the ``--json`` data."""
         env = dict(
             os.environ,
             PYTHONPATH=str(REPO_ROOT / "src"),
             REPRO_CACHE_DIR=str(tmp_path / "cache"),
         )
-        totals, outputs = [], []
+        runs = []
         for run in (1, 2):
             metrics = tmp_path / f"m{run}.jsonl"
             output = tmp_path / f"out{run}.json"
-            subprocess.run(
-                [
-                    sys.executable, "-m", "repro.evalx", "table2",
-                    "--quick", "--tasks", "2000",
-                    "--metrics", str(metrics), "--json", str(output),
-                ],
-                env=env, cwd=tmp_path, capture_output=True, check=True,
-                timeout=300,
-            )
+            for experiment in experiments:
+                subprocess.run(
+                    [
+                        sys.executable, "-m", "repro.evalx", experiment,
+                        "--quick", "--tasks", "2000",
+                        "--metrics", str(metrics), "--json", str(output),
+                    ],
+                    env=env, cwd=tmp_path, capture_output=True,
+                    check=True, timeout=300,
+                )
             total: dict[str, int] = {}
+            by_cell: dict[str, dict[str, int]] = {}
             for line in metrics.read_text().splitlines():
                 record = json.loads(line)
                 if record["event"] == "cell":
-                    for key, value in record.get("cache", {}).items():
+                    cache = record.get("cache", {})
+                    by_cell[record["cell"]] = cache
+                    for key, value in cache.items():
                         total[key] = total.get(key, 0) + value
-            totals.append(total)
-            outputs.append(
-                [json.loads(line)["data"]
-                 for line in output.read_text().splitlines()]
-            )
-        assert totals[0].get("program_builds") == 5
-        assert totals[1].get("program_builds", 0) == 0
-        assert totals[1].get("program_disk_hits") == 5
-        assert outputs[1] == outputs[0]
+            data = [
+                json.loads(line)["data"]
+                for line in output.read_text().splitlines()
+            ]
+            runs.append((total, by_cell, data))
+        return runs
+
+    def test_second_run_reads_every_program_image(self, tmp_path):
+        (cold, _, first), (warm, _, second) = self._runs(
+            tmp_path, ["table2"]
+        )
+        assert cold.get("program_builds") == 5
+        assert warm.get("program_builds", 0) == 0
+        assert warm.get("program_disk_hits") == 5
+        assert second == first
+
+    def test_second_extension_run_builds_no_variant(self, tmp_path):
+        (cold, cold_cells, first), (warm, _, second) = self._runs(
+            tmp_path, ["ext_seeds", "ext_tasksize"]
+        )
+        # Ten (benchmark, seed) workloads, then xlisp at caps 2, 4 and
+        # 16: its cap 8 is its registered profile, on disk already.
+        assert cold.get("program_builds") == 13
+        assert cold.get("trace_builds") == 13
+        for label, cache in cold_cells.items():
+            builds = 0 if label == "xlisp:cap8" else 1
+            assert cache.get("program_builds", 0) == builds, label
+            assert cache.get("trace_builds", 0) == builds, label
+        assert warm.get("program_builds", 0) == 0
+        assert warm.get("trace_builds", 0) == 0
+        assert second == first

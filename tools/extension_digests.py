@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Pin the ten extension experiments' ``--json`` data by SHA-256 digest.
 
-Regenerates every extension at a small fixed size and compares the
-SHA-256 of each experiment's ``data`` (serialised with sorted keys)
-with the digests committed in ``tools/extension_digests.json``. Exits
-nonzero on any mismatch, missing or unexpected experiment.
+Regenerates every extension at a small fixed size, from an empty
+workload cache of its own, and compares the SHA-256 of each
+experiment's ``data`` (serialised with sorted keys) with the digests
+committed in ``tools/extension_digests.json``. Exits nonzero on any
+mismatch, missing or unexpected experiment.
 
 Usage::
 
@@ -46,12 +47,14 @@ def digests_of(json_lines: str) -> dict[str, str]:
 
 
 def regenerate() -> str:
-    """Run the extensions and return their ``--json`` lines."""
+    """Run the extensions from an empty cache; return their ``--json``
+    lines."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     with tempfile.TemporaryDirectory() as tmp:
+        env["REPRO_CACHE_DIR"] = str(Path(tmp) / "cache")
         out = Path(tmp) / "extensions.jsonl"
         subprocess.run(
             [sys.executable, "-m", "repro.evalx", *RUN_ARGS,
