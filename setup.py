@@ -4,20 +4,10 @@ The offline environment has setuptools but not the ``wheel`` package, so
 PEP 660 editable installs (which need ``bdist_wheel``) fail. Keeping a
 ``setup.py`` and omitting the ``[build-system]`` table from pyproject.toml
 lets ``pip install -e .`` fall back to the legacy ``setup.py develop`` path,
-which works without network access.
+which works without network access. Every piece of package metadata is
+declared once, in pyproject.toml's ``[project]`` table.
 """
 
-from setuptools import find_packages, setup
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="1.0.0",
-    description=(
-        "Reproduction of 'Control Flow Speculation in Multiscalar "
-        "Processors' (Jacobson et al., HPCA 1997)"
-    ),
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    python_requires=">=3.10",
-    install_requires=["numpy"],
-)
+setup()

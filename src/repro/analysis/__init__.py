@@ -1,41 +1,27 @@
-"""Repo-specific static analysis guarding the parallel engine's invariants.
+"""Repo-specific static analysis for what the test suite cannot see.
 
-The reproduction's headline guarantee — serial and ``--jobs N`` runs are
-bit-identical — rests on properties nothing in Python enforces at
-runtime: simulation kernels must be deterministic, cell functions shipped
-to worker processes must not mutate shared module state, and every
-experiment driver must speak the cells/combine protocol (including
-tolerating :class:`~repro.evalx.parallel.CellFailure` gaps). This package
-machine-checks those invariants over the source tree.
+Most of the engine's guarantees are checked by running the code: the
+determinism twin, the registry checks and the property tests of the
+tier-1 suite (``docs/ANALYSIS.md`` maps each guarantee to its test).
+Two are not visible in any output, so they stay source checks (see
+:mod:`repro.analysis.rules`):
 
-Six rule families (see :mod:`repro.analysis.rules`):
+* ``CKP003`` — crash-safe publication: store files reach their
+  destination only through :func:`repro.utils.fsio.publish`, the two
+  store modules never write a file in place, and no module writes
+  ``os.environ``. A torn write shows only after a crash.
+* ``VEC001`` — the vectorization contract: no per-element Python loop
+  over ndarray state in the kernel packages. Such a loop gives the
+  same answers, only slower.
 
-* ``DET*`` — determinism lint: unseeded ``random`` / legacy
-  ``np.random`` global-state calls, wall-clock reads, and
-  set-iteration-order dependence inside simulation code.
-* ``PUR*`` — worker-purity race detector: module-level mutable globals
-  written by functions reachable from registered cell callables, and
-  unpicklable cell callables.
-* ``PROT*`` — driver-protocol conformance: every experiment module is
-  registered, defines ``cells``/``combine``, and its ``combine``
-  handles :class:`~repro.evalx.parallel.CellFailure`.
-* ``NPW*`` — numpy bit-width lint: shifts and accumulations that can
-  exceed the operand dtype width.
-* ``CKP*`` — checkpoint hygiene: cell kwargs the checkpoint
-  fingerprint rejects, store files renamed into place anywhere but
-  :mod:`repro.utils.fsio`, and any ``os.environ`` write.
-* ``VEC*`` — vectorization contract: per-element Python loops over
-  ndarray state in batched modules, and narrowing bit-packed stores.
-
-Findings can be suppressed per line (``# repro: noqa[RULE]``) or
-recorded as intentional exceptions in a baseline file with a
-justification each. Run ``python -m repro.analysis`` for the CLI.
+A finding is accepted only by a justified entry in the baseline file,
+which goes stale (and fails the run) once its finding stops firing.
+Run ``python -m repro.analysis`` for the CLI.
 """
 
 from repro.analysis.core import (
     Finding,
     ModuleInfo,
-    Project,
     Rule,
     all_rules,
     get_rule,
@@ -49,7 +35,6 @@ __all__ = [
     "BaselineEntry",
     "Finding",
     "ModuleInfo",
-    "Project",
     "Rule",
     "all_rules",
     "get_rule",

@@ -5,15 +5,13 @@ Examples::
     python -m repro.analysis             # scan src/repro, tools, benchmarks
     python -m repro.analysis --format json --output report.json
     python -m repro.analysis --format sarif --output findings.sarif
-    python -m repro.analysis --rules DET001,PUR001 src/repro/synth
-    python -m repro.analysis --write-baseline      # bootstrap exceptions
+    python -m repro.analysis --rules VEC001 src/repro/sim
     python -m repro.analysis --prune-stale         # drop fixed entries
     python -m repro.analysis --list-rules
 
-Exit status: 0 when every finding is suppressed or baselined and no
-baseline entry is stale, 1 when violations or stale entries remain (CI
-gates on both; ``--prune-stale`` removes the latter), 2 on usage
-errors.
+Exit status: 0 when every finding is baselined and no baseline entry
+is stale, 1 when violations or stale entries remain (CI gates on both;
+``--prune-stale`` removes the latter), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from repro.analysis.baseline import Baseline
 from repro.analysis.core import Finding, all_rules, run_analysis
 from repro.analysis.sarif import to_sarif
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 #: Default baseline location, relative to the working directory.
 DEFAULT_BASELINE = Path("tools/analysis_baseline.json")
@@ -40,7 +38,6 @@ DEFAULT_PATHS = ("src/repro", "tools", "benchmarks")
 def _build_report(
     findings: list[Finding],
     baselined: list[Finding],
-    suppressed: int,
     stale: list,
 ) -> dict:
     """Assemble the JSON report (schema asserted by the test suite)."""
@@ -54,7 +51,6 @@ def _build_report(
         "counts": {
             "findings": len(findings),
             "baselined": len(baselined),
-            "suppressed": suppressed,
             "stale_baseline": len(stale),
         },
         "stale_baseline": [
@@ -68,10 +64,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Static analysis guarding the parallel experiment engine's "
-            "invariants: determinism, worker purity, driver protocol, "
-            "numpy bit widths, checkpoint hygiene (store publication, "
-            "no environment writes), vectorization."
+            "Static analysis for what the test suite cannot see: store "
+            "files published only through repro.utils.fsio with no "
+            "environment writes (CKP003), and no per-element Python "
+            "loops over ndarray state in the kernel packages (VEC001)."
         ),
     )
     parser.add_argument(
@@ -100,13 +96,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-baseline", action="store_true",
         help="ignore the baseline and report accepted findings too",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help=(
-            "write the current findings to the baseline file with "
-            "placeholder justifications (edit before committing)"
-        ),
     )
     parser.add_argument(
         "--prune-stale", action="store_true",
@@ -157,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         rule_ids = [r.strip() for r in args.rules.split(",") if r.strip()]
 
     try:
-        findings, suppressed = run_analysis(paths, root, rule_ids)
+        findings = run_analysis(paths, root, rule_ids)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -165,15 +154,6 @@ def main(argv: list[str] | None = None) -> int:
     baseline_path = Path(args.baseline)
     if not baseline_path.is_absolute():
         baseline_path = root / baseline_path
-
-    if args.write_baseline:
-        Baseline.write(baseline_path, findings)
-        print(
-            f"wrote {len(findings)} finding(s) to {baseline_path}; "
-            "edit the justifications before committing",
-            file=sys.stderr,
-        )
-        return 0
 
     baselined: list[Finding] = []
     stale: list = []
@@ -200,7 +180,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
         stale = baseline.stale_entries()
 
-    report = _build_report(findings, baselined, suppressed, stale)
+    report = _build_report(findings, baselined, stale)
     if args.format == "sarif":
         payload = json.dumps(to_sarif(findings, all_rules()), indent=2)
         payload += "\n"
@@ -218,8 +198,7 @@ def main(argv: list[str] | None = None) -> int:
         counts = report["counts"]
         print(
             f"{counts['findings']} finding(s), "
-            f"{counts['baselined']} baselined, "
-            f"{counts['suppressed']} suppressed"
+            f"{counts['baselined']} baselined"
         )
     for entry in stale:
         print(

@@ -3,7 +3,8 @@
 A baseline entry matches findings by ``(rule, path, symbol)`` — not line
 number — so entries survive unrelated edits. Every entry must carry a
 non-empty justification: the baseline is a reviewed list of "yes, we
-mean it" decisions, not a dumping ground for unread warnings.
+mean it" decisions, not a dumping ground for unread warnings. It is the
+only way to accept a finding; there are no inline suppressions.
 
 File format (JSON, sorted, newline-terminated — diff-friendly)::
 
@@ -11,10 +12,10 @@ File format (JSON, sorted, newline-terminated — diff-friendly)::
       "version": 1,
       "entries": [
         {
-          "rule": "PUR001",
-          "path": "src/repro/synth/workloads.py",
-          "symbol": "_trace_cache",
-          "justification": "per-process memo cache; values are pure ..."
+          "rule": "VEC001",
+          "path": "src/repro/utils/scan.py",
+          "symbol": "sorted_fsm_scan",
+          "justification": "pass 2 propagates chunk-entry states ..."
         }
       ]
     }
@@ -127,32 +128,3 @@ class Baseline:
         )
         self.entries = kept
         return stale
-
-    @staticmethod
-    def write(
-        path: Path,
-        findings: list[Finding],
-        justification: str = "TODO: justify or fix",
-    ) -> None:
-        """Write a baseline accepting the given findings.
-
-        Meant for bootstrapping (``--write-baseline``); the placeholder
-        justifications must be edited before the file passes review —
-        and before it loads, since empty justifications are rejected.
-        """
-        entries = sorted(
-            {
-                (f.rule, f.path, f.symbol): {
-                    "rule": f.rule,
-                    "path": f.path,
-                    "symbol": f.symbol,
-                    "justification": justification,
-                }
-                for f in findings
-            }.values(),
-            key=lambda e: (e["path"], e["rule"], e["symbol"]),
-        )
-        payload = {"version": BASELINE_VERSION, "entries": entries}
-        path.write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )

@@ -1,34 +1,21 @@
-"""Analysis framework: findings, rules, project model, suppressions.
+"""Analysis framework: findings, rules, parsed modules.
 
 The framework parses every Python file under the scanned roots once into
-a :class:`Project` of :class:`ModuleInfo` records (AST + source +
-suppression map + dotted module name), then hands the whole project to
-each registered :class:`Rule`. Most rules look at one module at a time;
-whole-program rules (the purity race detector, the driver-protocol
-checker) override :meth:`Rule.check_project` and walk across modules.
+a :class:`ModuleInfo` (AST + dotted module name) and hands each module
+in a rule's scope to that :class:`Rule`. Every rule is a flat AST walk
+over one module.
 
-Suppressions are source comments on the offending line::
-
-    risky_call()  # repro: noqa[DET001]
-    other_call()  # repro: noqa          (suppresses every rule)
-
-Intentional, long-lived exceptions belong in the baseline file instead
-(see :mod:`repro.analysis.baseline`), where each entry carries a
-justification.
+A finding is accepted only through the baseline file (see
+:mod:`repro.analysis.baseline`), where each entry carries a
+justification and goes stale once its finding stops firing.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
-
-_NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[([A-Za-z0-9_,\s]+)\])?")
-
-#: Matches every rule id in a bare ``# repro: noqa`` comment.
-SUPPRESS_ALL = "*"
 
 
 @dataclass(frozen=True)
@@ -36,15 +23,15 @@ class Finding:
     """One rule violation at a specific source location.
 
     Attributes:
-        rule: Rule id, e.g. ``"DET001"``.
+        rule: Rule id, e.g. ``"VEC001"``.
         path: Posix-style path of the file, relative to the scan root.
         line: 1-based source line of the violation.
         col: 0-based column of the violation.
         message: Human-readable description, including the fix direction.
         symbol: Stable anchor for baseline matching — the enclosing
-            function/class qualname, a global name, or the module name.
-            Baselines match on (rule, path, symbol) so entries survive
-            unrelated edits that shift line numbers.
+            function/class qualname, or ``"<module>"``. Baselines match
+            on (rule, path, symbol) so entries survive unrelated edits
+            that shift line numbers.
     """
 
     rule: str
@@ -75,51 +62,27 @@ class ModuleInfo:
     """One parsed source file.
 
     Attributes:
-        path: Absolute filesystem path.
         relpath: Posix path relative to the scan root (finding/baseline key).
         dotted: Dotted module name inferred from ``__init__.py`` package
             structure (``"repro.synth.workloads"``), or the bare stem for
             a stray file.
         tree: Parsed AST.
-        lines: Source split into lines (for suppression scanning).
-        suppressions: line -> set of suppressed rule ids (``"*"`` = all).
     """
 
-    path: Path
     relpath: str
     dotted: str
     tree: ast.Module
-    lines: list[str]
-    suppressions: dict[int, set[str]] = field(default_factory=dict)
-
-    def is_suppressed(self, rule_id: str, line: int) -> bool:
-        """Whether ``rule_id`` is noqa'd on ``line``."""
-        suppressed = self.suppressions.get(line, ())
-        return rule_id in suppressed or SUPPRESS_ALL in suppressed
 
     def segments(self) -> tuple[str, ...]:
         """Dotted-name segments, for sub-package scope matching."""
         return tuple(self.dotted.split("."))
 
 
-class Project:
-    """Every module under the scanned roots, with cross-module lookups."""
-
-    def __init__(self, modules: Sequence[ModuleInfo]) -> None:
-        self.modules = sorted(modules, key=lambda m: m.relpath)
-        self.by_dotted = {m.dotted: m for m in self.modules}
-
-    def module(self, dotted: str) -> ModuleInfo | None:
-        """Look up a module by dotted name, or None if outside the scan."""
-        return self.by_dotted.get(dotted)
-
-
 class Rule:
     """Base class for one analysis rule.
 
     Subclasses set the class attributes and implement
-    :meth:`check_module` (or override :meth:`check_project` for
-    whole-program rules). ``scope`` restricts a rule to modules whose
+    :meth:`check_module`. ``scope`` restricts a rule to modules whose
     dotted name contains one of the given segment sequences (e.g.
     ``("sim",)`` matches ``repro.sim.functional``); ``None`` scans
     everything.
@@ -144,21 +107,9 @@ class Rule:
                 return True
         return False
 
-    def check_module(
-        self, module: ModuleInfo, project: Project
-    ) -> Iterator[Finding]:
-        """Yield findings for one module (default: nothing)."""
-        return iter(())
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        """Yield findings for the whole project.
-
-        The default walks every in-scope module through
-        :meth:`check_module`; whole-program rules override this.
-        """
-        for module in project.modules:
-            if self.applies_to(module):
-                yield from self.check_module(module, project)
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
+        """Yield findings for one in-scope module."""
+        raise NotImplementedError
 
 
 _RULES: dict[str, Rule] = {}
@@ -196,24 +147,6 @@ def _load_rules() -> None:
     from repro.analysis import rules  # noqa: F401  (import for side effect)
 
 
-def _scan_suppressions(lines: Iterable[str]) -> dict[int, set[str]]:
-    """Map line number -> rule ids suppressed by ``# repro: noqa`` comments."""
-    suppressions: dict[int, set[str]] = {}
-    for lineno, text in enumerate(lines, start=1):
-        match = _NOQA_RE.search(text)
-        if match is None:
-            continue
-        if match.group(1) is None:
-            suppressions[lineno] = {SUPPRESS_ALL}
-        else:
-            suppressions[lineno] = {
-                rule.strip()
-                for rule in match.group(1).split(",")
-                if rule.strip()
-            }
-    return suppressions
-
-
 def _dotted_name(path: Path) -> str:
     """Infer a dotted module name by walking up through ``__init__.py``s."""
     parts = [path.stem] if path.stem != "__init__" else []
@@ -239,19 +172,11 @@ def load_module(path: Path, root: Path) -> ModuleInfo | None:
         relpath = str(PurePosixPath(path.relative_to(root).as_posix()))
     except ValueError:
         relpath = path.as_posix()
-    lines = source.splitlines()
-    return ModuleInfo(
-        path=path,
-        relpath=relpath,
-        dotted=_dotted_name(path),
-        tree=tree,
-        lines=lines,
-        suppressions=_scan_suppressions(lines),
-    )
+    return ModuleInfo(relpath=relpath, dotted=_dotted_name(path), tree=tree)
 
 
-def load_project(paths: Sequence[Path], root: Path) -> Project:
-    """Parse every ``.py`` file under ``paths`` into a :class:`Project`."""
+def load_modules(paths: Sequence[Path], root: Path) -> list[ModuleInfo]:
+    """Parse every ``.py`` file under ``paths``, each file once."""
     modules: list[ModuleInfo] = []
     seen: set[Path] = set()
     for entry in paths:
@@ -264,38 +189,32 @@ def load_project(paths: Sequence[Path], root: Path) -> Project:
             module = load_module(file, root)
             if module is not None:
                 modules.append(module)
-    return Project(modules)
+    return modules
 
 
 def run_analysis(
     paths: Sequence[Path],
     root: Path,
     rule_ids: Sequence[str] | None = None,
-) -> tuple[list[Finding], int]:
+) -> list[Finding]:
     """Run the selected rules over the given paths.
 
-    Returns ``(findings, suppressed_count)``: findings sorted by
-    location, with line-level ``noqa`` suppressions already removed and
-    counted. Baseline filtering is the caller's concern (the CLI applies
-    it after this, so library users can see everything).
+    Returns every finding, sorted by location. Baseline filtering is the
+    caller's concern (the CLI applies it after this, so library users
+    can see everything).
     """
-    project = load_project(paths, root)
+    modules = load_modules(paths, root)
     rules = (
         all_rules()
         if rule_ids is None
         else [get_rule(rule_id) for rule_id in rule_ids]
     )
-    findings: list[Finding] = []
-    suppressed = 0
-    modules_by_relpath = {m.relpath: m for m in project.modules}
-    for rule in rules:
-        for finding in rule.check_project(project):
-            module = modules_by_relpath.get(finding.path)
-            if module is not None and module.is_suppressed(
-                finding.rule, finding.line
-            ):
-                suppressed += 1
-                continue
-            findings.append(finding)
+    findings = [
+        finding
+        for rule in rules
+        for module in modules
+        if rule.applies_to(module)
+        for finding in rule.check_module(module)
+    ]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings, suppressed
+    return findings

@@ -1,4 +1,4 @@
-"""AST helpers shared by the rule implementations.
+"""AST helpers shared by the two rules (CKP003 and VEC001).
 
 These are deliberately *local* inferences: names are resolved through a
 module's own import statements and assignments, never by executing
@@ -79,23 +79,21 @@ def resolve_dotted(dotted: str, imports: ImportMap) -> str:
     return dotted
 
 
-def walk_scopes(
-    tree: ast.Module,
-) -> Iterator[tuple[str, ast.AST, list[ast.stmt]]]:
-    """Yield ``(qualname, scope_node, body)`` for the module and each def.
+def walk_scopes(tree: ast.Module) -> Iterator[tuple[str, ast.AST]]:
+    """Yield ``(qualname, scope_node)`` for the module and each def.
 
     The module itself comes first with qualname ``"<module>"``. Class
     bodies are traversed for the defs inside them but are not scopes of
     their own (class-level statements execute at import, i.e. in the
     module scope for our purposes).
     """
-    yield "<module>", tree, tree.body
+    yield "<module>", tree
 
     def visit(node: ast.AST, prefix: str) -> Iterator:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualname = f"{prefix}{child.name}"
-                yield qualname, child, child.body
+                yield qualname, child
                 yield from visit(child, f"{qualname}.<locals>.")
             elif isinstance(child, ast.ClassDef):
                 yield from visit(child, f"{prefix}{child.name}.")
@@ -113,7 +111,7 @@ def enclosing_qualnames(tree: ast.Module) -> dict[int, str]:
     :func:`walk_scopes` covers.
     """
     table: dict[int, str] = {}
-    for qualname, scope, _body in walk_scopes(tree):
+    for qualname, scope in walk_scopes(tree):
         stack = [scope]
         while stack:
             node = stack.pop()
@@ -126,59 +124,3 @@ def enclosing_qualnames(tree: ast.Module) -> dict[int, str]:
                     continue  # owned by the inner scope's walk
                 stack.append(child)
     return table
-
-
-def local_names(scope: ast.AST) -> set[str]:
-    """Names bound locally in a function scope (params + stores).
-
-    Over-approximates: any Name stored anywhere in the body counts, plus
-    parameters, ``for`` targets and ``with ... as`` targets. Names
-    declared ``global`` are excluded.
-    """
-    names: set[str] = set()
-    globals_declared: set[str] = set()
-    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        args = scope.args
-        for arg in (
-            *args.posonlyargs, *args.args, *args.kwonlyargs,
-            *filter(None, (args.vararg, args.kwarg)),
-        ):
-            names.add(arg.arg)
-    for node in ast.walk(scope):
-        if isinstance(node, ast.Name) and isinstance(
-            node.ctx, (ast.Store, ast.Del)
-        ):
-            names.add(node.id)
-        elif isinstance(node, ast.Global):
-            globals_declared.update(node.names)
-    return names - globals_declared
-
-
-def call_dtype_name(call: ast.Call) -> str | None:
-    """Extract the dtype keyword of a call as a plain name, if present."""
-    for keyword in call.keywords:
-        if keyword.arg == "dtype":
-            return _dtype_name(keyword.value)
-    return None
-
-
-def _dtype_name(node: ast.expr) -> str | None:
-    """Normalise a dtype expression (``np.int32``, ``"int32"``, ``bool``)."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
-
-
-def dtype_of_astype(call: ast.Call) -> str | None:
-    """dtype name of an ``x.astype(...)`` call, or None."""
-    if (
-        isinstance(call.func, ast.Attribute)
-        and call.func.attr == "astype"
-        and call.args
-    ):
-        return _dtype_name(call.args[0])
-    return None

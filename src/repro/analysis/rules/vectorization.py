@@ -1,25 +1,18 @@
-"""VEC rules: vectorization-contract lint for the batched kernels.
+"""VEC001: vectorization-contract lint for the batched kernels.
 
 The performance contract of the simulation kernels is that every module
 of the kernel packages (``sim``, ``predictors``, ``utils``) does its
 per-trace work in whole-array numpy operations; the few sequential loops
 that remain (stepped reference paths, hysteresis replays whose stored
 value is an address) iterate over plain Python lists (``.tolist()``).
-Two regressions are easy to introduce and invisible to the test suite
-(which checks answers, not complexity):
+A per-element Python ``for`` loop creeping back over ndarray state is
+invisible to the test suite, which checks answers, not complexity: each
+``arr[i]`` read/write costs a numpy scalar box (~1µs), so one stray loop
+quietly erases a 10x kernel win while every test stays green.
 
-* a per-element Python ``for`` loop creeping back over ndarray state
-  (VEC001): each ``arr[i]`` read/write costs a numpy scalar box (~1µs),
-  so one stray loop quietly erases a 10x kernel win while every test
-  stays green;
-* a narrowing store into a bit-packed column (VEC002): writing an
-  int64 value into an int8/int16/int32 column truncates silently —
-  numpy raises nothing — corrupting packed history keys only for
-  traces long enough to exercise the high bits.
-
-Dtype inference is shared with the NPW rules (:mod:`.bitwidth`):
-function-local, from array constructors with ``dtype=`` and
-``.astype`` calls. Sanctioned scalar reference paths iterate over
+Array inference is function-local: a name counts as a numpy array when
+it is assigned from a numpy array constructor or an ``.astype`` call in
+the same scope. Sanctioned scalar reference paths iterate over
 ``.tolist()`` materialisations, which the inference deliberately does
 not track — so only loops over live ndarray state are flagged.
 """
@@ -29,15 +22,84 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.analysis.core import Finding, ModuleInfo, register_rule
-from repro.analysis.rules._shared import ImportMap, dotted_call_name
-from repro.analysis.rules.bitwidth import (
-    _NARROW_INT,
-    _WIDE_INT,
-    _BitwidthRule,
-    _DtypeScope,
-    _scope_nodes,
+from repro.analysis.core import Finding, ModuleInfo, Rule, register_rule
+from repro.analysis.rules._shared import (
+    ImportMap,
+    dotted_call_name,
+    resolve_dotted,
+    walk_scopes,
 )
+
+#: numpy constructors that produce arrays.
+_ARRAY_CTORS = frozenset(
+    {"zeros", "ones", "empty", "full", "array", "asarray", "arange",
+     "fromiter", "zeros_like", "ones_like", "empty_like", "full_like",
+     "frombuffer", "fromfile"}
+)
+
+#: Array methods whose result is still an array of the receiver's kind.
+_ARRAY_PRESERVING = frozenset({"copy", "reshape", "ravel", "flatten", "T"})
+
+
+def _scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """Every node of one scope, without descending into nested defs."""
+    stack = [scope]
+    while stack:
+        node = stack.pop()
+        yield node
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            ):
+                continue
+            stack.append(child)
+
+
+class _ArrayNames:
+    """Which expressions of one scope are numpy arrays."""
+
+    def __init__(self, scope: ast.AST, imports: ImportMap) -> None:
+        self.imports = imports
+        self.names: set[str] = set()
+        # Two passes so chains like a = np.zeros(...); b = a.copy() work
+        # regardless of statement order quirks in the walk.
+        for _ in range(2):
+            for node in _scope_nodes(scope):
+                if (
+                    isinstance(node, ast.Assign)
+                    and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)
+                    and self.is_array(node.value)
+                ):
+                    self.names.add(node.targets[0].id)
+
+    def is_array(self, node: ast.expr) -> bool:
+        """Whether the expression is inferred to be a numpy array."""
+        if isinstance(node, ast.Name):
+            return node.id in self.names
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and (
+                (func.attr == "astype" and node.args)
+                or (
+                    func.attr in _ARRAY_PRESERVING
+                    and self.is_array(func.value)
+                )
+            ):
+                return True
+            dotted = dotted_call_name(func)
+            if dotted is None:
+                return False
+            resolved = resolve_dotted(dotted, self.imports)
+            return (
+                resolved.startswith("numpy.")
+                and resolved.rpartition(".")[2] in _ARRAY_CTORS
+            )
+        if isinstance(node, ast.BinOp):
+            return self.is_array(node.left) or self.is_array(node.right)
+        if isinstance(node, ast.Subscript):
+            return self.is_array(node.value)
+        return False
 
 
 def _loop_var_names(target: ast.expr) -> set[str]:
@@ -74,7 +136,7 @@ def _scalar_index(index: ast.expr, loop_vars: set[str]) -> bool:
 
 
 @register_rule
-class PerElementLoop(_BitwidthRule):
+class PerElementLoop(Rule):
     id = "VEC001"
     title = "per-element Python loop over ndarray state"
     rationale = (
@@ -86,35 +148,31 @@ class PerElementLoop(_BitwidthRule):
     )
     scope = ("sim", "predictors", "utils")
 
-    def check_scope(
-        self,
-        module: ModuleInfo,
-        qualname: str,
-        scope: ast.AST,
-        dtypes: _DtypeScope,
-        imports: ImportMap,
-    ) -> Iterator[Finding]:
-        for node in _scope_nodes(scope):
-            if not isinstance(node, ast.For):
-                continue
-            # Direct element iteration: ``for x in ndarray``.
-            if dtypes.dtype_of(node.iter) is not None:
-                yield self._finding(
-                    module, qualname, node,
-                    "iterates over a numpy array element by element",
-                )
-                continue
-            # Counted loop indexing into ndarray state per iteration.
-            if not self._is_counted(node.iter):
-                continue
-            loop_vars = _loop_var_names(node.target)
-            hit = self._indexed_subscript(node, loop_vars, dtypes)
-            if hit is not None:
-                yield self._finding(
-                    module, qualname, node,
-                    "indexes ndarray state per iteration "
-                    f"(line {hit.lineno})",
-                )
+    def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
+        imports = ImportMap.of(module.tree)
+        for qualname, scope in walk_scopes(module.tree):
+            arrays = _ArrayNames(scope, imports)
+            for node in _scope_nodes(scope):
+                if not isinstance(node, ast.For):
+                    continue
+                # Direct element iteration: ``for x in ndarray``.
+                if arrays.is_array(node.iter):
+                    yield self._finding(
+                        module, qualname, node,
+                        "iterates over a numpy array element by element",
+                    )
+                    continue
+                # Counted loop indexing into ndarray state per iteration.
+                if not self._is_counted(node.iter):
+                    continue
+                loop_vars = _loop_var_names(node.target)
+                hit = self._indexed_subscript(node, loop_vars, arrays)
+                if hit is not None:
+                    yield self._finding(
+                        module, qualname, node,
+                        "indexes ndarray state per iteration "
+                        f"(line {hit.lineno})",
+                    )
 
     @staticmethod
     def _is_counted(iter_expr: ast.expr) -> bool:
@@ -125,7 +183,7 @@ class PerElementLoop(_BitwidthRule):
 
     @staticmethod
     def _indexed_subscript(
-        loop: ast.For, loop_vars: set[str], dtypes: _DtypeScope
+        loop: ast.For, loop_vars: set[str], arrays: _ArrayNames
     ) -> ast.Subscript | None:
         for stmt in loop.body:
             subscripts = [
@@ -138,7 +196,7 @@ class PerElementLoop(_BitwidthRule):
             for sub in subscripts:
                 if (
                     id(sub) not in chained
-                    and dtypes.dtype_of(sub.value) is not None
+                    and arrays.is_array(sub.value)
                     and _mentions_any(sub.slice, loop_vars)
                     and _scalar_index(sub.slice, loop_vars)
                 ):
@@ -164,51 +222,3 @@ class PerElementLoop(_BitwidthRule):
             ),
             symbol=qualname,
         )
-
-
-@register_rule
-class NarrowingColumnStore(_BitwidthRule):
-    id = "VEC002"
-    title = "64-bit value stored into a narrow bit-packed column"
-    rationale = (
-        "numpy subscript assignment casts silently: storing an int64 "
-        "expression into an int8/int16/int32 column drops the high "
-        "bits with no error, corrupting packed keys only on traces "
-        "long enough to reach them. Widen the column to int64 or mask "
-        "the value explicitly before the store."
-    )
-
-    def check_scope(
-        self,
-        module: ModuleInfo,
-        qualname: str,
-        scope: ast.AST,
-        dtypes: _DtypeScope,
-        imports: ImportMap,
-    ) -> Iterator[Finding]:
-        for node in _scope_nodes(scope):
-            target: ast.expr | None = None
-            value: ast.expr | None = None
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target, value = node.targets[0], node.value
-            elif isinstance(node, ast.AugAssign):
-                target, value = node.target, node.value
-            if not isinstance(target, ast.Subscript):
-                continue
-            assert value is not None
-            column_dtype = dtypes.dtype_of(target.value)
-            value_dtype = dtypes.dtype_of(value)
-            if column_dtype in _NARROW_INT and value_dtype in _WIDE_INT:
-                yield Finding(
-                    rule=self.id,
-                    path=module.relpath,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    message=(
-                        f"stores a {value_dtype} value into a "
-                        f"{column_dtype} column; numpy truncates "
-                        "silently — widen the column to int64 or mask "
-                        "explicitly before the store"
-                    ),
-                    symbol=qualname,
-                )

@@ -64,7 +64,8 @@ class CheckpointKeyError(ReproError):
     (None/bool/int/float/str, lists/tuples, str-keyed dicts, or
     dataclasses of those). Such a cell still runs — it just cannot be
     checkpointed, and the run records an ``unfingerprintable`` event.
-    The CKP001 analysis rule flags the statically detectable cases.
+    The test suite fingerprints every cell of every registered driver's
+    quick and full grid, so a driver cannot ship such a cell unnoticed.
     """
 
 

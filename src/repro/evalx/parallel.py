@@ -73,6 +73,7 @@ state travels to workers through the environment.
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 import threading
 import time
@@ -464,6 +465,18 @@ class _PooledRun:
         for state in due:
             self.queued.remove(state)
             try:
+                # Pickle here, not in the pool's feeder thread: a cell
+                # that fails there leaves the pool's manager thread
+                # waiting, and the interpreter hangs at exit.
+                pickle.dumps(state.cell)
+            except Exception as exc:
+                state.attempts += 1
+                self._attempt_failed(
+                    state, kind="error", error=repr(exc),
+                    wall_seconds=0.0, exc=exc,
+                )
+                continue
+            try:
                 self._submit(state)
             except BrokenProcessPool:
                 # The pool broke between a worker death and this submit;
@@ -595,10 +608,10 @@ class _PooledRun:
             while self.queued or self.in_flight:
                 self._submit_due()
                 if not self.in_flight:
-                    # Everything runnable is backing off; sleep to the
-                    # earliest retry deadline.
+                    # Everything runnable is backing off (or failed to
+                    # pickle); sleep to the earliest retry deadline.
                     now = time.monotonic()
-                    wake = min(s.retry_at for s in self.queued)
+                    wake = min((s.retry_at for s in self.queued), default=now)
                     if wake > now:
                         time.sleep(min(wake - now, 0.5))
                     continue

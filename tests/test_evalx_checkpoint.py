@@ -13,8 +13,10 @@ nothing through the environment.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -36,7 +38,9 @@ from repro.evalx.checkpoint import (
 )
 from repro.evalx.metrics import RunMetrics
 from repro.evalx.parallel import Cell, run_sharded
+from repro.evalx.registry import ALL_IDS
 from repro.evalx.result import ExperimentResult
+from repro.evalx.tune import TuneSpec, initial_population
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -123,6 +127,41 @@ class TestFingerprint:
     def test_unfingerprintable_kwargs_raise(self):
         with pytest.raises(CheckpointKeyError):
             cell_fingerprint("t", self._cell(x={1: 2}))
+
+
+def _driver_grids():
+    """``(experiment id, quick)`` for every registered cell grid."""
+    return [
+        (experiment_id, quick)
+        for experiment_id in ALL_IDS
+        if experiment_id != "summary"
+        for quick in (True, False)
+    ]
+
+
+class TestEveryCellIsResumable:
+    """Every cell of every registered driver, at quick and full size,
+    pickles (so ``--jobs`` can ship it) and fingerprints (so the
+    checkpoint store can persist and resume it). Either failure shows
+    only on the path that needs it: serial runs never pickle, and an
+    unfingerprintable cell still runs, uncheckpointed."""
+
+    @pytest.mark.parametrize("experiment_id, quick", _driver_grids())
+    def test_cells_pickle_and_fingerprint(self, experiment_id, quick):
+        module = importlib.import_module(
+            f"repro.evalx.experiments.{experiment_id}"
+        )
+        # A rung's grid is the population the autotuner hands it.
+        extra = (
+            {"configs": initial_population(TuneSpec())}
+            if experiment_id == "tune_rung"
+            else {}
+        )
+        cells = module.cells(quick=quick, **extra)
+        assert cells
+        for cell in cells:
+            pickle.dumps(cell)
+            cell_fingerprint(experiment_id, cell)
 
 
 class TestCodeEditMissesTheStore:

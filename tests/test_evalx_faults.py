@@ -387,6 +387,21 @@ class TestCombineToleratesFailures:
         assert result.text  # renders something, with gaps
 
     def test_extension_drivers_all_speak_cells_combine(self):
-        from repro.evalx.registry import EXTENSION_IDS
+        """Every registered driver but ``summary``, which only re-runs
+        the others, has ``cells`` and ``combine``: a monolithic
+        ``run()`` would pass ``--jobs``, ``--keep-going``, retries,
+        checkpoints and metrics by."""
+        import importlib
 
-        assert set(EXTENSION_IDS) <= set(_cells_combine_ids())
+        from repro.evalx.registry import ALL_IDS
+
+        monolithic = []
+        for experiment_id in ALL_IDS:
+            module = importlib.import_module(
+                f"repro.evalx.experiments.{experiment_id}"
+            )
+            if experiment_id != "summary" and not (
+                hasattr(module, "cells") and hasattr(module, "combine")
+            ):
+                monolithic.append(experiment_id)
+        assert monolithic == []

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +20,18 @@ from repro.evalx.parallel import (
     _PooledRun,
     _run_cell_instrumented,
     execute_cells,
+    is_failure,
     resolve_jobs,
 )
-from repro.evalx.registry import run_experiment
+from repro.evalx.registry import (
+    EXPERIMENT_IDS,
+    EXTENSION_IDS,
+    run_experiment,
+)
 from repro.utils.memo import int64_column
+from tests.helpers import kill_process_group
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Small traces keep the double (serial + parallel) runs cheap.
 _TASKS = 12_000
@@ -105,6 +117,79 @@ class TestJobsBitIdentical:
         assert fanned.text == serial.text
 
 
+#: Runs every paper experiment and extension at 2000 quick tasks, with
+#: ``--jobs`` from argv (0 = serial), and prints one line per
+#: experiment: its id and its ``data`` as ``--json`` writes it.
+_TWIN_SCRIPT = """
+import json, sys
+from repro.evalx.registry import EXPERIMENT_IDS, EXTENSION_IDS, run_experiment
+jobs = int(sys.argv[1]) or None
+for experiment_id in EXPERIMENT_IDS + EXTENSION_IDS:
+    result = run_experiment(experiment_id, n_tasks=2000, quick=True, jobs=jobs)
+    print(experiment_id, json.dumps(result.data, default=str), flush=True)
+"""
+
+#: Seconds either side may take before it counts as hung.
+_TWIN_TIMEOUT = 600
+
+
+class TestDeterminismTwin:
+    """Each result is a function of (code, seed, config) alone.
+
+    Every paper experiment and extension runs twice, each side in a
+    fresh process with the trace cache off: serially under hash seed 0,
+    and over two workers under hash seed 1. A global RNG, a clock read,
+    set order, or state shared between cells through a module makes the
+    two sides differ. The data is compared as JSON text, so a dict
+    filled in another order differs too. The autotuner's rung driver
+    has its own serial/pooled and resume checks (``test_evalx_tune``);
+    ``summary`` only re-runs the drivers checked here.
+    """
+
+    def _start(self, hash_seed, jobs):
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(REPO_ROOT / "src"),
+            PYTHONHASHSEED=str(hash_seed),
+            REPRO_CACHE_DIR="off",
+        )
+        return subprocess.Popen(
+            [sys.executable, "-c", _TWIN_SCRIPT, str(jobs)],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+
+    def _finish(self, side, deadline):
+        try:
+            out, err = side.communicate(
+                timeout=max(deadline - time.monotonic(), 1)
+            )
+        except subprocess.TimeoutExpired:
+            kill_process_group(side)
+            pytest.fail(f"a twin run took over {_TWIN_TIMEOUT}s")
+        assert side.returncode == 0, err
+        return dict(line.split(" ", 1) for line in out.splitlines())
+
+    def test_serial_and_pooled_runs_print_identical_data(self):
+        sides = [self._start(0, 0), self._start(1, 2)]
+        deadline = time.monotonic() + _TWIN_TIMEOUT
+        try:
+            serial, pooled = [
+                self._finish(side, deadline) for side in sides
+            ]
+        finally:
+            for side in sides:
+                if side.poll() is None:
+                    kill_process_group(side)
+        ids = list(EXPERIMENT_IDS + EXTENSION_IDS)
+        assert list(serial) == list(pooled) == ids
+        differ = [eid for eid in serial if serial[eid] != pooled[eid]]
+        assert not differ, f"serial and pooled data differ: {differ}"
+
+
 class _SubmitBrokenPool:
     """Stands in for a pool whose last worker died just before submit.
 
@@ -164,6 +249,53 @@ class TestSubmitTimeCrash:
         # The aborted submit never ran the cell, so the one real run
         # must count as attempt 1, not 2.
         assert recorder.attempts == [("c", 1, "ok")]
+
+
+class _SubmitSpyPool:
+    """Passes submissions through to a real pool, noting each cell."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.submitted = []
+
+    def submit(self, fn, cell):
+        self.submitted.append(cell.label)
+        return self._inner.submit(fn, cell)
+
+    def shutdown(self, **kwargs):
+        self._inner.shutdown(**kwargs)
+
+
+class TestUnpicklableCell:
+    """A cell that cannot be pickled fails in the parent, before it
+    reaches the pool. Handed to the pool, it fails in the pool's feeder
+    thread instead, and the interpreter can then hang at exit."""
+
+    def _run(self, keep_going):
+        cells = [
+            Cell(label="good", fn=_square, kwargs={"x": 3}),
+            Cell(label="local", fn=lambda x: x, kwargs={"x": 1}),
+        ]
+        run = _PooledRun(
+            cells, 2, RetryPolicy(), keep_going, RunMetrics.disabled()
+        )
+        run.pool = _SubmitSpyPool(run.pool)
+        return run
+
+    def test_never_reaches_submit(self):
+        run = self._run(keep_going=False)
+        spy = run.pool
+        with pytest.raises(ExperimentError, match="local"):
+            run.run()
+        assert spy.submitted == ["good"]
+
+    def test_keep_going_returns_the_other_cells(self):
+        run = self._run(keep_going=True)
+        good, local = run.run()
+        assert good == 9
+        assert is_failure(local) and local.kind == "error"
+        assert "pickle" in local.error.lower()
+        assert run.pool.submitted == ["good"]
 
 
 class TestCacheDeltaCounters:

@@ -1,9 +1,12 @@
 """Tests for report rendering and the experiment registry."""
 
+import pkgutil
+
 import pytest
 
+import repro.evalx.experiments
 from repro.errors import ExperimentError
-from repro.evalx.registry import EXPERIMENT_IDS, run_experiment
+from repro.evalx.registry import ALL_IDS, EXPERIMENT_IDS, run_experiment
 from repro.evalx.report import format_percent, render_series, render_table
 from repro.evalx.result import ExperimentResult
 
@@ -56,6 +59,19 @@ class TestRegistry:
         assert "table2" in EXPERIMENT_IDS
         assert "figure10" in EXPERIMENT_IDS
         assert len(EXPERIMENT_IDS) == 11
+
+    def test_every_driver_module_is_registered(self):
+        """A driver missing from the registry drops out of the CLI and
+        of the ``all``/``extensions`` sweeps, and so out of every check
+        that runs over the registered ids."""
+        modules = {
+            info.name
+            for info in pkgutil.iter_modules(
+                repro.evalx.experiments.__path__
+            )
+            if info.name != "common" and not info.name.startswith("_")
+        }
+        assert modules == set(ALL_IDS)
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ExperimentError):

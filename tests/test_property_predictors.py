@@ -8,7 +8,8 @@ for the voting-counter replay, the tournament chooser, training on
 single-exit tasks and the confidence gate. Each modelled structure's
 batched form is also pinned to its stepped rule: the D-O-L-C fold to
 :meth:`DolcSpec.index`, target buffers to one ``_TargetEntry`` per slot,
-and history windows to one ``deque(maxlen=depth)`` per key.
+history windows to one ``deque(maxlen=depth)`` per key, and the
+bit-packed row grouping under them to ``np.unique`` over the rows.
 """
 
 from collections import deque
@@ -57,6 +58,7 @@ from repro.utils.rng import DeterministicRng
 from repro.utils.windows import (
     group_by_global_history,
     group_by_per_key_history,
+    group_columns,
 )
 from tests.helpers import trace_workload
 
@@ -66,11 +68,11 @@ _ADDRESSES = st.integers(min_value=0, max_value=(1 << 32) - 4).map(
 
 
 @st.composite
-def dolc_specs(draw):
-    """Any valid spec with a final index of at most 16 bits."""
+def dolc_specs(draw, max_index_bits=16):
+    """Any valid spec with a final index of at most ``max_index_bits``."""
     depth = draw(st.integers(min_value=0, max_value=8))
     folds = draw(st.integers(min_value=1, max_value=3))
-    index_bits = draw(st.integers(min_value=4, max_value=16))
+    index_bits = draw(st.integers(min_value=4, max_value=max_index_bits))
     total = index_bits * folds
     if depth == 0:
         return DolcSpec(
@@ -114,10 +116,11 @@ class TestDolcSpecProperties:
             assert spec.index(addr, path) == spec.index(addr, prefixed)
 
     @settings(max_examples=80)
-    @given(dolc_specs(), st.lists(_ADDRESSES, max_size=24))
+    @given(dolc_specs(max_index_bits=62), st.lists(_ADDRESSES, max_size=24))
     def test_index_column_is_the_stepped_fold(self, spec, addrs):
         """Row ``i`` of the batched fold is :meth:`DolcSpec.index` of
-        address ``i`` with every earlier address as its path."""
+        address ``i`` with every earlier address as its path, for any
+        index that fits the int64 column (no table is built here)."""
         column = spec.index_column(np.array(addrs, dtype=np.int64))
         assert column.tolist() == [
             spec.index(addr, addrs[:i]) for i, addr in enumerate(addrs)
@@ -490,10 +493,14 @@ _HISTORY_ADDRS = st.sampled_from([0x100, 0x104, 0x108, 0x2100])
 
 
 @st.composite
-def history_streams(draw):
+def history_streams(draw, min_size=0):
     """``(addrs, exits)`` over a few tasks, so per-task histories fill."""
     steps = draw(
-        st.lists(st.tuples(_HISTORY_ADDRS, st.integers(0, 3)), max_size=60)
+        st.lists(
+            st.tuples(_HISTORY_ADDRS, st.integers(0, 3)),
+            min_size=min_size,
+            max_size=60,
+        )
     )
     return tuple(list(column) for column in zip(*steps)) or ([], [])
 
@@ -540,15 +547,17 @@ class TestHistoryWindows:
             keys = _deque_keys(addrs, exits, depth, per_key)
             assert _same_partition(ids.tolist(), keys)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
-        history_streams(),
-        st.integers(min_value=0, max_value=6),
-        st.integers(min_value=2, max_value=10),
+        st.one_of(history_streams(), history_streams(min_size=40)),
+        st.integers(min_value=0, max_value=24),
+        st.integers(min_value=2, max_value=14),
     )
     def test_real_history_indices_match_stepping(
         self, stream, depth, index_bits
     ):
+        # Up to 2 * 24 + 14 = 62 key bits, the widest geometry a
+        # predictor accepts; long streams fill the deep registers.
         addrs, exits = stream
         for make in (
             lambda: GlobalExitPredictor(depth, index_bits=index_bits),
@@ -566,3 +575,44 @@ class TestHistoryWindows:
                 np.array(exits, dtype=np.uint8),
             )
             assert plan.group_ids.tolist() == expected
+
+
+@st.composite
+def code_columns(draw):
+    """Parallel ``(codes, cardinality)`` columns, each up to 2^30 wide.
+
+    Rows repeat: each row is one of a few distinct rows.
+    """
+    distinct = draw(st.integers(min_value=1, max_value=8))
+    rows = np.array(
+        draw(st.lists(st.integers(0, distinct - 1), max_size=40)),
+        dtype=np.int64,
+    )
+    columns = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        cardinality = draw(st.integers(min_value=1, max_value=1 << 30))
+        values = draw(
+            st.lists(
+                st.integers(0, cardinality - 1),
+                min_size=distinct,
+                max_size=distinct,
+            )
+        )
+        columns.append(
+            (np.array(values, dtype=np.int64)[rows], cardinality)
+        )
+    return columns
+
+
+class TestPackedGrouping:
+    """``group_columns`` packs its columns into 62-bit words; no width of
+    column may make two rows share a word or reorder them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(code_columns())
+    def test_ids_are_np_unique_over_rows(self, columns):
+        ids, count = group_columns(columns)
+        matrix = np.column_stack([codes for codes, _ in columns])
+        unique, inverse = np.unique(matrix, axis=0, return_inverse=True)
+        assert ids.tolist() == inverse.reshape(-1).tolist()
+        assert count == len(unique)

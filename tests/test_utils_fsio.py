@@ -1,16 +1,19 @@
 """Store publication: ``repro.utils.fsio.publish``.
 
-``publish`` is the only way either on-disk store (checkpoint records,
-trace-cache entries) reaches its destination; the CKP003 analysis rule
-keeps it that way. These tests pin what it promises: publication is
-byte-identical to a plain write, fsyncs before it renames (at both store
-sites), leaves the old destination intact and no temp behind when the
-write fails, and names its temp so that the orphan sweep reaps it after
-a crash.
+``publish`` is the only way a file of either on-disk store (checkpoint
+records; the disk cache's program images and traces) reaches its
+destination. These tests pin what it promises: publication is
+byte-identical to a plain write, fsyncs before it renames (at each of
+the three publication sites), leaves the old destination intact and no
+temp behind when the write fails, and names its temp so that the orphan
+sweep reaps it after a crash. A site added later is kept on ``publish``
+by the CKP003 analysis rule, which flags a rename outside
+``repro.utils.fsio`` and any in-place write in a store module.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -20,9 +23,12 @@ import numpy as np
 import pytest
 
 from repro.evalx.checkpoint import CheckpointStore
+from repro.isa.image import decode_program
 from repro.synth import workloads
+from repro.synth.profiles import get_profile
 from repro.synth.trace import TaskTrace
 from repro.utils.fsio import publish
+from tests.helpers import assert_same_program
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -150,6 +156,23 @@ class TestPublicationSitesAreDurable:
         loaded = TaskTrace.load(destination)
         assert np.array_equal(loaded.task_addr, gcc_workload.trace.task_addr)
         assert sorted(tmp_path.iterdir()) == [destination]
+
+    def test_program_image_fsynced_before_replace(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        # No memo holds a variant profile, so its program is built and
+        # its image published.
+        profile = get_profile("compress")
+        variant = dataclasses.replace(profile, seed=profile.seed + 1)
+        spy = _FsyncSpy(monkeypatch)
+        program, _ = workloads._load_program(variant)
+        spy.assert_fsync_before_every_replace()
+        (image,) = tmp_path.iterdir()
+        assert image.suffix == ".msx"
+        assert_same_program(
+            decode_program(image.read_bytes(), "compress"), program
+        )
 
     def test_checkpoint_save_failure_reports_false_without_temp(
         self, tmp_path
