@@ -52,6 +52,15 @@ TASK_ENDING_KINDS = frozenset(
     }
 )
 
+# Module-level names for the members checked once per block: reading a
+# member off the enum class costs several times a global lookup.
+_JUMP = TerminatorKind.JUMP
+_COND_BRANCH = TerminatorKind.COND_BRANCH
+_CALL = TerminatorKind.CALL
+_RETURN = TerminatorKind.RETURN
+_INDIRECT_JUMP = TerminatorKind.INDIRECT_JUMP
+_INDIRECT_CALL = TerminatorKind.INDIRECT_CALL
+
 
 @dataclass
 class Terminator:
@@ -79,22 +88,22 @@ class Terminator:
 
     def __post_init__(self) -> None:
         kind = self.kind
-        if kind is TerminatorKind.JUMP and len(self.successors) != 1:
+        if kind is _JUMP and len(self.successors) != 1:
             raise CFGError("JUMP needs exactly one successor")
-        if kind is TerminatorKind.COND_BRANCH:
+        if kind is _COND_BRANCH:
             if len(self.successors) != 2:
                 raise CFGError("COND_BRANCH needs (taken, not_taken)")
             if self.behavior is None:
                 raise CFGError("COND_BRANCH needs a behavior")
-        if kind is TerminatorKind.CALL:
+        if kind is _CALL:
             if self.callee is None or len(self.successors) != 1:
                 raise CFGError("CALL needs a callee and a return point")
-        if kind is TerminatorKind.RETURN and self.successors:
+        if kind is _RETURN and self.successors:
             raise CFGError("RETURN has no intra-function successors")
-        if kind is TerminatorKind.INDIRECT_JUMP:
+        if kind is _INDIRECT_JUMP:
             if len(self.successors) < 1 or self.behavior is None:
                 raise CFGError("INDIRECT_JUMP needs targets and a behavior")
-        if kind is TerminatorKind.INDIRECT_CALL:
+        if kind is _INDIRECT_CALL:
             if not self.callees or len(self.successors) != 1:
                 raise CFGError(
                     "INDIRECT_CALL needs candidate callees and a return point"

@@ -43,6 +43,17 @@ from repro.isa.controlflow import MAX_EXITS_PER_TASK
 #: ("return",), ("ibranch", block_label), ("icall", block_label).
 ExitDescriptor = tuple
 
+# Module-level names for the kinds tested once per block: reading a
+# member off the enum class costs several times more.
+_COND_BRANCH = TerminatorKind.COND_BRANCH
+_RETURN = TerminatorKind.RETURN
+_CALL = TerminatorKind.CALL
+_INDIRECT_JUMP = TerminatorKind.INDIRECT_JUMP
+#: Terminator kinds whose arcs may stay inside a task: every kind not in
+#: :data:`~repro.cfg.basicblock.TASK_ENDING_KINDS`. A tuple, so a
+#: membership test compares identities instead of hashing the member.
+_BRANCHING_KINDS = (TerminatorKind.JUMP, _COND_BRANCH)
+
 
 @dataclass(frozen=True)
 class PartitionConfig:
@@ -73,12 +84,17 @@ class Region:
 
     ``blocks`` is in BFS order from the leader; ``exit_descriptors`` is in
     first-encounter order and becomes the header's exit list order.
+    ``block_exits`` holds, for each block in ``blocks`` order, the header
+    exit index of each of its arcs: one entry per successor of a JUMP or
+    COND_BRANCH (``None`` for an arc that stays inside the task), and one
+    entry, the transfer's exit, for every other terminator.
     """
 
     leader: str
     blocks: list[str]
     exit_descriptors: list[ExitDescriptor]
     internal_branch_blocks: list[str]
+    block_exits: list[tuple[int | None, ...]]
 
 
 class TaskPartitioner:
@@ -88,6 +104,13 @@ class TaskPartitioner:
         self._cfg = cfg
         self._config = config
         self._reachable = reachable_blocks(cfg)
+        #: Every block's terminator, by label.
+        self._terminator = {block.label: block.terminator for block in cfg}
+        #: One object per distinct ``Region.block_exits`` entry: a
+        #: function's blocks share a handful of them.
+        self._shared_exits: dict[
+            tuple[int | None, ...], tuple[int | None, ...]
+        ] = {}
 
     def partition(self) -> list[Region]:
         """Return the task regions of this function, in layout order.
@@ -115,16 +138,16 @@ class TaskPartitioner:
     def _initial_leaders(self) -> set[str]:
         """Blocks that must start a task, before any split promotions."""
         leaders = {self._cfg.entry_label}
-        pred_counts = {label: 0 for label in self._reachable}
+        pred_counts = dict.fromkeys(self._reachable, 0)
         for label in self._reachable:
-            block = self._cfg.block(label)
-            for successor in block.terminator.successors:
+            terminator = self._terminator[label]
+            for successor in terminator.successors:
                 if successor in pred_counts:
                     pred_counts[successor] += 1
-            if block.ends_task:
+            if terminator.kind not in _BRANCHING_KINDS:
                 # Call return points and indirect case targets begin tasks.
                 leaders.update(
-                    s for s in block.terminator.successors
+                    s for s in terminator.successors
                     if s in self._reachable
                 )
         leaders.update(
@@ -154,56 +177,63 @@ class TaskPartitioner:
 
     def _grow_one(self, leader: str, leaders: set[str]) -> Region:
         """BFS from ``leader``, absorbing non-leader blocks, collecting exits."""
-        blocks = [leader]
+        terminator_of = self._terminator
+        blocks = [leader]  # also the BFS queue: appended while iterated
         member = {leader}
         descriptors: list[ExitDescriptor] = []
-        seen_descriptors: set[ExitDescriptor] = set()
         internal_branches: list[str] = []
-        queue = deque([leader])
-
-        def note(descriptor: ExitDescriptor) -> None:
-            if descriptor not in seen_descriptors:
-                seen_descriptors.add(descriptor)
-                descriptors.append(descriptor)
-
-        while queue:
-            label = queue.popleft()
-            block = self._cfg.block(label)
-            terminator = block.terminator
+        block_exits: list[tuple[int | None, ...]] = []
+        shared = self._shared_exits.setdefault
+        for label in blocks:
+            terminator = terminator_of[label]
             kind = terminator.kind
-            if kind is TerminatorKind.RETURN:
-                note(("return",))
-            elif kind is TerminatorKind.CALL:
-                note(("call", terminator.callee, terminator.successors[0]))
-            elif kind is TerminatorKind.INDIRECT_JUMP:
-                note(("ibranch", label))
-            elif kind is TerminatorKind.INDIRECT_CALL:
-                note(("icall", label))
-            else:  # JUMP or COND_BRANCH: arcs may be internal or exits
-                internal_arcs = 0
+            if kind in _BRANCHING_KINDS:
+                # JUMP or COND_BRANCH: arcs may be internal or exits.
+                arc_exits: list[int | None] = []
                 for successor in terminator.successors:
                     if successor in leaders or successor in member:
                         # Arc to a leader (or back into the region's own
                         # leader) leaves the task.
                         if successor in member and successor != leader:
-                            internal_arcs += 1
+                            arc_exits.append(None)
                             continue
-                        note(("branch", successor))
+                        descriptor: ExitDescriptor = ("branch", successor)
+                        if descriptor in descriptors:
+                            arc_exits.append(descriptors.index(descriptor))
+                        else:
+                            arc_exits.append(len(descriptors))
+                            descriptors.append(descriptor)
                     else:
                         member.add(successor)
                         blocks.append(successor)
-                        queue.append(successor)
-                        internal_arcs += 1
-                if (
-                    kind is TerminatorKind.COND_BRANCH
-                    and internal_arcs == len(terminator.successors)
-                ):
+                        arc_exits.append(None)
+                exits = tuple(arc_exits)
+                block_exits.append(shared(exits, exits))
+                if kind is _COND_BRANCH and exits == (None, None):
                     internal_branches.append(label)
+                continue
+            if kind is _RETURN:
+                descriptor = ("return",)
+            elif kind is _CALL:
+                descriptor = (
+                    "call", terminator.callee, terminator.successors[0]
+                )
+            elif kind is _INDIRECT_JUMP:
+                descriptor = ("ibranch", label)
+            else:  # INDIRECT_CALL
+                descriptor = ("icall", label)
+            if descriptor in descriptors:
+                exits = (descriptors.index(descriptor),)
+            else:
+                exits = (len(descriptors),)
+                descriptors.append(descriptor)
+            block_exits.append(shared(exits, exits))
         return Region(
             leader=leader,
             blocks=blocks,
             exit_descriptors=descriptors,
             internal_branch_blocks=internal_branches,
+            block_exits=block_exits,
         )
 
     def _violates(self, region: Region) -> bool:
@@ -240,7 +270,7 @@ class TaskPartitioner:
             region = regions[leader]
             order.append(region)
             for label in region.blocks:
-                for successor in self._cfg.block(label).terminator.successors:
+                for successor in self._terminator[label].successors:
                     if successor in regions and successor not in visited:
                         queue.append(successor)
         # Regions only reachable through calls/returns from elsewhere keep a

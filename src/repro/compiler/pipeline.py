@@ -3,14 +3,15 @@
 Two passes, like any assembler: the first pass partitions every function and
 assigns byte addresses to blocks (4 bytes per instruction); the second builds
 task headers, which need the task addresses of exit targets, callee entries
-and return points.
+and return points, and the block table the trace executor runs, whose rows
+name their successors and callees by block id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cfg.basicblock import TerminatorKind
+from repro.cfg.basicblock import BasicBlock, TerminatorKind
 from repro.cfg.graph import ControlFlowGraph, ProgramCFG
 from repro.compiler.compiled import CompiledBlock, CompiledProgram
 from repro.compiler.partitioner import (
@@ -22,17 +23,29 @@ from repro.errors import PartitionError
 from repro.isa.controlflow import ControlFlowType
 from repro.isa.program import MultiscalarProgram
 from repro.isa.task import StaticTask, TaskExit, TaskHeader
+from repro.utils.hashing import stable_hash
 
 _BYTES_PER_INSTRUCTION = 4
+
+# Module-level names for the enum members read once per block or exit:
+# reading a member off its class costs several times more.
+_JUMP = TerminatorKind.JUMP
+_COND_BRANCH = TerminatorKind.COND_BRANCH
+_CALL = TerminatorKind.CALL
+_INDIRECT_CALL = TerminatorKind.INDIRECT_CALL
+_BRANCH_EXIT = ControlFlowType.BRANCH
+_CALL_EXIT = ControlFlowType.CALL
+_RETURN_EXIT = ControlFlowType.RETURN
+_INDIRECT_BRANCH_EXIT = ControlFlowType.INDIRECT_BRANCH
+_INDIRECT_CALL_EXIT = ControlFlowType.INDIRECT_CALL
 
 
 @dataclass
 class _LaidOutFunction:
-    """Partitioned function with block addresses assigned."""
+    """A partitioned function: its CFG and its regions in layout order."""
 
     cfg: ControlFlowGraph
     regions: list[Region]
-    block_address: dict[str, int]
 
 
 def compile_program(
@@ -48,24 +61,35 @@ def compile_program(
     config = config or PartitionConfig()
     program_cfg.validate()
 
-    laid_out, block_address = _layout(program_cfg, config)
+    laid_out, block_id, addresses = _layout(program_cfg, config)
+    function_entry = {
+        fn.cfg.function_name: fn.cfg.entry_label for fn in laid_out
+    }
     function_entry_task = {
-        fn.cfg.function_name: block_address[fn.cfg.entry_label]
-        for fn in laid_out
+        function: addresses[block_id[label]]
+        for function, label in function_entry.items()
+    }
+    function_entry_id = {
+        function: block_id[label]
+        for function, label in function_entry.items()
     }
 
     tasks: list[StaticTask] = []
     blocks: dict[str, CompiledBlock] = {}
     task_leader: dict[int, str] = {}
     for laid in laid_out:
+        block_of = laid.cfg.block
         for region in laid.regions:
+            members = [block_of(label) for label in region.blocks]
             task = _build_task(
-                laid, region, block_address, function_entry_task
+                laid.cfg, region, members, block_id, addresses,
+                function_entry_task,
             )
             tasks.append(task)
             task_leader[task.address] = region.leader
             _compile_region_blocks(
-                laid, region, task, block_address, blocks
+                region, members, task.address, block_id, addresses,
+                function_entry_id, blocks,
             )
 
     entry = function_entry_task[program_cfg.main]
@@ -74,81 +98,85 @@ def compile_program(
     return CompiledProgram(
         program=executable,
         blocks=blocks,
-        function_entry={
-            fn.cfg.function_name: fn.cfg.entry_label for fn in laid_out
-        },
+        function_entry=function_entry,
         task_leader=task_leader,
     )
 
 
 def _layout(
     program_cfg: ProgramCFG, config: PartitionConfig
-) -> tuple[list[_LaidOutFunction], dict[str, int]]:
-    """Partition all functions and assign global block addresses."""
+) -> tuple[list[_LaidOutFunction], dict[str, int], list[int]]:
+    """Partition all functions and assign global block addresses.
+
+    Returns the laid-out functions, every compiled block's id by label
+    (its position in layout order, which is also the order the second
+    pass emits blocks in), and the block addresses by id.
+    """
     laid_out: list[_LaidOutFunction] = []
-    block_address: dict[str, int] = {}
+    block_id: dict[str, int] = {}
+    addresses: list[int] = []
     cursor = 0x1000  # leave a null page, as a linker would
     for cfg in program_cfg.functions():
         regions = TaskPartitioner(cfg, config).partition()
-        addresses: dict[str, int] = {}
+        block_of = cfg.block
         for region in regions:
             for label in region.blocks:
-                if label in block_address:
+                if label in block_id:
                     raise PartitionError(
                         f"block label {label!r} is not globally unique"
                     )
-                addresses[label] = cursor
-                block_address[label] = cursor
+                block_id[label] = len(addresses)
+                addresses.append(cursor)
                 cursor += (
-                    cfg.block(label).instruction_count
+                    block_of(label).instruction_count
                     * _BYTES_PER_INSTRUCTION
                 )
-        laid_out.append(
-            _LaidOutFunction(
-                cfg=cfg, regions=regions, block_address=addresses
-            )
-        )
-    return laid_out, block_address
+        laid_out.append(_LaidOutFunction(cfg=cfg, regions=regions))
+    return laid_out, block_id, addresses
 
 
 def _build_task(
-    laid: _LaidOutFunction,
+    cfg: ControlFlowGraph,
     region: Region,
-    block_address: dict[str, int],
+    members: list[BasicBlock],
+    block_id: dict[str, int],
+    addresses: list[int],
     function_entry_task: dict[str, int],
 ) -> StaticTask:
-    """Create the StaticTask (header included) for one region."""
-    cfg = laid.cfg
+    """Create the StaticTask (header included) for one region.
+
+    ``members`` are the region's blocks, in ``region.blocks`` order.
+    """
     exits: list[TaskExit] = []
     for descriptor in region.exit_descriptors:
         kind = descriptor[0]
         if kind == "branch":
             exits.append(
                 TaskExit(
-                    cf_type=ControlFlowType.BRANCH,
-                    target=block_address[descriptor[1]],
+                    cf_type=_BRANCH_EXIT,
+                    target=addresses[block_id[descriptor[1]]],
                 )
             )
         elif kind == "call":
             _, callee, return_label = descriptor
             exits.append(
                 TaskExit(
-                    cf_type=ControlFlowType.CALL,
+                    cf_type=_CALL_EXIT,
                     target=function_entry_task[callee],
-                    return_address=block_address[return_label],
+                    return_address=addresses[block_id[return_label]],
                 )
             )
         elif kind == "return":
-            exits.append(TaskExit(cf_type=ControlFlowType.RETURN))
+            exits.append(TaskExit(cf_type=_RETURN_EXIT))
         elif kind == "ibranch":
-            exits.append(TaskExit(cf_type=ControlFlowType.INDIRECT_BRANCH))
+            exits.append(TaskExit(cf_type=_INDIRECT_BRANCH_EXIT))
         elif kind == "icall":
             block = cfg.block(descriptor[1])
             exits.append(
                 TaskExit(
-                    cf_type=ControlFlowType.INDIRECT_CALL,
-                    return_address=block_address[
-                        block.terminator.successors[0]
+                    cf_type=_INDIRECT_CALL_EXIT,
+                    return_address=addresses[
+                        block_id[block.terminator.successors[0]]
                     ],
                 )
             )
@@ -160,18 +188,18 @@ def _build_task(
     # dependence-aware timing model.
     create_mask = 0
     use_mask = 0
-    for label in region.blocks:
-        annotations = cfg.block(label).annotations
+    instruction_count = 0
+    for block in members:
+        annotations = block.annotations
         create_mask |= annotations.get("defs_mask", 0)
         use_mask |= annotations.get("uses_mask", 0)
+        instruction_count += block.instruction_count
     return StaticTask(
-        address=block_address[region.leader],
+        address=addresses[block_id[region.leader]],
         header=TaskHeader(
             exits=tuple(exits), create_mask=create_mask & 0xFFFF
         ),
-        instruction_count=sum(
-            cfg.block(label).instruction_count for label in region.blocks
-        ),
+        instruction_count=instruction_count,
         internal_branch_count=len(region.internal_branch_blocks),
         use_mask=use_mask & 0xFFFF,
         name=f"{cfg.function_name}:{region.leader}",
@@ -179,51 +207,50 @@ def _build_task(
 
 
 def _compile_region_blocks(
-    laid: _LaidOutFunction,
     region: Region,
-    task: StaticTask,
-    block_address: dict[str, int],
+    members: list[BasicBlock],
+    task_address: int,
+    block_id: dict[str, int],
+    addresses: list[int],
+    function_entry_id: dict[str, int],
     out: dict[str, CompiledBlock],
 ) -> None:
-    """Create CompiledBlocks for one region, resolving exit indices."""
-    cfg = laid.cfg
-    descriptor_index = {
-        descriptor: index
-        for index, descriptor in enumerate(region.exit_descriptors)
-    }
-    member = set(region.blocks)
-    internal_branch = set(region.internal_branch_blocks)
-    for label in region.blocks:
-        block = cfg.block(label)
+    """Emit the table rows of one region's blocks: exit indices from the
+    partitioner, successors and callees as block ids."""
+    for label, block, exits in zip(region.blocks, members, region.block_exits):
         terminator = block.terminator
         kind = terminator.kind
-        successor_exit_index: tuple[int | None, ...] = ()
-        terminator_exit_index: int | None = None
-        if kind is TerminatorKind.RETURN:
-            terminator_exit_index = descriptor_index[("return",)]
-        elif kind is TerminatorKind.CALL:
-            terminator_exit_index = descriptor_index[
-                ("call", terminator.callee, terminator.successors[0])
-            ]
-        elif kind is TerminatorKind.INDIRECT_JUMP:
-            terminator_exit_index = descriptor_index[("ibranch", label)]
-        elif kind is TerminatorKind.INDIRECT_CALL:
-            terminator_exit_index = descriptor_index[("icall", label)]
-        else:  # JUMP / COND_BRANCH
-            successor_exit_index = tuple(
-                descriptor_index[("branch", successor)]
-                if (successor not in member or successor == region.leader)
-                else None
-                for successor in terminator.successors
-            )
+        callees: tuple[int, ...] = ()
+        call_hash = 0
+        if kind is _JUMP or kind is _COND_BRANCH:
+            successor_exit_index = exits
+            terminator_exit_index = None
+        else:
+            successor_exit_index = ()
+            terminator_exit_index = exits[0]
+            if kind is _CALL:
+                # Terminator checks that a CALL names its callee.
+                callee: str = terminator.callee  # type: ignore[assignment]
+                callees = (function_entry_id[callee],)
+                call_hash = stable_hash(label)
+            elif kind is _INDIRECT_CALL:
+                callees = tuple(
+                    [function_entry_id[callee] for callee in terminator.callees]
+                )
+                call_hash = stable_hash(label)
+        index = block_id[label]
         out[label] = CompiledBlock(
-            label=label,
-            function=cfg.function_name,
-            address=block_address[label],
-            task_address=task.address,
-            instruction_count=block.instruction_count,
-            terminator=terminator,
-            successor_exit_index=successor_exit_index,
-            terminator_exit_index=terminator_exit_index,
-            is_internal_branch=label in internal_branch,
+            index,
+            label,
+            addresses[index],
+            task_address,
+            block.instruction_count,
+            kind,
+            tuple([block_id[successor] for successor in terminator.successors]),
+            callees,
+            terminator.behavior,
+            successor_exit_index,
+            terminator_exit_index,
+            kind is _COND_BRANCH and exits == (None, None),
+            call_hash,
         )

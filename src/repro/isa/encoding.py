@@ -21,7 +21,7 @@ Layout (LSB first):
 from __future__ import annotations
 
 from repro.errors import EncodingError
-from repro.isa.controlflow import ControlFlowType
+from repro.isa.controlflow import CF_TYPE_FROM_CODE
 from repro.isa.task import TaskExit, TaskHeader
 from repro.utils.bits import bit_mask
 
@@ -33,15 +33,6 @@ _COUNT_BITS = 2
 _ADDRESS_BITS = 32
 _SPECIFIER_MASK = bit_mask(EXIT_SPECIFIER_BITS)
 _ADDRESS_MASK = bit_mask(_ADDRESS_BITS)
-
-_TYPE_CODES: dict[ControlFlowType, int] = {
-    ControlFlowType.BRANCH: 0,
-    ControlFlowType.CALL: 1,
-    ControlFlowType.RETURN: 2,
-    ControlFlowType.INDIRECT_BRANCH: 3,
-    ControlFlowType.INDIRECT_CALL: 4,
-}
-_CODE_TYPES = {code: cf for cf, code in _TYPE_CODES.items()}
 
 
 class _BitWriter:
@@ -81,7 +72,7 @@ def encode_header(header: TaskHeader) -> tuple[int, int]:
         )
     writer.write(header.create_mask, _CREATE_MASK_BITS)
     for task_exit in header.exits:
-        specifier = _TYPE_CODES[task_exit.cf_type]
+        specifier = task_exit.cf_type.code
         specifier |= (1 << 3) if task_exit.target is not None else 0
         specifier |= (1 << 4) if task_exit.return_address is not None else 0
         writer.write(specifier, EXIT_SPECIFIER_BITS)
@@ -111,11 +102,11 @@ def decode_header(value: int, width: int) -> TaskHeader:
         if cursor > width:
             raise EncodingError("header bitstream exhausted")
         type_code = specifier & 0b111
-        if type_code not in _CODE_TYPES:
+        if type_code not in CF_TYPE_FROM_CODE:
             raise EncodingError(f"unknown control-flow type code {type_code}")
         exits.append(
             TaskExit(
-                cf_type=_CODE_TYPES[type_code],
+                cf_type=CF_TYPE_FROM_CODE[type_code],
                 target=target,
                 return_address=return_address,
             )

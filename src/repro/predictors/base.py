@@ -88,7 +88,7 @@ class NextTaskPredictor(abc.ABC):
     ) -> None:
         """Record the actual exit index, control-flow type code and target.
 
-        ``actual_cf_code`` uses :data:`repro.synth.trace.CF_TYPE_CODES`.
+        ``actual_cf_code`` uses :data:`repro.isa.controlflow.CF_TYPE_CODES`.
         Called exactly once after each ``predict`` with the same task.
         """
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.isa.program import MultiscalarProgram
-from repro.synth.trace import CF_TYPE_CODES
 from repro.utils.memo import DerivedColumnCache, int64_column
 
 #: An exit's absent header address: only RETURN and indirect exits lack
@@ -64,7 +63,7 @@ class TaskHeaders:
         shape = (len(tasks), int(self.n_exits.max()))
         self.cf_codes = np.zeros(shape, dtype=np.int64)
         self.cf_codes[rows, cols] = column(
-            CF_TYPE_CODES[e.cf_type] for e in flat
+            e.cf_type.code for e in flat
         )
         self.targets = np.full(shape, NO_ADDRESS, dtype=np.int64)
         self.targets[rows, cols] = column(

@@ -28,7 +28,7 @@ from repro.predictors.ttb import (
     CorrelatedTaskTargetBuffer,
     replay_target_entries,
 )
-from repro.synth.trace import CF_TYPE_CODES, TaskTrace
+from repro.synth.trace import TaskTrace
 from repro.utils.memo import DerivedColumnCache, int64_column
 from repro.utils.scan import stable_argsort
 
@@ -38,10 +38,10 @@ from repro.utils.scan import stable_argsort
 #: timelines.
 _DERIVED = DerivedColumnCache()
 
-_CF_RETURN = CF_TYPE_CODES[ControlFlowType.RETURN]
-_CF_CALL = CF_TYPE_CODES[ControlFlowType.CALL]
-_CF_ICALL = CF_TYPE_CODES[ControlFlowType.INDIRECT_CALL]
-_CF_IBRANCH = CF_TYPE_CODES[ControlFlowType.INDIRECT_BRANCH]
+_CF_RETURN = ControlFlowType.RETURN.code
+_CF_CALL = ControlFlowType.CALL.code
+_CF_ICALL = ControlFlowType.INDIRECT_CALL.code
+_CF_IBRANCH = ControlFlowType.INDIRECT_BRANCH.code
 
 #: Sentinel predicted address when no structure can supply a target.
 NO_PREDICTION = 0
@@ -172,7 +172,7 @@ def _build_task_info(program: MultiscalarProgram) -> dict[int, _TaskInfo]:
         exits = task.header.exits
         info[task.address] = _TaskInfo(
             n_exits=len(exits),
-            cf_codes=tuple(CF_TYPE_CODES[e.cf_type] for e in exits),
+            cf_codes=tuple(e.cf_type.code for e in exits),
             targets=tuple(e.target for e in exits),
             return_addrs=tuple(e.return_address for e in exits),
         )

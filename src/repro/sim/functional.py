@@ -52,7 +52,8 @@ from repro.sim.result import (
     TargetPredictionStats,
     TaskPredictionStats,
 )
-from repro.synth.trace import CF_TYPE_FROM_CODE, TaskTrace
+from repro.isa.controlflow import CF_TYPE_FROM_CODE
+from repro.synth.trace import TaskTrace
 from repro.synth.workloads import Workload
 from repro.utils.memo import int64_column
 

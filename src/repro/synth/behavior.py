@@ -28,6 +28,7 @@ from __future__ import annotations
 import abc
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.errors import WorkloadError
 from repro.utils.hashing import stable_hash
@@ -84,9 +85,9 @@ class BehaviorContext:
         """Deterministic hash of the last ``k`` window entries."""
         value = 0x9E3779B9
         window = self.task_window
-        n = len(window)
-        for i in range(max(0, n - k), n):
-            value = ((value * 31) ^ window[i]) & 0xFFFFFFFF
+        skip = len(window) - k
+        for addr in islice(window, skip, None) if skip > 0 else window:
+            value = ((value * 31) ^ addr) & 0xFFFFFFFF
         return value
 
     def note_decision(self) -> None:

@@ -15,6 +15,7 @@ reproducing the paper's gap between static tasks and distinct tasks seen.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.cfg.basicblock import BasicBlock, Terminator, TerminatorKind
 from repro.cfg.graph import ControlFlowGraph, ProgramCFG
@@ -35,6 +36,16 @@ from repro.utils.rng import DeterministicRng
 _CONSTRUCTS = (
     "if", "ifelse", "loop", "call", "switch", "icall", "straight",
 )
+_BRANCH_BEHAVIORS = ("biased", "periodic", "history", "pathcorr")
+
+# Module-level names for the kinds of the terminators built once per
+# block: reading a member off the enum class costs several times more.
+_JUMP = TerminatorKind.JUMP
+_COND_BRANCH = TerminatorKind.COND_BRANCH
+_CALL = TerminatorKind.CALL
+_RETURN = TerminatorKind.RETURN
+_INDIRECT_JUMP = TerminatorKind.INDIRECT_JUMP
+_INDIRECT_CALL = TerminatorKind.INDIRECT_CALL
 
 
 @dataclass
@@ -176,7 +187,7 @@ class SyntheticProgramGenerator:
         entry = BasicBlock(
             label="main.entry",
             terminator=Terminator(
-                kind=TerminatorKind.JUMP, successors=(first,)
+                kind=_JUMP, successors=(first,)
             ),
             instruction_count=self._rng.randint(
                 *self._profile.block_instructions
@@ -191,7 +202,7 @@ class SyntheticProgramGenerator:
                 BasicBlock(
                     label=labels[index],
                     terminator=Terminator(
-                        kind=TerminatorKind.CALL,
+                        kind=_CALL,
                         callee=callee,
                         successors=(next_label,),
                     ),
@@ -203,7 +214,7 @@ class SyntheticProgramGenerator:
         cfg.add_block(
             BasicBlock(
                 label=ret_label,
-                terminator=Terminator(kind=TerminatorKind.RETURN),
+                terminator=Terminator(kind=_RETURN),
                 instruction_count=1,
             )
         )
@@ -237,20 +248,32 @@ class _FunctionBuilder:
         # Deeper (leaf-ward) functions are smaller and less loopy, the way
         # real utility functions are; this keeps the dynamic call/return
         # fraction realistic despite loop amplification of branch records.
-        self._construct_weights = [
+        construct_weights = [
             profile.w_if, profile.w_ifelse, profile.w_loop * depth_scale,
             profile.w_call if plan.callees else 0.0,
             profile.w_switch, profile.w_icall if plan.callees else 0.0,
             profile.w_straight,
         ]
-        if not any(self._construct_weights):
-            self._construct_weights[-1] = 1.0  # leaf of straight code
+        if not any(construct_weights):
+            construct_weights[-1] = 1.0  # leaf of straight code
+        # Each weight table is summed once, not once per draw.
+        self._construct_cum_weights = list(accumulate(construct_weights))
+        self._branch_cum_weights = list(
+            accumulate(
+                (
+                    profile.w_biased,
+                    profile.w_periodic,
+                    profile.w_history,
+                    profile.w_pathcorr,
+                )
+            )
+        )
 
     def build(self) -> ControlFlowGraph:
         """Assemble the function: constructs in front of a RETURN block."""
         ret_label = self._new_label("ret")
         self._add_block(
-            ret_label, Terminator(kind=TerminatorKind.RETURN), size=1
+            ret_label, Terminator(kind=_RETURN), size=1
         )
         lo, hi = self._profile.constructs_per_function
         count = max(2, round(self._rng.randint(lo, hi) * self._depth_scale))
@@ -266,7 +289,7 @@ class _FunctionBuilder:
                 self._add_block(
                     label,
                     Terminator(
-                        kind=TerminatorKind.CALL,
+                        kind=_CALL,
                         callee=callee,
                         successors=(body_entry,),
                     ),
@@ -275,7 +298,7 @@ class _FunctionBuilder:
                 body_entry = label
         self._add_block(
             f"{self._plan.name}.entry",
-            Terminator(kind=TerminatorKind.JUMP, successors=(body_entry,)),
+            Terminator(kind=_JUMP, successors=(body_entry,)),
         )
         return self._cfg
 
@@ -290,7 +313,7 @@ class _FunctionBuilder:
 
     def _emit_construct(self, cont: str, depth: int) -> str:
         kind = self._rng.weighted_choice(
-            _CONSTRUCTS, self._construct_weights
+            _CONSTRUCTS, cum_weights=self._construct_cum_weights
         )
         if depth >= 3:
             # Bound structural nesting. Calls, indirect calls and switches
@@ -311,7 +334,7 @@ class _FunctionBuilder:
         self._add_block(
             label,
             Terminator(
-                kind=TerminatorKind.COND_BRANCH,
+                kind=_COND_BRANCH,
                 successors=(then_entry, cont),
                 behavior=self._branch_behavior(),
             ),
@@ -329,7 +352,7 @@ class _FunctionBuilder:
         self._add_block(
             label,
             Terminator(
-                kind=TerminatorKind.COND_BRANCH,
+                kind=_COND_BRANCH,
                 successors=(then_entry, else_entry),
                 behavior=self._branch_behavior(),
             ),
@@ -345,7 +368,7 @@ class _FunctionBuilder:
         self._add_block(
             header,
             Terminator(
-                kind=TerminatorKind.COND_BRANCH,
+                kind=_COND_BRANCH,
                 successors=(body_entry, cont),
                 behavior=LoopBehavior(trips),
             ),
@@ -359,7 +382,7 @@ class _FunctionBuilder:
         self._add_block(
             label,
             Terminator(
-                kind=TerminatorKind.CALL,
+                kind=_CALL,
                 callee=callee,
                 successors=(cont,),
             ),
@@ -374,7 +397,7 @@ class _FunctionBuilder:
             case_label = self._new_label(f"case{index}")
             self._add_block(
                 case_label,
-                Terminator(kind=TerminatorKind.JUMP, successors=(cont,)),
+                Terminator(kind=_JUMP, successors=(cont,)),
             )
             cases.append(case_label)
         label = self._new_label("switch")
@@ -382,7 +405,7 @@ class _FunctionBuilder:
         self._add_block(
             label,
             Terminator(
-                kind=TerminatorKind.INDIRECT_JUMP,
+                kind=_INDIRECT_JUMP,
                 successors=tuple(cases),
                 behavior=behavior,
             ),
@@ -399,7 +422,7 @@ class _FunctionBuilder:
         self._add_block(
             label,
             Terminator(
-                kind=TerminatorKind.INDIRECT_CALL,
+                kind=_INDIRECT_CALL,
                 callees=callees,
                 successors=(cont,),
                 behavior=behavior,
@@ -410,7 +433,7 @@ class _FunctionBuilder:
     def _emit_straight(self, cont: str, depth: int) -> str:
         label = self._new_label("str")
         self._add_block(
-            label, Terminator(kind=TerminatorKind.JUMP, successors=(cont,))
+            label, Terminator(kind=_JUMP, successors=(cont,))
         )
         return label
 
@@ -420,7 +443,7 @@ class _FunctionBuilder:
         self._add_block(
             call_label,
             Terminator(
-                kind=TerminatorKind.CALL,
+                kind=_CALL,
                 callee=self._plan.name,
                 successors=(cont,),
             ),
@@ -429,7 +452,7 @@ class _FunctionBuilder:
         self._add_block(
             guard,
             Terminator(
-                kind=TerminatorKind.COND_BRANCH,
+                kind=_COND_BRANCH,
                 successors=(call_label, cont),
                 behavior=DepthGuardChoice(
                     self._profile.recursion_depth,
@@ -444,13 +467,7 @@ class _FunctionBuilder:
     def _branch_behavior(self) -> ChoiceBehavior:
         profile = self._profile
         kind = self._rng.weighted_choice(
-            ("biased", "periodic", "history", "pathcorr"),
-            (
-                profile.w_biased,
-                profile.w_periodic,
-                profile.w_history,
-                profile.w_pathcorr,
-            ),
+            _BRANCH_BEHAVIORS, cum_weights=self._branch_cum_weights
         )
         if kind == "biased":
             return BiasedChoice(self._rng.choice(profile.bias_choices))

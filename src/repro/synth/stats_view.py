@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.isa.controlflow import ControlFlowType, MAX_EXITS_PER_TASK
-from repro.synth.trace import CF_TYPE_CODES
+from repro.predictors.headers import task_headers
 from repro.synth.workloads import Workload
 
 #: Exit types in the paper's presentation order.
@@ -55,45 +55,40 @@ class WorkloadStats:
         )
 
 
+def _fractions(counts: np.ndarray, keys) -> dict:
+    """``{key: counts[i] / counts.sum()}`` over ``keys``, in their order."""
+    values = counts.tolist()
+    total = sum(values)
+    return {key: value / total for key, value in zip(keys, values)}
+
+
 def compute_stats(workload: Workload) -> WorkloadStats:
-    """Measure all Figure 3/4 distributions for one workload."""
-    program = workload.program
+    """Measure all Figure 3/4 distributions for one workload.
+
+    Counts come from the program's header table
+    (:func:`repro.predictors.headers.task_headers`) and the trace's
+    columns, one ``np.bincount`` each.
+    """
     trace = workload.trace
+    table = task_headers(workload.program)
+    type_names = [str(t) for t in EXIT_TYPES]
+    codes = [t.code for t in EXIT_TYPES]
+    n_types = max(codes) + 1
 
-    arity_counts = dict.fromkeys(_ARITIES, 0)
-    type_counts = dict.fromkeys(EXIT_TYPES, 0)
-    for task in program.tfg:
-        arity_counts[task.n_exits] += 1
-        for task_exit in task.header.exits:
-            type_counts[task_exit.cf_type] += 1
-    n_static = sum(arity_counts.values())
-    n_exits_static = sum(type_counts.values())
-    static_arity = {k: v / n_static for k, v in arity_counts.items()}
-    static_types = {
-        str(t): type_counts[t] / n_exits_static for t in EXIT_TYPES
-    }
+    def arity(n_exits: np.ndarray) -> dict[int, float]:
+        counts = np.bincount(n_exits, minlength=MAX_EXITS_PER_TASK + 1)
+        return _fractions(counts[list(_ARITIES)], _ARITIES)
 
-    n_exits_of = workload.exit_counts()
-    dynamic_arity_counts = dict.fromkeys(_ARITIES, 0)
-    addrs, freqs = np.unique(trace.task_addr, return_counts=True)
-    for addr, freq in zip(addrs.tolist(), freqs.tolist()):
-        dynamic_arity_counts[n_exits_of[addr]] += freq
-    n_dynamic = sum(dynamic_arity_counts.values())
-    dynamic_arity = {
-        k: v / n_dynamic for k, v in dynamic_arity_counts.items()
-    }
-
-    codes, counts = np.unique(trace.cf_type, return_counts=True)
-    by_code = dict(zip(codes.tolist(), counts.tolist()))
-    dynamic_types = {
-        str(t): by_code.get(CF_TYPE_CODES[t], 0) / n_dynamic
-        for t in EXIT_TYPES
-    }
+    declared = (
+        np.arange(table.cf_codes.shape[1]) < table.n_exits[:, None]
+    )
+    static_codes = np.bincount(table.cf_codes[declared], minlength=n_types)
+    dynamic_codes = np.bincount(trace.cf_type, minlength=n_types)
 
     return WorkloadStats(
-        static_arity=static_arity,
-        dynamic_arity=dynamic_arity,
-        static_types=static_types,
-        dynamic_types=dynamic_types,
+        static_arity=arity(table.n_exits),
+        dynamic_arity=arity(table.n_exits_column(trace.task_addr)),
+        static_types=_fractions(static_codes[codes], type_names),
+        dynamic_types=_fractions(dynamic_codes[codes], type_names),
         instructions_per_task=trace.total_instructions() / len(trace),
     )

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.synth.trace import CF_TYPE_CODES
 from repro.synth.workloads import Workload
 from repro.isa.controlflow import ControlFlowType
 
@@ -163,10 +162,10 @@ def validate_workload(
     by_code = dict(zip(codes.tolist(), counts.tolist()))
     n = len(trace)
     calls = (
-        by_code.get(CF_TYPE_CODES[ControlFlowType.CALL], 0)
-        + by_code.get(CF_TYPE_CODES[ControlFlowType.INDIRECT_CALL], 0)
+        by_code.get(ControlFlowType.CALL.code, 0)
+        + by_code.get(ControlFlowType.INDIRECT_CALL.code, 0)
     ) / n
-    returns = by_code.get(CF_TYPE_CODES[ControlFlowType.RETURN], 0) / n
+    returns = by_code.get(ControlFlowType.RETURN.code, 0) / n
     balanced = abs(calls - returns) <= 0.05
     checks.append(
         ValidationCheck(

@@ -1,14 +1,17 @@
 """Tests for the trace executor: semantics and trace invariants."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.isa.controlflow import ControlFlowType
+from repro.isa.image import encode_program
 from repro.synth.behavior import FixedChoice, PeriodicChoice
 from repro.synth.executor import TraceExecutor
 from repro.synth.trace import CF_TYPE_CODES
-from repro.synth.workloads import build_program
+from repro.synth.workloads import build_program, load_workload
 
 from tests.helpers import (
     call_program,
@@ -144,6 +147,70 @@ class TestExecutorDeterminism:
         a = TraceExecutor(compiled, seed=1).run(2000)
         b = TraceExecutor(compiled, seed=2).run(2000)
         assert not np.array_equal(a.task_addr, b.task_addr)
+
+
+#: SHA-256 of each profile's program image (``encode_program``) and of
+#: its trace at 1 and at 20,000 tasks (see ``_trace_digest``): the
+#: latter is the session fixtures' length, so loading it is a memo hit.
+#: Generating, compiling or executing a program differently by a single
+#: bit changes one of them; recompute them only for an intended change
+#: of the synthetic workloads.
+_PINNED = {
+    "compress": (
+        "b1f26bed09b90c8874ae9df214b001113822576d69d51aa775eeb907c62dc57f",
+        "a6754f421741ad8f43842c1cc8ed98b1a37fc2a6af4330cb2273943165b8b4d3",
+        "4e0edb12771adaeceb2b56d29dfde0e4cd24084942e7ffac8dc1abd68ff855b6",
+    ),
+    "espresso": (
+        "88cc9c1584133260a75a6514a0675346d3c66855fcdc92f4be843071f1c908ad",
+        "96607f2ce439cf9e20f57a49d6da0611013fb460a88d8d3d3ce7ef1fd89d2d83",
+        "af366b2cf9c5fe75d92bd766cfe6664b4fcbd65525c8ad1f0e2b0d4436e34d15",
+    ),
+    "gcc": (
+        "d954614d877a73c406fa0a11851f84a7af5f9e3c78ab43caf26a6464f1cb9d88",
+        "267feb577e8fc3f38ccd4d838b62ee6caf2ac03029598a5cfe66705c9de71844",
+        "ac9d54fd252cc38b88b712ac30c312afc10c6d937a8bf9cb5f6b3a10261234ef",
+    ),
+    "sc": (
+        "2222d44f5a08f1f6a8a984a2b75da39f6b2088d745770033c847ef007b82facf",
+        "9687db7abe38bae95d30a12ac265166285e66fc7bed21ebbab66164c58795a1b",
+        "14a67ae5d200f3b031504d0f13b3404ad3c5d1a24b87b7d4e5938d91c95dfd21",
+    ),
+    "xlisp": (
+        "f00cb4a61813f7cba4025bbfb0999a0465374f2e788803c8b3ca52db4fa291c0",
+        "acae0965c0ef66eb643aee0020bdedf5a099cb19cc5a4ccff08ca3ae25d4d345",
+        "b5d994313ce793d64785a74262f75b9f36c4ae520108b1876ff206c566a207fd",
+    ),
+}
+
+_TRACE_COLUMNS = (
+    "task_addr", "exit_index", "cf_type", "next_addr", "instructions",
+    "internal_branches", "internal_mispredicts",
+)
+
+
+def _trace_digest(trace) -> str:
+    """SHA-256 over every column's name, dtype, shape and bytes."""
+    digest = hashlib.sha256()
+    for name in _TRACE_COLUMNS:
+        column = getattr(trace, name)
+        digest.update(f"{name}:{column.dtype.str}:{column.shape}\n".encode())
+        digest.update(column.tobytes())
+    return digest.hexdigest()
+
+
+class TestSynthesisPinned:
+    """Synthesis is pinned byte for byte, not only run-to-run stable."""
+
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_image_and_traces_match_recorded_digests(self, name):
+        workload = load_workload(name, 20_000)
+        digests = (
+            hashlib.sha256(encode_program(workload.program)).hexdigest(),
+            _trace_digest(load_workload(name, 1).trace),
+            _trace_digest(workload.trace),
+        )
+        assert digests == _PINNED[name]
 
 
 class TestTraceInvariantsOnBenchmarks:

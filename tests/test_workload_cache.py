@@ -3,10 +3,12 @@ corruption tolerance and a key that covers the code."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -242,6 +244,91 @@ class TestCacheCounters:
         snapshot = workloads.cache_counters()
         snapshot["trace_builds"] += 100
         assert workloads.cache_counters() != snapshot
+
+
+@pytest.fixture()
+def collector_state():
+    """Restore the cyclic collector's switch after the test."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorDuringBuilds:
+    """A build runs with the cyclic collector off and leaves it as found."""
+
+    @staticmethod
+    def _variant(cap: int = 5):
+        profile = get_profile("compress")
+        return replace(profile, max_blocks_per_task=cap)
+
+    def test_off_during_the_build_and_restored_after(
+        self, cache_dir, collector_state, monkeypatch
+    ):
+        seen = []
+        run = workloads.TraceExecutor.run
+
+        def recording_run(executor, max_tasks):
+            seen.append(gc.isenabled())
+            return run(executor, max_tasks)
+
+        monkeypatch.setattr(workloads.TraceExecutor, "run", recording_run)
+        gc.enable()
+        workloads.load_workload(self._variant(), n_tasks=800)
+        assert seen == [False]
+        assert gc.isenabled()
+        # Nothing the build made stays frozen.
+        assert gc.get_freeze_count() == 0
+
+    def test_left_disabled_when_it_was_disabled(
+        self, cache_dir, collector_state
+    ):
+        gc.disable()
+        workloads.load_workload(self._variant(), n_tasks=800)
+        assert not gc.isenabled()
+
+    def test_restored_when_the_build_raises(
+        self, cache_dir, collector_state, monkeypatch
+    ):
+        def failing_compile(*args, **kwargs):
+            assert not gc.isenabled()
+            raise RuntimeError("compile failed")
+
+        monkeypatch.setattr(workloads, "compile_program", failing_compile)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="compile failed"):
+            workloads.load_workload(self._variant(), n_tasks=800)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="compile failed"):
+            workloads.build_program(self._variant(3))
+        assert gc.isenabled()
+
+    def test_objects_frozen_by_the_caller_stay_frozen(
+        self, cache_dir, collector_state
+    ):
+        gc.enable()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            workloads.load_workload(self._variant(), n_tasks=800)
+            assert gc.get_freeze_count() >= frozen
+        finally:
+            gc.unfreeze()
+
+    def test_build_results_are_freed_without_the_collector(
+        self, cache_dir, collector_state
+    ):
+        """The block table and the workload hold no reference cycles:
+        with the collector off, dropping the last reference frees them."""
+        gc.disable()
+        compiled = workloads.build_program(self._variant())
+        workload = workloads.load_workload(self._variant(6), n_tasks=800)
+        refs = [weakref.ref(compiled), weakref.ref(workload)]
+        del compiled, workload
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestTraceChecksum:
