@@ -1,16 +1,13 @@
-"""Benchmark configuration.
+"""Configuration for ``benchmarks/test_perf.py``, the CI ``perf`` job.
 
-Every benchmark regenerates one of the paper's tables or figures in quick
-mode (40k-task traces, sparse sweeps) so the whole suite completes in
-minutes. Run with::
+Each check times a batched kernel (or a ``--jobs`` run) against its
+reference and prints a ``BENCH`` line for ``tools/bench_compare.py``::
 
-    pytest benchmarks/ --benchmark-only
-
-Use ``python -m repro.evalx <id>`` for full-length regenerations.
+    PYTHONPATH=src python -m pytest benchmarks/test_perf.py -q -s
 """
 
 import os
 
-# Benchmarks must be reproducible and self-contained: keep the on-disk
-# trace cache out of the picture unless the user opted in.
+# The perf job measures with the on-disk trace cache off, so each run
+# builds its traces in-process; a user may opt in to a cache.
 os.environ.setdefault("REPRO_CACHE_DIR", "off")

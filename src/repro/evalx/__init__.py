@@ -1,14 +1,13 @@
 """Experiment harness: one driver per table and figure of the paper.
 
-Every experiment is runnable three ways:
+Every experiment is runnable two ways:
 
 * programmatically — ``from repro.evalx import run_experiment``;
-* from the command line — ``python -m repro.evalx figure7``;
-* as a benchmark — ``pytest benchmarks/ --benchmark-only``.
+* from the command line — ``python -m repro.evalx figure7``.
 
 Each driver returns an :class:`ExperimentResult` carrying both a rendered
 text report (the same rows/series the paper presents) and the raw numbers,
-which the test suite asserts shape properties against.
+which the claims of :mod:`repro.evalx.claims` are evaluated on.
 """
 
 from repro.evalx.checkpoint import (

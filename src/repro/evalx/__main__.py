@@ -22,6 +22,7 @@ from repro.evalx.cli import (
     positive_int,
 )
 from repro.evalx.metrics import write_manifest
+from repro.evalx.parallel import resolve_jobs
 from repro.evalx.registry import (
     ALL_IDS,
     EXPERIMENT_IDS,
@@ -74,9 +75,9 @@ def main(argv: list[str] | None = None) -> int:
     engine = engine_from_args(
         parser, args, timeout_seconds=args.cell_timeout
     )
-    if args.cell_timeout is not None and args.jobs in (None, 1):
-        # resolve_jobs: None/1 = serial, where a cell running in the
-        # parent process cannot be preempted (parallel._execute_serial).
+    if args.cell_timeout is not None and resolve_jobs(args.jobs) <= 1:
+        # One worker runs serially, where a cell running in the parent
+        # process cannot be preempted (parallel._execute_serial).
         print(
             "warning: --cell-timeout is not enforced on the serial "
             "path; pass --jobs 2 or more for per-cell deadlines",

@@ -3,7 +3,7 @@
 Reproduces Figure 6: seven automata under an aggressive path predictor.
 The paper's finding — three performance tiers (LE worst; 2-bit VC and
 LEH-1 indistinguishable; 3-bit VC and LEH-2 indistinguishable and best)
-— is asserted by the test suite on this experiment's data.
+— is checked by the ``figure6.*`` claims of :mod:`repro.evalx.claims`.
 
 One cell per (depth, automaton); each cell reconstructs the same
 ``DeterministicRng(depth).fork(spec)`` stream the serial sweep used, so

@@ -1,9 +1,9 @@
 """Figure 7: ideal (alias-free) GLOBAL vs PATH vs PER, per benchmark.
 
 Reproduces Figure 7: miss rate vs history depth for ideal predictors.
-Expected shapes (asserted by tests): PATH beats GLOBAL on every
-benchmark; PATH beats PER on four of five; sc is the exception where
-per-task cyclic behaviour lets PER win.
+Expected shapes (the ``figure7.*`` claims of :mod:`repro.evalx.claims`):
+PATH beats GLOBAL on every benchmark; PATH beats PER on four of five; sc
+is the exception where per-task cyclic behaviour lets PER win.
 
 One cell per (benchmark, scheme), each sweeping the full depth axis.
 """

@@ -27,9 +27,11 @@ _DEFAULT_TASKS = 250_000
 _DEPTHS = tuple(range(0, 8))
 _QUICK_DEPTHS = (0, 1, 3, 7)
 
-#: "Infinitely large" plain TTB for the §5.3 comparison point (the paper's
-#: 59% / 39% miss rates for gcc / xlisp).
+#: "Infinitely large" plain TTB for the §5.3 comparison point.
 _LARGE_TTB_BITS = 22
+
+#: §5.3: the paper's plain-TTB miss rates for indirect targets.
+PAPER_TTB_MISS = {"gcc": 0.59, "xlisp": 0.39}
 
 
 def _ttb_cell(name: str, tasks: int) -> dict[str, float | int]:

@@ -1,143 +1,46 @@
-"""One-screen reproduction scoreboard.
+"""Reproduction scoreboard: every claim of :mod:`repro.evalx.claims`.
 
-Runs the key qualitative checks from every experiment in quick mode and
-prints a verdict per paper finding — the same checks the test suite
-enforces, packaged as a report for a reader who wants the headline answer
-to "did the paper reproduce?" without reading raw tables.
+One cell per experiment that a claim reads; its payload is that
+experiment's ``data`` at ``n_tasks`` when given, else in quick mode at
+the claims' quick length (:data:`~repro.evalx.claims.QUICK_TASKS`), else
+at the driver's default. ``combine`` evaluates every claim; a claim
+whose experiment failed under ``--keep-going`` renders as a gap.
 """
 
 from __future__ import annotations
 
-from repro.evalx.report import render_table
+from typing import Any
+
+from repro.evalx import claims
+from repro.evalx.parallel import Cell, is_failure
+from repro.evalx.registry import run_experiment
 from repro.evalx.result import ExperimentResult
 
 
-def _verdict(ok: bool) -> str:
-    return "REPRODUCED" if ok else "DEVIATION"
+def _cell(experiment_id: str, n_tasks: int | None, quick: bool) -> Any:
+    return run_experiment(experiment_id, n_tasks=n_tasks, quick=quick).data
 
 
-def run(
+def cells(n_tasks: int | None = None, quick: bool = False) -> list[Cell]:
+    return [
+        Cell(label=eid, fn=_cell, kwargs={
+            "experiment_id": eid,
+            "n_tasks": n_tasks or (claims.QUICK_TASKS.get(eid) if quick
+                                   else None),
+            "quick": quick,
+        })
+        for eid in claims.EXPERIMENTS
+    ]
+
+
+def combine(
+    cells: list[Cell],
+    results: list[Any],
     n_tasks: int | None = None,
-    quick: bool = True,
-    jobs: int | None = None,
+    quick: bool = False,
 ) -> ExperimentResult:
-    """Run the scoreboard (always quick-mode unless n_tasks overrides).
-
-    ``jobs`` is forwarded to each underlying paper experiment.
-    """
-    from repro.evalx.registry import run_experiment
-
-    rows: list[list[str]] = []
-    data: dict[str, bool] = {}
-
-    def record(finding: str, source: str, ok: bool) -> None:
-        rows.append([finding, source, _verdict(ok)])
-        data[finding] = ok
-
-    # gcc's working set unfolds slowly, so checks that depend on its size
-    # need longer traces than quick mode's default.
-    deep_tasks = n_tasks if n_tasks is not None else 120_000
-
-    table2 = run_experiment(
-        "table2", n_tasks=deep_tasks, quick=quick, jobs=jobs
-    )
-    seen = {
-        name: row["distinct_tasks_seen"] for name, row in table2.data.items()
-    }
-    record(
-        "gcc has the largest task working set, compress the smallest",
-        "Table 2",
-        seen["gcc"] == max(seen.values())
-        and seen["compress"] == min(seen.values()),
-    )
-
-    figure6 = run_experiment(
-        "figure6", n_tasks=n_tasks, quick=quick, jobs=jobs
-    )
-    series = figure6.data["series"]
-    record(
-        "automata stratify: LE worst, LEH-2 among best",
-        "Figure 6",
-        series["LE"][-1] >= series["LEH-2"][-1]
-        and series["LEH-2"][-1] <= series["VC2-MRU"][-1] + 0.002,
-    )
-
-    figure7 = run_experiment(
-        "figure7", n_tasks=deep_tasks, quick=quick, jobs=jobs
-    )
-    path_beats_global = all(
-        figure7.data[name]["path"][-1]
-        <= figure7.data[name]["global"][-1] + 0.003
-        for name in ("gcc", "espresso", "sc", "xlisp")
-    )
-    record("PATH beats GLOBAL on every benchmark", "Figure 7",
-           path_beats_global)
-    record(
-        "PER beats PATH only on sc",
-        "Figure 7",
-        figure7.data["sc"]["per"][-1] < figure7.data["sc"]["path"][-1]
-        and figure7.data["gcc"]["path"][-1]
-        < figure7.data["gcc"]["per"][-1],
-    )
-
-    figure8 = run_experiment(
-        "figure8", n_tasks=n_tasks, quick=quick, jobs=jobs
-    )
-    record(
-        "CTTB strongly outperforms the plain TTB for indirect targets",
-        "Figure 8",
-        all(
-            min(figure8.data[name]["cttb"][1:])
-            < figure8.data[name]["ttb"]
-            for name in ("gcc", "xlisp")
-        ),
-    )
-
-    figure10 = run_experiment(
-        "figure10", n_tasks=n_tasks, quick=quick, jobs=jobs
-    )
-    record(
-        "real 8KB predictors track the alias-free ideal",
-        "Figure 10",
-        all(
-            real <= ideal + 0.05
-            for name in ("espresso", "xlisp", "sc")
-            for ideal, real in zip(
-                figure10.data[name]["ideal"], figure10.data[name]["real"]
-            )
-        ),
-    )
-
-    table3 = run_experiment(
-        "table3", n_tasks=n_tasks, quick=quick, jobs=jobs
-    )
-    record(
-        "header-based prediction beats CTTB-only at 1/4 the storage",
-        "Table 3",
-        all(
-            row["exit_predictor_miss"] <= row["cttb_only_miss"] + 0.01
-            for row in table3.data.values()
-        ),
-    )
-
-    table4 = run_experiment(
-        "table4", n_tasks=n_tasks, quick=quick, jobs=jobs
-    )
-    record(
-        "better task prediction raises IPC; Perfect bounds all schemes",
-        "Table 4",
-        all(
-            ipcs["Perfect"]
-            >= max(ipcs[s] for s in ("Simple", "GLOBAL", "PER", "PATH"))
-            and ipcs["PATH"] >= ipcs["Simple"] - 0.02
-            for ipcs in table4.data.values()
-        ),
-    )
-
-    text = render_table(["Paper finding", "Source", "Verdict"], rows)
-    return ExperimentResult(
-        experiment_id="summary",
-        title="Reproduction scoreboard",
-        text=text,
-        data=data,
-    )
+    text, data = claims.scoreboard({
+        cell.label: None if is_failure(payload) else payload
+        for cell, payload in zip(cells, results)
+    })
+    return ExperimentResult("summary", "Reproduction scoreboard", text, data)

@@ -766,7 +766,7 @@ def run_sharded(
     :func:`execute_cells`. When failed cells survive (keep-going mode),
     they are listed in the result's ``failures`` field, appended to the
     report text, and recorded under ``data["_failed_cells"]`` so both
-    humans and shape-checking tests can see the gaps.
+    humans and tools reading ``data`` can see the gaps.
 
     ``checkpoint`` makes the run durable: every completed cell is
     persisted atomically as it finishes, and a store opened with

@@ -26,8 +26,8 @@ EXPERIMENT_IDS = (
 #: Extension studies beyond the paper's evaluation (see each module's
 #: docstring): history repair policies, RAS depth, CTTB sizing, a
 #: PATH+PER tournament, confidence estimation, task granularity, real
-#: PATH against ideal GLOBAL/PER, static hints, seed robustness and
-#: confidence-gated speculation.
+#: PATH against ideal GLOBAL/PER, static hints, seed robustness,
+#: confidence-gated speculation and §6.1's path-index ablations.
 EXTENSION_IDS = (
     "ext_repair",
     "ext_ras",
@@ -39,6 +39,7 @@ EXTENSION_IDS = (
     "ext_static",
     "ext_seeds",
     "ext_gating",
+    "ext_ablations",
 )
 
 #: Search drivers: cell grids parameterised by an external engine (the
@@ -67,8 +68,7 @@ def run_experiment(
     serially, ``0`` uses every CPU, and any value produces identical
     results.
 
-    Fault handling and observability (cell-grid experiments only):
-    ``keep_going`` degrades failed cells to
+    Fault handling and observability: ``keep_going`` degrades failed cells to
     :class:`~repro.evalx.parallel.CellFailure` gaps instead of aborting;
     ``retry`` is a :class:`~repro.evalx.parallel.RetryPolicy` (attempts,
     backoff, per-cell timeout); ``metrics`` is a
@@ -85,18 +85,14 @@ def run_experiment(
     module = importlib.import_module(
         f"repro.evalx.experiments.{experiment_id}"
     )
-    if hasattr(module, "cells"):
-        return run_sharded(
-            module,
-            n_tasks=n_tasks,
-            quick=quick,
-            jobs=jobs,
-            keep_going=keep_going,
-            retry=retry,
-            metrics=metrics,
-            checkpoint=checkpoint,
-            **kwargs,
-        )
-    # The one monolithic driver, summary, runs serially and forwards
-    # ``jobs`` to the paper experiments it re-runs.
-    return module.run(n_tasks=n_tasks, quick=quick, jobs=jobs, **kwargs)
+    return run_sharded(
+        module,
+        n_tasks=n_tasks,
+        quick=quick,
+        jobs=jobs,
+        keep_going=keep_going,
+        retry=retry,
+        metrics=metrics,
+        checkpoint=checkpoint,
+        **kwargs,
+    )

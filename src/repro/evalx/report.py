@@ -14,10 +14,12 @@ def render_table(
     headers: Sequence[str],
     rows: Sequence[Sequence[object]],
     title: str = "",
+    left_columns: int = 1,
 ) -> str:
     """Render an aligned monospace table.
 
-    Cells are stringified; columns are right-aligned except the first.
+    Cells are stringified; the first ``left_columns`` columns are
+    left-aligned, the rest right-aligned.
     """
     str_rows = [[str(cell) for cell in row] for row in rows]
     widths = [len(h) for h in headers]
@@ -29,7 +31,9 @@ def render_table(
         parts = []
         for i, cell in enumerate(cells):
             parts.append(
-                cell.ljust(widths[i]) if i == 0 else cell.rjust(widths[i])
+                cell.ljust(widths[i])
+                if i < left_columns
+                else cell.rjust(widths[i])
             )
         return "  ".join(parts).rstrip()
 

@@ -13,8 +13,8 @@ class ExperimentResult:
         experiment_id: Registry id, e.g. ``"figure7"``.
         title: Human-readable description matching the paper's caption.
         text: Rendered report — the same rows/series the paper presents.
-        data: Raw numbers keyed by experiment-specific names; the test
-            suite asserts shape properties (orderings, crossovers) on these.
+        data: Raw numbers keyed by experiment-specific names; the
+            claims of :mod:`repro.evalx.claims` are evaluated on these.
         failures: :class:`~repro.evalx.parallel.CellFailure` records for
             cells that failed under ``--keep-going``; empty on a clean
             run. The report text renders these as gaps.

@@ -67,7 +67,7 @@ class SyntheticProgramGenerator:
         self._rng = DeterministicRng(profile.seed).fork("generator")
 
     def generate(self) -> ProgramCFG:
-        """Build and validate the program CFG."""
+        """Build the program CFG; ``compile_program`` validates it."""
         plans = self._plan_functions()
         program = ProgramCFG(main="main")
         program.add_function(self._build_main(plans))
@@ -79,7 +79,6 @@ class SyntheticProgramGenerator:
                 depth_scale=0.55 ** (plan.level - 1),
             )
             program.add_function(builder.build())
-        program.validate()
         return program
 
     def _plan_functions(self) -> list[_FunctionPlan]:

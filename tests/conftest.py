@@ -1,7 +1,9 @@
-"""Shared fixtures: small benchmark workloads, cached per test session."""
+"""Shared fixtures: small benchmark workloads and the claimed
+experiments' quick-length data, cached per test session."""
 
 from __future__ import annotations
 
+import functools
 import os
 
 import pytest
@@ -38,3 +40,38 @@ def sc_workload():
 def xlisp_workload():
     """A small xlisp workload (recursion, calls, indirect calls)."""
     return load_workload("xlisp", n_tasks=SMALL_TRACE)
+
+
+@pytest.fixture(scope="session")
+def quick_data():
+    """``quick_data(experiment_id)``: the experiment's ``data`` at the
+    quick length its claims are checked at, run once per session."""
+    from repro.evalx.claims import QUICK_TASKS
+    from repro.evalx.registry import run_experiment
+
+    @functools.cache
+    def data(experiment_id):
+        return run_experiment(
+            experiment_id, n_tasks=QUICK_TASKS.get(experiment_id), quick=True
+        ).data
+
+    return data
+
+
+@pytest.fixture(scope="session")
+def pinned(quick_data):
+    """``pinned(claim_id)`` asserts the claim's verdict at its quick
+    length: PARTIAL for ``tests.helpers.PARTIAL_AT_QUICK``, else
+    REPRODUCED."""
+    from repro.evalx.claims import CLAIMS, PARTIAL, REPRODUCED, evaluate
+    from tests.helpers import PARTIAL_AT_QUICK
+
+    by_id = {claim.id: claim for claim in CLAIMS}
+
+    def check(claim_id):
+        claim = by_id[claim_id]
+        result = evaluate(claim, quick_data(claim.experiment))
+        expected = PARTIAL if claim_id in PARTIAL_AT_QUICK else REPRODUCED
+        assert result["verdict"] == expected, (claim_id, result)
+
+    return check

@@ -129,16 +129,6 @@ class TestFingerprint:
             cell_fingerprint("t", self._cell(x={1: 2}))
 
 
-def _driver_grids():
-    """``(experiment id, quick)`` for every registered cell grid."""
-    return [
-        (experiment_id, quick)
-        for experiment_id in ALL_IDS
-        if experiment_id != "summary"
-        for quick in (True, False)
-    ]
-
-
 class TestEveryCellIsResumable:
     """Every cell of every registered driver, at quick and full size,
     pickles (so ``--jobs`` can ship it) and fingerprints (so the
@@ -146,7 +136,10 @@ class TestEveryCellIsResumable:
     only on the path that needs it: serial runs never pickle, and an
     unfingerprintable cell still runs, uncheckpointed."""
 
-    @pytest.mark.parametrize("experiment_id, quick", _driver_grids())
+    @pytest.mark.parametrize(
+        "experiment_id, quick",
+        [(eid, quick) for eid in ALL_IDS for quick in (True, False)],
+    )
     def test_cells_pickle_and_fingerprint(self, experiment_id, quick):
         module = importlib.import_module(
             f"repro.evalx.experiments.{experiment_id}"

@@ -1,13 +1,7 @@
-"""Tests for the extension experiments and the scoreboard."""
+"""Tests for the extension experiments: their registration, their pinned
+claims (see ``tests/test_reproduction_shapes.py``) and their CLI."""
 
-import pytest
-
-from repro.evalx.registry import (
-    ALL_IDS,
-    EXPERIMENT_IDS,
-    EXTENSION_IDS,
-    run_experiment,
-)
+from repro.evalx.registry import ALL_IDS, EXPERIMENT_IDS, EXTENSION_IDS
 
 
 class TestRegistryExtensions:
@@ -20,55 +14,29 @@ class TestRegistryExtensions:
 
 
 class TestExtTasksize:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_experiment("ext_tasksize", n_tasks=30_000, quick=True)
+    def test_bigger_caps_make_fewer_bigger_tasks(self, pinned):
+        pinned("ext_tasksize.bigger_tasks")
 
-    def test_bigger_caps_make_fewer_bigger_tasks(self, result):
-        for name, by_cap in result.data.items():
-            caps = sorted(by_cap)
-            statics = [by_cap[cap]["static_tasks"] for cap in caps]
-            assert statics[0] >= statics[-1]
-            insns = [by_cap[cap]["insns_per_task"] for cap in caps]
-            assert insns[-1] >= insns[0]
-
-    def test_miss_rates_sane(self, result):
-        for by_cap in result.data.values():
-            for point in by_cap.values():
-                assert 0.0 <= point["miss_rate"] < 0.5
+    def test_miss_rates_sane(self, pinned):
+        pinned("ext_tasksize.miss_rates_sane")
 
 
 class TestExtHybridExperiment:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_experiment("ext_hybrid", quick=True)
+    def test_tournament_never_much_worse_than_best(self, pinned):
+        pinned("ext_hybrid.tournament_near_best")
 
-    def test_tournament_never_much_worse_than_best(self, result):
-        series = result.data["series"]
-        for i in range(len(result.data["benchmarks"])):
-            best = min(series["PATH"][i], series["PER"][i])
-            assert series["tournament"][i] <= best + 0.01
-
-    def test_tournament_wins_on_sc(self, result):
+    def test_tournament_wins_on_sc(self, pinned):
         """sc is where the components disagree most: PER good, PATH bad.
-        The tournament must at least match PER there."""
-        index = result.data["benchmarks"].index("sc")
-        series = result.data["series"]
-        assert series["tournament"][index] <= series["PATH"][index]
+        The tournament must at least match PATH there."""
+        pinned("ext_hybrid.tournament_sc")
 
 
 class TestExtConfidenceExperiment:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_experiment("ext_confidence", quick=True)
+    def test_high_confidence_accuracy_high(self, pinned):
+        pinned("ext_confidence.high_accuracy")
 
-    def test_high_confidence_accuracy_high(self, result):
-        for row in result.data.values():
-            assert row["high_accuracy"] > 0.9
-
-    def test_coverage_meaningful(self, result):
-        for row in result.data.values():
-            assert 0.1 < row["coverage"] < 1.0
+    def test_coverage_meaningful(self, pinned):
+        pinned("ext_confidence.coverage")
 
 
 class TestTimingStallAccounting:
@@ -104,25 +72,11 @@ class TestTimingStallAccounting:
 
 
 class TestExtSeeds:
-    @pytest.fixture(scope="class")
-    def seeds_result(self):
-        return run_experiment("ext_seeds", n_tasks=60_000, quick=True)
+    def test_orderings_mostly_seed_robust(self, pinned):
+        pinned("ext_seeds.path_beats_global")
 
-    def test_orderings_mostly_seed_robust(self, seeds_result):
-        holds = sum(
-            1
-            for by_seed in seeds_result.data.values()
-            for point in by_seed.values()
-            if point["path"] <= point["global"] + 0.003
-        )
-        total = sum(
-            len(by_seed) for by_seed in seeds_result.data.values()
-        )
-        assert holds >= int(0.7 * total)
-
-    def test_per_wins_sc_on_every_seed(self, seeds_result):
-        for point in seeds_result.data["sc"].values():
-            assert point["per"] < point["path"]
+    def test_per_wins_sc_on_every_seed(self, pinned):
+        pinned("ext_seeds.per_wins_sc")
 
 
 class TestCliOptions:
@@ -154,24 +108,11 @@ class TestCliOptions:
 
 
 class TestExtGating:
-    @pytest.fixture(scope="class")
-    def gating_result(self):
-        return run_experiment("ext_gating", n_tasks=40_000, quick=True)
+    def test_gating_loses_with_cheap_recovery(self, pinned):
+        pinned("ext_gating.cheap_recovery_loses")
 
-    def test_gating_loses_with_cheap_recovery(self, gating_result):
-        for name, by_penalty in gating_result.data.items():
-            cheap = by_penalty["penalty3"]
-            gated = [v for k, v in cheap.items() if k.startswith("gated")]
-            assert min(gated) <= cheap["ungated"] + 0.02
-
-    def test_gating_wins_with_expensive_recovery(self, gating_result):
-        wins = 0
-        for name, by_penalty in gating_result.data.items():
-            costly = by_penalty["penalty40"]
-            gated = [v for k, v in costly.items() if k.startswith("gated")]
-            if max(gated) > costly["ungated"]:
-                wins += 1
-        assert wins >= 4  # the crossover holds on nearly every benchmark
+    def test_gating_wins_with_expensive_recovery(self, pinned):
+        pinned("ext_gating.expensive_recovery_wins")
 
     def test_gated_timing_consistent(self, compress_workload):
         """Gating must never corrupt the timing recurrences: cycles stay

@@ -25,6 +25,7 @@ from repro.evalx.parallel import (
     is_failure,
     run_sharded,
 )
+from repro.evalx.registry import ALL_IDS
 from repro.evalx.result import ExperimentResult
 
 
@@ -333,6 +334,20 @@ class TestRobustnessFlagValidation:
         assert code == 2
         assert "positive" in err
 
+    def test_timeout_on_one_cpu_warns_it_is_not_enforced(
+        self, capsys, monkeypatch
+    ):
+        """``--jobs 0`` on a one-CPU machine resolves to one worker,
+        which runs serially and enforces no deadline."""
+        from repro.evalx.__main__ import main
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert main(
+            ["table2", "--quick", "--tasks", "2000", "--jobs", "0",
+             "--cell-timeout", "5"]
+        ) == 0
+        assert "--cell-timeout is not enforced" in capsys.readouterr().err
+
     def test_resume_without_checkpoint_dir_rejected(self, capsys):
         code, err = self._run(["table2", "--resume"], capsys)
         assert code == 2
@@ -345,26 +360,10 @@ class TestRobustnessFlagValidation:
         assert "--tasks" in err and ">= 1" in err
 
 
-def _cells_combine_ids():
-    """Every registered driver that speaks the cells/combine protocol."""
-    import importlib
-
-    from repro.evalx.registry import ALL_IDS
-
-    ids = []
-    for experiment_id in ALL_IDS:
-        module = importlib.import_module(
-            f"repro.evalx.experiments.{experiment_id}"
-        )
-        if hasattr(module, "cells"):
-            ids.append(experiment_id)
-    return ids
-
-
 class TestCombineToleratesFailures:
     """Every cells/combine driver must render gaps, not crash."""
 
-    @pytest.mark.parametrize("experiment_id", _cells_combine_ids())
+    @pytest.mark.parametrize("experiment_id", ALL_IDS)
     def test_all_failed_grid_still_combines(self, experiment_id):
         import importlib
 
@@ -387,21 +386,16 @@ class TestCombineToleratesFailures:
         assert result.text  # renders something, with gaps
 
     def test_extension_drivers_all_speak_cells_combine(self):
-        """Every registered driver but ``summary``, which only re-runs
-        the others, has ``cells`` and ``combine``: a monolithic
-        ``run()`` would pass ``--jobs``, ``--keep-going``, retries,
-        checkpoints and metrics by."""
+        """Every registered driver has ``cells`` and ``combine``: a
+        monolithic ``run()`` would pass ``--jobs``, ``--keep-going``,
+        retries, checkpoints and metrics by."""
         import importlib
-
-        from repro.evalx.registry import ALL_IDS
 
         monolithic = []
         for experiment_id in ALL_IDS:
             module = importlib.import_module(
                 f"repro.evalx.experiments.{experiment_id}"
             )
-            if experiment_id != "summary" and not (
-                hasattr(module, "cells") and hasattr(module, "combine")
-            ):
+            if not (hasattr(module, "cells") and hasattr(module, "combine")):
                 monolithic.append(experiment_id)
         assert monolithic == []

@@ -111,35 +111,13 @@ class TestRelaxedSimulation:
 
 
 class TestExtensionExperiments:
-    def test_ext_repair_runs_and_orders(self):
-        from repro.evalx.registry import run_experiment
+    def test_ext_repair_runs_and_orders(self, pinned):
+        pinned("ext_repair.perfect_repair_exact")
+        pinned("ext_repair.no_repair_never_helps")
 
-        result = run_experiment("ext_repair", quick=True)
-        series = result.data["series"]
-        for i in range(len(result.data["benchmarks"])):
-            assert (
-                series["speculative/perfect"][i]
-                == pytest.approx(series["idealised (paper §3.1)"][i])
-            )
-            assert (
-                series["speculative/none"][i]
-                >= series["speculative/perfect"][i] - 0.001
-            )
+    def test_ext_ras_deep_stack_nearly_perfect(self, pinned):
+        pinned("ext_ras.deeper_never_worse")
+        pinned("ext_ras.deep_stack_nearly_perfect")
 
-    def test_ext_ras_deep_stack_nearly_perfect(self):
-        from repro.evalx.registry import run_experiment
-
-        result = run_experiment("ext_ras", quick=True)
-        for name, rates in result.data["series"].items():
-            assert rates[-1] <= rates[0] + 1e-9
-            # A deep RAS is nearly perfect (paper §4.2). compress has so
-            # few returns that its floor is its driver re-entries.
-            if name in ("gcc", "xlisp", "espresso"):
-                assert rates[-1] < 0.05
-
-    def test_ext_cttb_monotone_capacity(self):
-        from repro.evalx.registry import run_experiment
-
-        result = run_experiment("ext_cttb", quick=True)
-        for rates in result.data["series"].values():
-            assert rates[-1] <= rates[0] + 0.02
+    def test_ext_cttb_monotone_capacity(self, pinned):
+        pinned("ext_cttb.capacity_helps")

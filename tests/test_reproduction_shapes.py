@@ -1,280 +1,194 @@
-"""Reproduction shape tests: the paper's qualitative findings must hold.
+"""The paper's findings, pinned, and the model's invariants.
 
-These are the tests that make this repository a *reproduction* rather than
-just a simulator: each asserts an ordering or crossover the paper reports,
-on the same experiment drivers that regenerate the tables and figures.
-They run the drivers in quick mode (40k-task traces, sparse sweeps), which
-is enough for the orderings even though absolute rates are still cold.
+Each finding is defined once, as a claim in :mod:`repro.evalx.claims`.
+A test named after it pins the verdict it reaches at its quick length;
+``test_every_claim_is_pinned`` sweeps the whole registry, so a new claim
+is pinned before it has a test. The invariants read the same data.
 """
 
 import pytest
 
+from repro.evalx.claims import CLAIMS, EXPERIMENTS, scoreboard
+from repro.evalx.experiments.common import BENCHMARKS
 from repro.evalx.registry import run_experiment
+from tests.helpers import PARTIAL_AT_QUICK
 
 
-@pytest.fixture(scope="module")
-def figure6():
-    return run_experiment("figure6", quick=True)
+def test_every_claim_is_pinned(pinned):
+    assert PARTIAL_AT_QUICK <= {claim.id for claim in CLAIMS}
+    assert len({claim.id for claim in CLAIMS}) == len(CLAIMS)
+    for claim in CLAIMS:
+        pinned(claim.id)
 
 
-#: gcc's task working set unfolds slowly (its driver iterations are long);
-#: experiments whose assertions depend on working-set size need more than
-#: quick mode's 40k-task traces.
-_DEEP_TASKS = 120_000
+def test_quick_grids_keep_their_shape(quick_data):
+    """Structure the claims do not read."""
+    assert len(quick_data("figure6")["series"]) == 7
+    assert len(quick_data("figure10")["configs"]) >= 4
+    assert len(quick_data("ext_cttb")["widths"]) >= 3
+    for row in quick_data("table3").values():
+        assert 0.0 <= row["cttb_only_miss"] <= 1.0
+        assert 0.0 <= row["exit_predictor_miss"] <= 1.0
 
 
-@pytest.fixture(scope="module")
-def figure7():
-    return run_experiment("figure7", n_tasks=_DEEP_TASKS, quick=True)
+class TestSummary:
+    """The ``summary`` driver renders the registry, evaluated on the data
+    of the experiments its cells ran."""
 
-
-@pytest.fixture(scope="module")
-def figure8():
-    return run_experiment("figure8", quick=True)
-
-
-@pytest.fixture(scope="module")
-def figure10():
-    return run_experiment("figure10", quick=True)
-
-
-@pytest.fixture(scope="module")
-def figure11():
-    return run_experiment("figure11", n_tasks=_DEEP_TASKS, quick=True)
-
-
-@pytest.fixture(scope="module")
-def figure12():
-    return run_experiment("figure12", quick=True)
-
-
-@pytest.fixture(scope="module")
-def table3():
-    return run_experiment("table3", quick=True)
-
-
-@pytest.fixture(scope="module")
-def table4():
-    return run_experiment("table4", quick=True)
+    def test_scoreboard_is_the_registry_on_the_same_data(self):
+        result = run_experiment("summary", n_tasks=2000, quick=True)
+        data = {
+            experiment_id: run_experiment(
+                experiment_id, n_tasks=2000, quick=True
+            ).data
+            for experiment_id in EXPERIMENTS
+        }
+        text, verdicts = scoreboard(data)
+        assert result.data == verdicts
+        assert list(verdicts) == [claim.id for claim in CLAIMS]
+        assert result.text == text
+        rows = text.splitlines()[2:]
+        assert [row.split()[0] for row in rows] == list(verdicts)
 
 
 class TestTable2Shapes:
-    @pytest.fixture(scope="class")
-    def table2(self):
-        return run_experiment("table2", n_tasks=_DEEP_TASKS, quick=True)
+    def test_working_set_ordering_matches_paper(self, pinned):
+        pinned("table2.working_set_order")
 
-    def test_working_set_ordering_matches_paper(self, table2):
-        seen = {
-            name: table2.data[name]["distinct_tasks_seen"]
-            for name in table2.data
-        }
-        # gcc has by far the largest task working set; compress the smallest.
-        assert seen["gcc"] == max(seen.values())
-        assert seen["compress"] == min(seen.values())
-
-    def test_static_at_least_distinct(self, table2):
-        for name, row in table2.data.items():
+    def test_static_at_least_distinct(self, quick_data):
+        data = quick_data("table2")
+        assert list(data) == list(BENCHMARKS)
+        for row in data.values():
             assert row["static_tasks"] >= row["distinct_tasks_seen"]
 
 
 class TestFigure3Shapes:
-    def test_single_exit_tasks_dominate_statics(self):
-        result = run_experiment("figure3", quick=True)
-        for name in ("gcc", "compress", "espresso", "sc", "xlisp"):
-            static = result.data[name]["static"]
-            assert static[1] == max(static.values())
+    def test_single_exit_tasks_dominate_statics(self, pinned):
+        pinned("figure3.single_exit_dominates")
 
-    def test_distributions_sum_to_one(self):
-        result = run_experiment("figure3", quick=True)
-        for name, views in result.data.items():
+    def test_distributions_sum_to_one(self, quick_data):
+        data = quick_data("figure3")
+        assert list(data) == [*BENCHMARKS, "average"]
+        for views in data.values():
             for dist in views.values():
                 assert sum(dist.values()) == pytest.approx(1.0)
 
 
 class TestFigure4Shapes:
-    def test_gcc_and_xlisp_have_indirect_exits(self):
-        result = run_experiment("figure4", quick=True)
-        for name in ("gcc", "xlisp"):
-            dynamic = result.data[name]["dynamic"]
-            indirect = (
-                dynamic["indirect_branch"] + dynamic["indirect_call"]
-            )
-            assert indirect > 0.005
+    def test_gcc_and_xlisp_have_indirect_exits(self, pinned):
+        pinned("figure4.indirect_exits")
 
-    def test_calls_balance_returns_dynamically(self):
-        result = run_experiment("figure4", quick=True)
-        for name, views in result.data.items():
-            dynamic = views["dynamic"]
-            calls = dynamic["call"] + dynamic["indirect_call"]
-            # Returns also include main's driver re-entry, so allow slack.
-            assert dynamic["return"] == pytest.approx(calls, abs=0.05)
+    def test_calls_balance_returns_dynamically(self, pinned):
+        pinned("figure4.calls_balance_returns")
 
 
 class TestFigure6Shapes:
     """§5.1: the seven automata stratify into three tiers."""
 
-    def test_last_exit_is_worst(self, figure6):
-        series = figure6.data["series"]
-        for i in range(len(figure6.data["depths"])):
-            if figure6.data["depths"][i] == 0:
-                continue
-            others = [
-                series[name][i] for name in series if name != "LE"
-            ]
-            assert series["LE"][i] >= max(others) - 0.002
+    def test_last_exit_is_worst(self, pinned):
+        pinned("figure6.le_worst")
 
-    def test_leh2_among_best(self, figure6):
-        series = figure6.data["series"]
-        last = -1
-        assert series["LEH-2"][last] <= series["LE"][last]
-        assert series["LEH-2"][last] <= series["LEH-1"][last] + 0.002
-        assert series["LEH-2"][last] <= series["VC2-MRU"][last] + 0.002
+    def test_leh2_among_best(self, pinned):
+        pinned("figure6.leh2_among_best")
 
-    def test_tiers_match_paper(self, figure6):
-        """LEH-2 ~ VC3; LEH-1 ~ VC2 (within half a point at depth 4+)."""
-        series = figure6.data["series"]
-        last = -1
-        assert series["LEH-2"][last] == pytest.approx(
-            series["VC3-MRU"][last], abs=0.005
-        )
-        assert series["LEH-1"][last] == pytest.approx(
-            series["VC2-MRU"][last], abs=0.005
-        )
+    def test_tiers_match_paper(self, pinned):
+        pinned("figure6.tiers")
 
 
 class TestFigure7Shapes:
-    """§5.2: PATH beats GLOBAL everywhere and PER on 4 of 5 benchmarks."""
+    """§5.2: PATH beats GLOBAL, and PER except on sc."""
 
-    def test_path_beats_global_at_depth(self, figure7):
-        for name in ("gcc", "espresso", "sc", "xlisp"):
-            series = figure7.data[name]
-            assert series["path"][-1] <= series["global"][-1] + 0.003
+    def test_path_beats_global_at_depth(self, pinned):
+        pinned("figure7.path_beats_global")
 
-    def test_sc_is_the_per_exception(self, figure7):
-        series = figure7.data["sc"]
-        assert series["per"][-1] < series["path"][-1]
+    def test_sc_is_the_per_exception(self, pinned):
+        pinned("figure7.sc_per_exception")
 
-    def test_path_beats_per_on_gcc_and_xlisp(self, figure7):
-        for name in ("gcc", "xlisp"):
-            series = figure7.data[name]
-            assert series["path"][-1] < series["per"][-1]
+    def test_path_beats_per_on_gcc_and_xlisp(self, pinned):
+        pinned("figure7.path_beats_per")
 
-    def test_depth_zero_identical_across_schemes(self, figure7):
-        for name in ("gcc", "compress", "espresso", "sc", "xlisp"):
-            series = figure7.data[name]
+    def test_depth_zero_identical_across_schemes(self, quick_data):
+        data = quick_data("figure7")
+        for name in BENCHMARKS:
+            series = data[name]
+            assert set(series) == {"global", "path", "per"}
             assert series["path"][0] == pytest.approx(series["global"][0])
             assert series["path"][0] == pytest.approx(series["per"][0])
 
-    def test_history_helps_path(self, figure7):
-        for name in ("gcc", "espresso", "xlisp"):
-            series = figure7.data[name]
-            assert series["path"][-1] < series["path"][0]
+    def test_history_helps_path(self, pinned):
+        pinned("figure7.history_helps_path")
 
 
 class TestFigure8Shapes:
     """§5.3: the plain TTB performs very poorly; path correlation fixes it."""
 
-    def test_ttb_miss_rate_is_high(self, figure8):
-        assert figure8.data["gcc"]["ttb"] > 0.25
-        assert figure8.data["xlisp"]["ttb"] > 0.25
+    def test_ttb_miss_rate_is_high(self, pinned):
+        pinned("figure8.ttb_poor")
 
-    def test_cttb_beats_ttb_at_depth(self, figure8):
-        for name in ("gcc", "xlisp"):
-            data = figure8.data[name]
-            assert min(data["cttb"][1:]) < data["ttb"]
+    def test_cttb_beats_ttb_at_depth(self, pinned):
+        pinned("figure8.cttb_beats_ttb")
 
-    def test_history_helps_cttb(self, figure8):
-        for name in ("gcc", "xlisp"):
-            cttb = figure8.data[name]["cttb"]
-            assert min(cttb[1:]) < cttb[0]
+    def test_history_helps_cttb(self, pinned):
+        pinned("figure8.history_helps_cttb")
 
 
 class TestFigure10Shapes:
     """§6.3: real implementations perform close to the ideal."""
 
-    def test_real_tracks_ideal(self, figure10):
-        for name in ("espresso", "xlisp", "compress", "sc"):
-            series = figure10.data[name]
-            for ideal, real in zip(series["ideal"], series["real"]):
-                assert real >= ideal - 0.005  # aliasing can't help much
-                assert real <= ideal + 0.05
+    def test_real_tracks_ideal(self, pinned):
+        pinned("figure10.real_tracks_ideal")
 
-    def test_depth_beats_depth0_for_real_tables(self, figure10):
-        for name in ("gcc", "espresso", "xlisp"):
-            real = figure10.data[name]["real"]
-            assert min(real[1:]) < real[0]
+    def test_depth_beats_depth0_for_real_tables(self, pinned):
+        pinned("figure10.depth_helps_real")
 
 
 class TestFigure11Shapes:
-    def test_ideal_states_grow_with_depth(self, figure11):
-        for name in ("gcc", "espresso"):
-            ideal = figure11.data[name]["ideal"]
-            assert ideal[-1] > ideal[0]
+    def test_ideal_states_grow_with_depth(self, pinned):
+        pinned("figure11.ideal_states_grow")
 
-    def test_real_states_bounded_by_table(self, figure11):
+    def test_real_states_bounded_by_table(self, quick_data):
+        data = quick_data("figure11")
         for name in ("gcc", "espresso"):
-            real = figure11.data[name]["real"]
-            assert max(real) <= 1 << 14
+            assert max(data[name]["real"]) <= 1 << 14
 
-    def test_gcc_touches_more_states_than_espresso(self, figure11):
-        assert (
-            figure11.data["gcc"]["ideal"][-1]
-            > figure11.data["espresso"]["ideal"][-1]
-        )
+    def test_gcc_touches_more_states_than_espresso(self, pinned):
+        pinned("figure11.gcc_most_states")
 
 
 class TestFigure12Shapes:
-    def test_real_cttb_tracks_ideal_for_xlisp(self, figure12):
-        series = figure12.data["xlisp"]
-        for ideal, real in zip(series["ideal"][1:], series["real"][1:]):
-            assert real <= ideal + 0.10
+    def test_real_cttb_tracks_ideal_for_xlisp(self, pinned):
+        pinned("figure12.real_tracks_ideal_xlisp")
 
-    def test_depth_helps_real_cttb(self, figure12):
-        for name in ("gcc", "xlisp"):
-            real = figure12.data[name]["real"]
-            assert min(real[1:]) < real[0]
+    def test_depth_helps_real_cttb(self, pinned):
+        pinned("figure12.depth_helps_real")
 
 
 class TestTable3Shapes:
     """§5.4 / §6.4.2: header-based prediction beats CTTB-only."""
 
-    def test_cttb_only_worse_everywhere(self, table3):
-        for name, row in table3.data.items():
-            assert row["exit_predictor_miss"] <= row["cttb_only_miss"] + 0.01
+    def test_cttb_only_worse_everywhere(self, pinned):
+        pinned("table3.headers_beat_cttb_only")
 
-    def test_returns_hurt_most_without_ras(self, table3):
-        for name in ("gcc", "xlisp"):
-            row = table3.data[name]
-            assert (
-                row["return_miss_header"] < row["return_miss_cttb_only"]
-            )
+    def test_returns_hurt_most_without_ras(self, pinned):
+        pinned("table3.returns_need_ras")
 
-    def test_storage_ratio_about_four_x(self, table3):
-        row = table3.data["gcc"]
-        ratio = row["cttb_only_kbytes"] / row["exit_predictor_kbytes"]
-        assert 2.5 < ratio < 6.0
+    def test_storage_ratio_about_four_x(self, pinned):
+        pinned("table3.storage_ratio")
 
 
 class TestTable4Shapes:
     """§7: better task prediction increases IPC."""
 
-    def test_perfect_is_upper_bound(self, table4):
-        for name, ipcs in table4.data.items():
-            best_real = max(
-                ipcs[s] for s in ("Simple", "GLOBAL", "PER", "PATH")
-            )
-            assert ipcs["Perfect"] >= best_real
+    def test_perfect_is_upper_bound(self, pinned):
+        pinned("table4.perfect_bounds")
 
-    def test_path_at_least_ties_everywhere(self, table4):
-        for name, ipcs in table4.data.items():
-            assert ipcs["PATH"] >= ipcs["Simple"] - 0.02
+    def test_path_at_least_ties_everywhere(self, pinned):
+        pinned("table4.path_ties_simple")
 
-    def test_path_gains_on_gcc_and_xlisp(self, table4):
-        for name in ("gcc", "xlisp"):
-            ipcs = table4.data[name]
-            assert ipcs["PATH"] > ipcs["Simple"]
+    def test_path_gains_on_gcc_and_xlisp(self, pinned):
+        pinned("table4.path_gains")
 
-    def test_ipcs_in_plausible_band(self, table4):
-        for name, ipcs in table4.data.items():
+    def test_ipcs_in_plausible_band(self, quick_data):
+        for ipcs in quick_data("table4").values():
             for value in ipcs.values():
                 assert 0.5 < value < 8.0

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Pin the ten extension experiments' ``--json`` data by SHA-256 digest.
+"""Pin the extension experiments' ``--json`` data by SHA-256 digest.
 
 Regenerates every extension at a small fixed size, from an empty
 workload cache of its own, and compares the SHA-256 of each
