@@ -71,7 +71,7 @@ class CompiledProgram:
     """A Multiscalar executable plus the block table for execution.
 
     Attributes:
-        program: The static executable (tasks, headers, TFG).
+        program: The static executable (its task table).
         blocks: All compiled blocks, keyed by globally unique label, in
             id order.
         function_entry: Function name -> entry block label.

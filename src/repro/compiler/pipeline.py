@@ -1,10 +1,10 @@
 """The compile pipeline: ProgramCFG -> partition -> layout -> CompiledProgram.
 
 Two passes, like any assembler: the first pass partitions every function and
-assigns byte addresses to blocks (4 bytes per instruction); the second builds
-task headers, which need the task addresses of exit targets, callee entries
-and return points, and the block table the trace executor runs, whose rows
-name their successors and callees by block id.
+assigns byte addresses to blocks (4 bytes per instruction); the second emits
+one task-table row per region, whose header needs the task addresses of exit
+targets, callee entries and return points, and the block table the trace
+executor runs, whose rows name their successors and callees by block id.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.compiler.partitioner import (
 from repro.errors import PartitionError
 from repro.isa.controlflow import ControlFlowType
 from repro.isa.program import MultiscalarProgram
-from repro.isa.task import StaticTask, TaskExit, TaskHeader
+from repro.isa.table import NO_ADDRESS, TaskRow, TaskTable
 from repro.utils.hashing import stable_hash
 
 _BYTES_PER_INSTRUCTION = 4
@@ -33,11 +33,13 @@ _JUMP = TerminatorKind.JUMP
 _COND_BRANCH = TerminatorKind.COND_BRANCH
 _CALL = TerminatorKind.CALL
 _INDIRECT_CALL = TerminatorKind.INDIRECT_CALL
-_BRANCH_EXIT = ControlFlowType.BRANCH
-_CALL_EXIT = ControlFlowType.CALL
-_RETURN_EXIT = ControlFlowType.RETURN
-_INDIRECT_BRANCH_EXIT = ControlFlowType.INDIRECT_BRANCH
-_INDIRECT_CALL_EXIT = ControlFlowType.INDIRECT_CALL
+_BRANCH_CODE = ControlFlowType.BRANCH.code
+_CALL_CODE = ControlFlowType.CALL.code
+_INDIRECT_CALL_CODE = ControlFlowType.INDIRECT_CALL.code
+_RETURN_EXIT = (ControlFlowType.RETURN.code, NO_ADDRESS, NO_ADDRESS)
+_INDIRECT_BRANCH_EXIT = (
+    ControlFlowType.INDIRECT_BRANCH.code, NO_ADDRESS, NO_ADDRESS
+)
 
 
 @dataclass
@@ -74,27 +76,29 @@ def compile_program(
         for function, label in function_entry.items()
     }
 
-    tasks: list[StaticTask] = []
+    rows: list[TaskRow] = []
     blocks: dict[str, CompiledBlock] = {}
     task_leader: dict[int, str] = {}
     for laid in laid_out:
         block_of = laid.cfg.block
         for region in laid.regions:
             members = [block_of(label) for label in region.blocks]
-            task = _build_task(
+            row = _task_row(
                 laid.cfg, region, members, block_id, addresses,
                 function_entry_task,
             )
-            tasks.append(task)
-            task_leader[task.address] = region.leader
+            rows.append(row)
+            task_leader[row[0]] = region.leader
             _compile_region_blocks(
-                region, members, task.address, block_id, addresses,
+                region, members, row[0], block_id, addresses,
                 function_entry_id, blocks,
             )
 
     entry = function_entry_task[program_cfg.main]
-    executable = MultiscalarProgram(name=name, tasks=tasks, entry=entry)
-    executable.tfg.validate()
+    executable = MultiscalarProgram(
+        name=name, tasks=TaskTable.from_rows(rows), entry=entry
+    )
+    executable.table.check_static_arcs()
     return CompiledProgram(
         program=executable,
         blocks=blocks,
@@ -135,49 +139,45 @@ def _layout(
     return laid_out, block_id, addresses
 
 
-def _build_task(
+def _task_row(
     cfg: ControlFlowGraph,
     region: Region,
     members: list[BasicBlock],
     block_id: dict[str, int],
     addresses: list[int],
     function_entry_task: dict[str, int],
-) -> StaticTask:
-    """Create the StaticTask (header included) for one region.
+) -> TaskRow:
+    """The task-table row (header included) of one region.
 
     ``members`` are the region's blocks, in ``region.blocks`` order.
     """
-    exits: list[TaskExit] = []
+    exits: list[tuple[int, int, int]] = []
     for descriptor in region.exit_descriptors:
         kind = descriptor[0]
         if kind == "branch":
             exits.append(
-                TaskExit(
-                    cf_type=_BRANCH_EXIT,
-                    target=addresses[block_id[descriptor[1]]],
-                )
+                (_BRANCH_CODE, addresses[block_id[descriptor[1]]], NO_ADDRESS)
             )
         elif kind == "call":
             _, callee, return_label = descriptor
             exits.append(
-                TaskExit(
-                    cf_type=_CALL_EXIT,
-                    target=function_entry_task[callee],
-                    return_address=addresses[block_id[return_label]],
+                (
+                    _CALL_CODE,
+                    function_entry_task[callee],
+                    addresses[block_id[return_label]],
                 )
             )
         elif kind == "return":
-            exits.append(TaskExit(cf_type=_RETURN_EXIT))
+            exits.append(_RETURN_EXIT)
         elif kind == "ibranch":
-            exits.append(TaskExit(cf_type=_INDIRECT_BRANCH_EXIT))
+            exits.append(_INDIRECT_BRANCH_EXIT)
         elif kind == "icall":
             block = cfg.block(descriptor[1])
             exits.append(
-                TaskExit(
-                    cf_type=_INDIRECT_CALL_EXIT,
-                    return_address=addresses[
-                        block_id[block.terminator.successors[0]]
-                    ],
+                (
+                    _INDIRECT_CALL_CODE,
+                    NO_ADDRESS,
+                    addresses[block_id[block.terminator.successors[0]]],
                 )
             )
         else:  # pragma: no cover - descriptor forms are produced above
@@ -194,15 +194,14 @@ def _build_task(
         create_mask |= annotations.get("defs_mask", 0)
         use_mask |= annotations.get("uses_mask", 0)
         instruction_count += block.instruction_count
-    return StaticTask(
-        address=addresses[block_id[region.leader]],
-        header=TaskHeader(
-            exits=tuple(exits), create_mask=create_mask & 0xFFFF
-        ),
-        instruction_count=instruction_count,
-        internal_branch_count=len(region.internal_branch_blocks),
-        use_mask=use_mask & 0xFFFF,
-        name=f"{cfg.function_name}:{region.leader}",
+    return (
+        addresses[block_id[region.leader]],
+        instruction_count,
+        len(region.internal_branch_blocks),
+        use_mask & 0xFFFF,
+        create_mask & 0xFFFF,
+        f"{cfg.function_name}:{region.leader}",
+        exits,
     )
 
 

@@ -59,10 +59,9 @@ Before any cell runs, :func:`run_sharded` reaps the temp files that
 killed writers left in the trace cache and in the checkpoint store's
 directory, on the serial and the pooled path alike. Before fanning out,
 the pooled path also pre-warms each distinct workload in the parent
-process, with its program's header table
-(:func:`repro.predictors.headers.task_headers`), so trace generation
-and the table build happen once, not once per worker: forked workers
-inherit the in-memory caches, and (when the disk cache is enabled)
+process, so trace generation happens once, not once per worker: forked
+workers inherit the in-memory caches (each program with its task
+table), and (when the disk cache is enabled)
 spawned workers find warm ``.repro-cache`` entries written atomically
 by :mod:`repro.synth.workloads`.
 
@@ -95,10 +94,8 @@ from repro.evalx.checkpoint import (
 from repro.evalx.metrics import RunMetrics
 from repro.evalx.report import render_failures
 from repro.evalx.result import ExperimentResult
-from repro.predictors.headers import task_headers
 from repro.synth.workloads import (
     cache_counters,
-    load_workload,
     prewarm_workload,
     sweep_orphan_tmp_files,
 )
@@ -235,14 +232,12 @@ def _wrap_failure(cell: Cell, exc: BaseException) -> CellExecutionError:
 
 
 def _prewarm(cells: Sequence[Cell]) -> None:
-    """Generate each distinct workload, and build its program's header
-    table, once before workers exist."""
+    """Generate each distinct workload once before workers exist."""
     seen: set[tuple[str, int | None]] = set()
     for cell in cells:
         if cell.workload is not None and cell.workload not in seen:
             seen.add(cell.workload)
             prewarm_workload(*cell.workload)
-            task_headers(load_workload(*cell.workload).program)
 
 
 def _default_sigterm() -> None:

@@ -5,7 +5,8 @@ a Multiscalar executable is a set of *tasks* — encapsulated groups of
 instructions with arbitrary internal control flow — each carrying a *task
 header* that lists up to four exits. Every exit names its control-flow type
 (Table 1 of the paper), an optional compiler-known target address, and an
-optional return address for call-type exits.
+optional return address for call-type exits. A program stores its tasks
+as one :class:`TaskTable`, from which the task objects are built on request.
 """
 
 from repro.isa.controlflow import (
@@ -23,6 +24,7 @@ from repro.isa.encoding import (
 )
 from repro.isa.image import load_program, save_program
 from repro.isa.program import MultiscalarProgram
+from repro.isa.table import TaskTable
 from repro.isa.task import StaticTask, TaskExit, TaskHeader
 from repro.isa.tfg import TaskFlowGraph
 
@@ -40,6 +42,7 @@ __all__ = [
     "TaskExit",
     "TaskHeader",
     "TaskFlowGraph",
+    "TaskTable",
     "MultiscalarProgram",
     "save_program",
     "load_program",

@@ -1,25 +1,27 @@
 """Binary program images: save/load Multiscalar executables.
 
-A small container format (magic, version, entry point, task table) whose
-per-task payload is the *actual header encoding* of
-:mod:`repro.isa.encoding` — so an image's size reflects real header
-overhead, and a program round-trips bit-exactly through a file. Tasks are
-stored in task-flow-graph iteration order, so a decoded program iterates
-its tasks as the encoded one did.
+An image stores a program's task table (:mod:`repro.isa.table`) column
+by column, as the table holds it, so a program round-trips bit-exactly
+through a file and loading one is an ``np.frombuffer`` per column plus
+the table's checks. The decoded columns are read-only views of the
+image bytes.
 
-Layout (little-endian), format version 2:
+Layout (little-endian), format version 3:
 
 ```
-u32 magic 'MSCX'   u16 version   u32 entry   u32 task_count
-per task:
-    u32 address    u32 instruction_count    u16 internal_branches
-    u16 use_mask   u16 name_length          name bytes (utf-8)
-    u16 header_bits                         header payload bytes
+u32 magic 'MSCX'   u16 version   u16 exit slots (4)   u32 entry   u32 tasks
+int64 columns of one value per task, in this order:
+    addrs  instruction_count  internal_branches  use_mask  create_mask
+    n_exits
+int64 columns of one row of exit-slot values per task (tasks x slots):
+    cf_codes  targets  return_addrs        (-1 where an address is absent)
+task names: utf-8, separated by NUL bytes
 32 bytes: SHA-256 of every byte before it
 ```
 
 The trailer makes any damaged or truncated image an :class:`EncodingError`
-on load rather than a silently different program.
+on load rather than a silently different program; so is an image of
+another format version.
 """
 
 from __future__ import annotations
@@ -28,44 +30,37 @@ import hashlib
 import struct
 from pathlib import Path
 
+import numpy as np
+
 from repro.errors import EncodingError
-from repro.isa.encoding import decode_header, encode_header
 from repro.isa.program import MultiscalarProgram
-from repro.isa.task import StaticTask
+from repro.isa.table import COLUMNS, EXIT_SLOTS, TASK_COLUMNS, TaskTable
 
 _MAGIC = 0x4D534358  # 'MSCX'
-_VERSION = 2
-_FILE_HEADER = struct.Struct("<IHII")
-_TASK_HEADER = struct.Struct("<IIHHH")
-_BITS_FIELD = struct.Struct("<H")
+_VERSION = 3
+_FILE_HEADER = struct.Struct("<IHHII")
 _CHECKSUM_BYTES = hashlib.sha256().digest_size
+_COLUMN_DTYPE = np.dtype("<i8")
 
 
 def encode_program(program: MultiscalarProgram) -> bytes:
     """``program`` as image bytes, checksum trailer included."""
-    chunks = [
-        _FILE_HEADER.pack(
-            _MAGIC, _VERSION, program.entry, program.static_task_count
-        )
-    ]
-    for task in program.tfg:
-        name_bytes = task.name.encode("utf-8")
-        if len(name_bytes) > 0xFFFF:
-            raise EncodingError(f"task name too long: {task.name[:40]}...")
-        chunks.append(
-            _TASK_HEADER.pack(
-                task.address,
-                task.instruction_count,
-                task.internal_branch_count,
-                task.use_mask,
-                len(name_bytes),
-            )
-        )
-        chunks.append(name_bytes)
-        value, width = encode_header(task.header)
-        chunks.append(_BITS_FIELD.pack(width))
-        chunks.append(value.to_bytes((width + 7) // 8, "little"))
-    body = b"".join(chunks)
+    table = program.table
+    names = "\0".join(table.names)
+    if names.count("\0") != len(table) - 1:
+        raise EncodingError("a task name holds a NUL character")
+    body = b"".join(
+        [
+            _FILE_HEADER.pack(
+                _MAGIC, _VERSION, EXIT_SLOTS, program.entry, len(table)
+            ),
+            *(
+                getattr(table, column).astype(_COLUMN_DTYPE).tobytes()
+                for column in COLUMNS
+            ),
+            names.encode("utf-8"),
+        ]
+    )
     return body + hashlib.sha256(body).digest()
 
 
@@ -73,55 +68,36 @@ def decode_program(blob: bytes, name: str) -> MultiscalarProgram:
     """The program an :func:`encode_program` blob holds, named ``name``.
 
     Raises :class:`EncodingError` for anything that is not an intact
-    version-2 image.
+    version-3 image, and :class:`~repro.errors.TaskFormatError` for an
+    intact one whose tasks break a rule of the executable format.
     """
     if len(blob) < _FILE_HEADER.size + _CHECKSUM_BYTES:
         raise EncodingError("image truncated: no file header")
-    magic, version, entry, task_count = _FILE_HEADER.unpack_from(blob, 0)
+    magic, version, slots, entry, n_tasks = _FILE_HEADER.unpack_from(blob)
     if magic != _MAGIC:
         raise EncodingError(f"bad magic {magic:#x}; not a program image")
     if version != _VERSION:
         raise EncodingError(f"unsupported image version {version}")
     end = len(blob) - _CHECKSUM_BYTES
-    if hashlib.sha256(blob[:end]).digest() != blob[end:]:
+    if hashlib.sha256(memoryview(blob)[:end]).digest() != blob[end:]:
         raise EncodingError("image checksum mismatch (damaged or truncated)")
-    cursor = _FILE_HEADER.size
-    tasks: list[StaticTask] = []
-    for _ in range(task_count):
-        try:
-            (
-                address, instruction_count, internal_branches,
-                use_mask, name_length,
-            ) = _TASK_HEADER.unpack_from(blob, cursor)
-            cursor += _TASK_HEADER.size
-            task_name = blob[cursor:cursor + name_length].decode(
-                "utf-8", errors="replace"
-            )
-            cursor += name_length
-            (width,) = _BITS_FIELD.unpack_from(blob, cursor)
-            cursor += _BITS_FIELD.size
-            n_bytes = (width + 7) // 8
-            value = int.from_bytes(
-                blob[cursor:cursor + n_bytes], "little"
-            )
-            cursor += n_bytes
-        except struct.error as error:
-            raise EncodingError(f"image truncated: {error}") from None
-        tasks.append(
-            StaticTask(
-                address=address,
-                header=decode_header(value, width),
-                instruction_count=instruction_count,
-                internal_branch_count=internal_branches,
-                use_mask=use_mask,
-                name=task_name,
-            )
-        )
-    if cursor != end:
-        raise EncodingError(
-            f"{end - cursor} trailing bytes after the task table"
-        )
-    return MultiscalarProgram(name=name, tasks=tasks, entry=entry)
+    if slots != EXIT_SLOTS:
+        raise EncodingError(f"{slots} exit slots per task, not {EXIT_SLOTS}")
+    columns = {}
+    offset = _FILE_HEADER.size
+    for column in COLUMNS:
+        shape = (n_tasks,) if column in TASK_COLUMNS else (n_tasks, slots)
+        count = int(np.prod(shape))
+        if offset + count * _COLUMN_DTYPE.itemsize > end:
+            raise EncodingError(f"image truncated in column {column}")
+        columns[column] = np.frombuffer(
+            blob, _COLUMN_DTYPE, count, offset
+        ).reshape(shape)
+        offset += count * _COLUMN_DTYPE.itemsize
+    names = blob[offset:end].decode("utf-8", errors="replace").split("\0")
+    if len(names) != n_tasks:
+        raise EncodingError(f"{len(names)} task names for {n_tasks} tasks")
+    return MultiscalarProgram(name, TaskTable(names, **columns), entry)
 
 
 def save_program(program: MultiscalarProgram, path: Path | str) -> int:

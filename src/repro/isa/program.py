@@ -1,11 +1,15 @@
-"""The Multiscalar program container: a TFG plus an entry point and metadata."""
+"""The Multiscalar program container: a task table plus an entry point."""
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
+
+import numpy as np
 
 from repro.errors import TaskFormatError
 from repro.isa.encoding import header_size_bits
+from repro.isa.table import TaskTable
 from repro.isa.task import StaticTask
 from repro.isa.tfg import TaskFlowGraph
 
@@ -13,36 +17,49 @@ from repro.isa.tfg import TaskFlowGraph
 class MultiscalarProgram:
     """A complete Multiscalar executable.
 
+    The task table is the program's only storage. The task flow graph
+    over :class:`StaticTask` objects, :attr:`tfg`, is built from it on
+    first use, for code that steps through tasks one at a time.
+
     Attributes:
         name: Program label (benchmark name for synthetic workloads).
+        table: Every task, one row each (:class:`TaskTable`).
         entry: Start address of the first task executed.
     """
 
     def __init__(
         self,
         name: str,
-        tasks: Iterable[StaticTask],
+        tasks: TaskTable | Iterable[StaticTask],
         entry: int,
     ) -> None:
         self.name = name
-        self.tfg = TaskFlowGraph(tasks)
-        if entry not in self.tfg:
+        self.table = (
+            tasks if isinstance(tasks, TaskTable)
+            else TaskTable.from_tasks(tasks)
+        )
+        if entry not in self.table:
             raise TaskFormatError(
                 f"entry address {entry:#x} is not a task start address"
             )
         self.entry = entry
 
+    @functools.cached_property
+    def tfg(self) -> TaskFlowGraph:
+        """The task flow graph, its tasks built from the table."""
+        return TaskFlowGraph(self.table.tasks())
+
     @property
     def static_task_count(self) -> int:
         """Number of static tasks in the executable (Table 2, 'Static Tasks')."""
-        return len(self.tfg)
+        return len(self.table)
 
     def task(self, address: int) -> StaticTask:
         """Return the static task starting at ``address``."""
         return self.tfg.task(address)
 
     def __contains__(self, address: int) -> bool:
-        return address in self.tfg
+        return address in self.table
 
     def total_header_bits(self) -> int:
         """Total encoded size of all task headers, in bits.
@@ -54,7 +71,5 @@ class MultiscalarProgram:
 
     def exit_arity_histogram(self) -> dict[int, int]:
         """Static histogram {n_exits: task count} (Figure 3, 'static' bars)."""
-        histogram: dict[int, int] = {}
-        for task in self.tfg:
-            histogram[task.n_exits] = histogram.get(task.n_exits, 0) + 1
-        return dict(sorted(histogram.items()))
+        counts = np.bincount(self.table.n_exits).tolist()
+        return {n_exits: count for n_exits, count in enumerate(counts) if count}

@@ -7,7 +7,7 @@ may write), and an instruction count used by the timing simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import TaskFormatError
 from repro.isa.controlflow import (
@@ -122,9 +122,6 @@ class StaticTask:
     internal_branch_count: int = 2
     use_mask: int = 0
     name: str = ""
-    _successor_cache: tuple[int, ...] | None = field(
-        default=None, init=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if not 0 <= self.address <= ADDRESS_MASK:
@@ -156,8 +153,6 @@ class StaticTask:
 
     def static_targets(self) -> tuple[int, ...]:
         """Targets the compiler recorded in the header (BRANCH/CALL exits)."""
-        if self._successor_cache is None:
-            self._successor_cache = tuple(
-                e.target for e in self.header.exits if e.target is not None
-            )
-        return self._successor_cache
+        return tuple(
+            e.target for e in self.header.exits if e.target is not None
+        )

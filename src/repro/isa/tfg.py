@@ -13,6 +13,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator
 
 from repro.errors import TaskFormatError
+from repro.isa.table import TaskTable
 from repro.isa.task import StaticTask
 
 
@@ -21,20 +22,17 @@ class TaskFlowGraph:
 
     def __init__(self, tasks: Iterable[StaticTask] = ()) -> None:
         self._tasks: dict[int, StaticTask] = {}
-        self._static_arcs: dict[int, set[int]] = defaultdict(set)
         self._dynamic_arcs: dict[int, set[int]] = defaultdict(set)
         for task in tasks:
             self.add_task(task)
 
     def add_task(self, task: StaticTask) -> None:
-        """Add a static task; its header's known targets become static arcs."""
+        """Add a static task; its header's known targets are static arcs."""
         if task.address in self._tasks:
             raise TaskFormatError(
                 f"duplicate task at address {task.address:#x}"
             )
         self._tasks[task.address] = task
-        for target in task.static_targets():
-            self._static_arcs[task.address].add(target)
 
     def __contains__(self, address: int) -> bool:
         return address in self._tasks
@@ -64,26 +62,17 @@ class TaskFlowGraph:
 
     def successors(self, address: int) -> set[int]:
         """All known successors of a task: static arcs plus observed arcs."""
-        if address not in self._tasks:
-            raise TaskFormatError(f"no task at address {address:#x}")
-        return self._static_arcs[address] | self._dynamic_arcs[address]
+        return self.static_successors(address) | self._dynamic_arcs[address]
 
     def static_successors(self, address: int) -> set[int]:
         """Successors known from the header alone."""
-        if address not in self._tasks:
-            raise TaskFormatError(f"no task at address {address:#x}")
-        return set(self._static_arcs[address])
+        return set(self.task(address).static_targets())
 
     def validate(self) -> None:
         """Check that every static arc points at a known task.
 
         Dynamic arcs may legitimately point outside the graph while it is
-        still being discovered, so only static arcs are checked.
+        still being discovered, so only static arcs are checked, by
+        :meth:`TaskTable.check_static_arcs`.
         """
-        for source, targets in self._static_arcs.items():
-            for target in targets:
-                if target not in self._tasks:
-                    raise TaskFormatError(
-                        f"task {source:#x} header targets {target:#x}, "
-                        "which is not a task start address"
-                    )
+        TaskTable.from_tasks(self).check_static_arcs()

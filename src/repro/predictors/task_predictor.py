@@ -22,7 +22,7 @@ from repro.errors import PredictorConfigError, SimulationError
 from repro.isa.controlflow import ControlFlowType
 from repro.isa.program import MultiscalarProgram
 from repro.predictors.base import ExitPredictor, NextTaskPredictor
-from repro.predictors.headers import task_headers
+from repro.predictors.headers import NO_ADDRESS, task_headers
 from repro.predictors.ras import ReturnAddressStack
 from repro.predictors.ttb import (
     CorrelatedTaskTargetBuffer,
@@ -154,29 +154,30 @@ def _ras_timeline(
     return tops[events_before]
 
 
-class _TaskInfo:
-    """Flattened per-task header facts for fast lookup."""
-
-    __slots__ = ("n_exits", "cf_codes", "targets", "return_addrs")
-
-    def __init__(self, n_exits, cf_codes, targets, return_addrs):
-        self.n_exits = n_exits
-        self.cf_codes = cf_codes
-        self.targets = targets
-        self.return_addrs = return_addrs
+#: One task's header facts: exit count, then the control-flow code,
+#: target and return address of each exit (:data:`NO_ADDRESS` where an
+#: address is absent).
+_TaskInfo = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 def _build_task_info(program: MultiscalarProgram) -> dict[int, _TaskInfo]:
-    info: dict[int, _TaskInfo] = {}
-    for task in program.tfg:
-        exits = task.header.exits
-        info[task.address] = _TaskInfo(
-            n_exits=len(exits),
-            cf_codes=tuple(e.cf_type.code for e in exits),
-            targets=tuple(e.target for e in exits),
-            return_addrs=tuple(e.return_address for e in exits),
+    """Each task's header facts by address, read from the task table."""
+    table = program.table
+    return {
+        address: (
+            n_exits,
+            tuple(cf_codes[:n_exits]),
+            tuple(targets[:n_exits]),
+            tuple(return_addrs[:n_exits]),
         )
-    return info
+        for address, n_exits, cf_codes, targets, return_addrs in zip(
+            table.addrs.tolist(),
+            table.n_exits.tolist(),
+            table.cf_codes.tolist(),
+            table.targets.tolist(),
+            table.return_addrs.tolist(),
+        )
+    }
 
 
 class HeaderTaskPredictor(NextTaskPredictor):
@@ -222,15 +223,15 @@ class HeaderTaskPredictor(NextTaskPredictor):
             ) from None
 
     def predict(self, task_addr: int) -> int:
-        task = self._task(task_addr)
-        exit_index = self._exit_predictor.predict(task_addr, task.n_exits)
-        cf_code = task.cf_codes[exit_index]
+        n_exits, cf_codes, targets, _ = self._task(task_addr)
+        exit_index = self._exit_predictor.predict(task_addr, n_exits)
+        cf_code = cf_codes[exit_index]
         if cf_code == _CF_RETURN:
             predicted = self._ras.peek()
         elif cf_code in (_CF_IBRANCH, _CF_ICALL):
             predicted = self._cttb.predict(task_addr)
         else:  # BRANCH / CALL: the compiler put the target in the header
-            predicted = task.targets[exit_index]
+            predicted = targets[exit_index]
         return predicted if predicted is not None else NO_PREDICTION
 
     def update(
@@ -240,8 +241,8 @@ class HeaderTaskPredictor(NextTaskPredictor):
         actual_cf_code: int,
         actual_next_addr: int,
     ) -> None:
-        task = self._task(task_addr)
-        self._exit_predictor.update(task_addr, task.n_exits, actual_exit)
+        n_exits, _, _, return_addrs = self._task(task_addr)
+        self._exit_predictor.update(task_addr, n_exits, actual_exit)
         if actual_cf_code in (_CF_IBRANCH, _CF_ICALL):
             self._cttb.update(task_addr, actual_next_addr)
         self._cttb.observe_step(task_addr)
@@ -250,8 +251,8 @@ class HeaderTaskPredictor(NextTaskPredictor):
         if actual_cf_code == _CF_RETURN:
             self._ras.pop()
         elif actual_cf_code in (_CF_CALL, _CF_ICALL):
-            return_addr = task.return_addrs[actual_exit]
-            if return_addr is None:
+            return_addr = return_addrs[actual_exit]
+            if return_addr == NO_ADDRESS:
                 raise SimulationError(
                     f"call exit {actual_exit} of task {task_addr:#x} "
                     "has no return address in its header"

@@ -281,10 +281,13 @@ def simulate_timing(
 
     dependence_masks: dict[int, tuple[int, int]] | None = None
     if config.dependence_aware:
-        dependence_masks = {
-            task.address: (task.header.create_mask, task.use_mask)
-            for task in workload.program.tfg
-        }
+        table = workload.program.table
+        dependence_masks = dict(
+            zip(
+                table.addrs.tolist(),
+                zip(table.create_mask.tolist(), table.use_mask.tolist()),
+            )
+        )
 
     issue_width = config.issue_width
     startup = config.task_startup_cycles

@@ -190,12 +190,15 @@ def speculative_loop(
     (:func:`repro.sim.reference.simulate_speculative_exit_prediction`)
     of the batched ``"perfect"`` replay.
     """
-    info: dict[int, tuple[int, tuple]] = {}
-    for task in workload.program.tfg:
-        info[task.address] = (
-            task.n_exits,
-            tuple(e.target for e in task.header.exits),
+    table = workload.program.table
+    info = {
+        address: (n_exits, targets[:n_exits])
+        for address, n_exits, targets in zip(
+            table.addrs.tolist(),
+            table.n_exits.tolist(),
+            table.targets.tolist(),
         )
+    }
 
     task_addrs = trace.task_addr.tolist()
     actual_exits = trace.exit_index.tolist()
@@ -223,19 +226,20 @@ def speculative_loop(
 
 def _pollute(
     predictor: SpeculativePathPredictor,
-    info: dict[int, tuple[int, tuple]],
-    wrong_target: int | None,
+    info: dict[int, tuple[int, list[int]]],
+    wrong_target: int,
     depth: int,
 ) -> int:
     """Predict down the wrong path, polluting history; return step count.
 
     Wrong-path predictions are never resolved (the hardware squashes those
     tasks before completion), so they train nothing — they only shift
-    addresses into the speculative history register.
+    addresses into the speculative history register. The path ends at an
+    exit whose header gives no target (:data:`NO_ADDRESS`, never a task).
     """
     steps = 0
     current = wrong_target
-    while current is not None and steps < depth:
+    while steps < depth:
         entry = info.get(current)
         if entry is None:
             break

@@ -108,10 +108,7 @@ def validate_workload(
             detail="every record's next_addr is the next record's task",
         )
     )
-    addresses = np.fromiter(
-        (task.address for task in program.tfg), dtype=np.uint32
-    )
-    known = bool(np.isin(trace.task_addr, addresses).all())
+    known = bool(np.isin(trace.task_addr, program.table.addrs).all())
     checks.append(
         ValidationCheck(
             name="tasks known",

@@ -59,7 +59,8 @@ class Workload:
 
     def exit_counts(self) -> dict[int, int]:
         """Map task address -> number of header exits (simulator helper)."""
-        return {task.address: task.n_exits for task in self.program.tfg}
+        table = self.program.table
+        return dict(zip(table.addrs.tolist(), table.n_exits.tolist()))
 
 
 #: One entry per registered profile: its executable, or once a trace had
@@ -335,7 +336,8 @@ _BUILD_SOURCES = (
     "synth/__init__.py", "synth/behavior.py", "synth/executor.py",
     "synth/generator.py", "synth/profiles.py", "synth/trace.py",
     "synth/workloads.py", "utils/__init__.py", "utils/bits.py",
-    "utils/fsio.py", "utils/hashing.py", "utils/rng.py", "utils/stats.py",
+    "utils/fsio.py", "utils/hashing.py", "utils/memo.py", "utils/rng.py",
+    "utils/stats.py",
 )
 _PACKAGE = Path(__file__).resolve().parent.parent
 
@@ -403,10 +405,7 @@ def _trace_matches_program(
     trace: TaskTrace, program: MultiscalarProgram
 ) -> bool:
     """Cheap consistency check: every traced task must exist statically."""
-    addresses = np.fromiter(
-        (task.address for task in program.tfg), dtype=np.uint32
-    )
-    return bool(np.isin(trace.task_addr, addresses).all())
+    return bool(np.isin(trace.task_addr, program.table.addrs).all())
 
 
 def _try_load_cached(

@@ -6,7 +6,8 @@ generator's sampling. The kill tests also share their fixtures from here:
 :func:`run_with_hung_cell` pins a victim run with :func:`hang_forever`,
 :func:`kill_process_group` kills it, and :func:`corrupt_file` damages a
 record it left behind. The program-image tests compare programs with
-:func:`assert_same_program` and damage images at :func:`target_byte_offset`.
+:func:`assert_same_program` and damage images at :func:`column_offset` and
+:func:`target_byte_offset`.
 :data:`PARTIAL_AT_QUICK` names the claims whose pinned verdict at quick
 length is PARTIAL, which the ``pinned`` fixture checks.
 """
@@ -29,8 +30,13 @@ from repro.cfg.basicblock import BasicBlock, Terminator, TerminatorKind
 from repro.cfg.graph import ControlFlowGraph, ProgramCFG
 from repro.compiler import PartitionConfig, compile_program
 from repro.compiler.compiled import CompiledProgram
-from repro.isa.encoding import encode_header
 from repro.isa.program import MultiscalarProgram
+from repro.isa.table import (
+    COLUMNS,
+    EXIT_SLOTS,
+    NO_ADDRESS,
+    TASK_COLUMNS,
+)
 from repro.isa.task import StaticTask, TaskExit, TaskHeader
 from repro.synth.behavior import ChoiceBehavior, FixedChoice
 from repro.synth.executor import TraceExecutor
@@ -223,40 +229,48 @@ def trace_workload(
 
 
 def assert_same_program(decoded, built):
-    """Field-for-field equality, task by task in TFG iteration order."""
+    """Same name, entry and task table: every column's dtype, shape and
+    values, and every task name."""
     assert decoded.name == built.name
     assert decoded.entry == built.entry
-    decoded_tasks, built_tasks = list(decoded.tfg), list(built.tfg)
-    assert len(decoded_tasks) == len(built_tasks)
-    for restored, original in zip(decoded_tasks, built_tasks):
-        assert restored.address == original.address
-        assert restored.header == original.header
-        assert restored.instruction_count == original.instruction_count
-        assert (
-            restored.internal_branch_count == original.internal_branch_count
-        )
-        assert restored.use_mask == original.use_mask
-        assert restored.name == original.name
+    for column in COLUMNS:
+        restored = getattr(decoded.table, column)
+        original = getattr(built.table, column)
+        assert restored.dtype == original.dtype, column
+        np.testing.assert_array_equal(restored, original, err_msg=column)
+    assert decoded.table.names == built.table.names
+
+
+def column_offset(program, column, row, slot=0):
+    """Image offset of one int64 field: ``column``'s value for ``row``
+    (and exit ``slot``, in an exit column) of ``program``'s table.
+
+    Walks the v3 layout: a 16-byte file header, then the int64 columns
+    in :data:`repro.isa.table.COLUMNS` order, each ``tasks`` values long,
+    or ``tasks`` rows of :data:`EXIT_SLOTS` in an exit column.
+    """
+    n_tasks = len(program.table)
+    offset = 16
+    for name in COLUMNS:
+        width = 1 if name in TASK_COLUMNS else EXIT_SLOTS
+        if name == column:
+            return offset + 8 * (row * width + slot)
+        offset += 8 * n_tasks * width
+    raise AssertionError(f"no column {column!r}")
 
 
 def target_byte_offset(program):
     """(offset, task): a byte inside ``task``'s first exit target field.
 
     ``task`` is the first task, in image order, whose first exit has a
-    compile-time target.
-
-    Walks the v2 layout: a 14-byte file header, then per task a 14-byte
-    task header, the name, a 2-byte header width and the header payload,
-    whose first exit's target field covers payload bits 23..54.
+    compile-time target; the byte is the field's least significant one.
     """
-    offset = 14
-    for task in program.tfg:
-        payload = offset + 14 + len(task.name.encode("utf-8")) + 2
-        if task.header.exits[0].target is not None:
-            return payload + 4, task  # payload bits 32..39
-        _, width = encode_header(task.header)
-        offset = payload + (width + 7) // 8
-    raise AssertionError("no task has a first-exit target")
+    targets = program.table.targets[:, 0]
+    row = int(np.flatnonzero(targets != NO_ADDRESS)[0])
+    return (
+        column_offset(program, "targets", row),
+        program.task(int(program.table.addrs[row])),
+    )
 
 
 def _live_group_members(pgid: int) -> list[int]:

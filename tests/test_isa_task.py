@@ -140,6 +140,14 @@ class TestStaticTask:
         )
         assert task.static_targets() == (0x2000,)
 
+    def test_equal_tasks_stay_equal_once_targets_are_listed(self):
+        """The task flow graph lists every task's static targets as it
+        adds the task; that must not make it differ from its twin."""
+        task, twin = self.make(), self.make()
+        assert task == twin
+        task.static_targets()
+        assert task == twin
+
     def test_instruction_count_positive(self):
         with pytest.raises(TaskFormatError):
             self.make(instruction_count=0)

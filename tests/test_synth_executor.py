@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.isa.controlflow import ControlFlowType
-from repro.isa.image import encode_program
+from repro.isa.table import COLUMNS
 from repro.synth.behavior import FixedChoice, PeriodicChoice
 from repro.synth.executor import TraceExecutor
 from repro.synth.trace import CF_TYPE_CODES
@@ -149,35 +149,36 @@ class TestExecutorDeterminism:
         assert not np.array_equal(a.task_addr, b.task_addr)
 
 
-#: SHA-256 of each profile's program image (``encode_program``) and of
+#: SHA-256 of each profile's task table (see ``_table_digest``) and of
 #: its trace at 1 and at 20,000 tasks (see ``_trace_digest``): the
 #: latter is the session fixtures' length, so loading it is a memo hit.
 #: Generating, compiling or executing a program differently by a single
-#: bit changes one of them; recompute them only for an intended change
-#: of the synthetic workloads.
+#: bit changes one of them, and no change of the image format does;
+#: recompute them only for an intended change of the synthetic
+#: workloads.
 _PINNED = {
     "compress": (
-        "b1f26bed09b90c8874ae9df214b001113822576d69d51aa775eeb907c62dc57f",
+        "2dc30b23f1c7734f84d4ec760d6f395da0a9eb3001fc000db0213406462535d8",
         "a6754f421741ad8f43842c1cc8ed98b1a37fc2a6af4330cb2273943165b8b4d3",
         "4e0edb12771adaeceb2b56d29dfde0e4cd24084942e7ffac8dc1abd68ff855b6",
     ),
     "espresso": (
-        "88cc9c1584133260a75a6514a0675346d3c66855fcdc92f4be843071f1c908ad",
+        "12c3b383b20ead0648a3a1731a944b407a361dafb3323bac04608b960afc0e1d",
         "96607f2ce439cf9e20f57a49d6da0611013fb460a88d8d3d3ce7ef1fd89d2d83",
         "af366b2cf9c5fe75d92bd766cfe6664b4fcbd65525c8ad1f0e2b0d4436e34d15",
     ),
     "gcc": (
-        "d954614d877a73c406fa0a11851f84a7af5f9e3c78ab43caf26a6464f1cb9d88",
+        "19d3f9f43ef41a8df6c61ff5fea580aa51aad6610784f0bc6902ade21bb806be",
         "267feb577e8fc3f38ccd4d838b62ee6caf2ac03029598a5cfe66705c9de71844",
         "ac9d54fd252cc38b88b712ac30c312afc10c6d937a8bf9cb5f6b3a10261234ef",
     ),
     "sc": (
-        "2222d44f5a08f1f6a8a984a2b75da39f6b2088d745770033c847ef007b82facf",
+        "5dc629dc61d46c6ed43d5e11fa21c2e9299f58f92d1845d4c8f50e893a340741",
         "9687db7abe38bae95d30a12ac265166285e66fc7bed21ebbab66164c58795a1b",
         "14a67ae5d200f3b031504d0f13b3404ad3c5d1a24b87b7d4e5938d91c95dfd21",
     ),
     "xlisp": (
-        "f00cb4a61813f7cba4025bbfb0999a0465374f2e788803c8b3ca52db4fa291c0",
+        "e8781ffe48cfbec99c1bb0ae07fb7c6b03db7e28b888c198afdfcb25b6eb858d",
         "acae0965c0ef66eb643aee0020bdedf5a099cb19cc5a4ccff08ca3ae25d4d345",
         "b5d994313ce793d64785a74262f75b9f36c4ae520108b1876ff206c566a207fd",
     ),
@@ -189,13 +190,27 @@ _TRACE_COLUMNS = (
 )
 
 
-def _trace_digest(trace) -> str:
-    """SHA-256 over every column's name, dtype, shape and bytes."""
+def _column_digest(table, columns):
+    """SHA-256 over every named column's name, dtype, shape and bytes."""
     digest = hashlib.sha256()
-    for name in _TRACE_COLUMNS:
-        column = getattr(trace, name)
+    for name in columns:
+        column = getattr(table, name)
         digest.update(f"{name}:{column.dtype.str}:{column.shape}\n".encode())
         digest.update(column.tobytes())
+    return digest
+
+
+def _trace_digest(trace) -> str:
+    """SHA-256 over every trace column's name, dtype, shape and bytes."""
+    return _column_digest(trace, _TRACE_COLUMNS).hexdigest()
+
+
+def _table_digest(table) -> str:
+    """SHA-256 over every task-table column, as ``_trace_digest`` hashes
+    a trace's, then the task names, NUL-separated."""
+    digest = _column_digest(table, COLUMNS)
+    digest.update(f"names:{len(table.names)}\n".encode())
+    digest.update("\0".join(table.names).encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -206,7 +221,7 @@ class TestSynthesisPinned:
     def test_image_and_traces_match_recorded_digests(self, name):
         workload = load_workload(name, 20_000)
         digests = (
-            hashlib.sha256(encode_program(workload.program)).hexdigest(),
+            _table_digest(workload.program.table),
             _trace_digest(load_workload(name, 1).trace),
             _trace_digest(workload.trace),
         )

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.evalx.registry import run_experiment
-from repro.predictors.headers import TaskHeaders
+from repro.isa.table import TaskTable
 from repro.synth import workloads
 from repro.utils import windows
 from repro.utils.memo import DerivedColumnCache, memo_counters
@@ -196,9 +196,9 @@ class TestCrossCellReuse:
             windows, "factorize", counting("path", windows.factorize)
         )
         monkeypatch.setattr(
-            TaskHeaders,
+            TaskTable,
             "_rows",
-            counting("exit_counts", TaskHeaders._rows),
+            counting("exit_counts", TaskTable._rows),
         )
         result = run_experiment("figure6", n_tasks=1_500)
         assert len(result.data["depths"]) == 10

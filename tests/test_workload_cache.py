@@ -4,8 +4,10 @@ corruption tolerance and a key that covers the code."""
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import weakref
@@ -17,9 +19,10 @@ import pytest
 
 from repro.compiler import PartitionConfig, compile_program
 from repro.isa.image import decode_program
+from repro.isa.task import StaticTask
 from repro.synth import workloads
 from repro.synth.generator import SyntheticProgramGenerator
-from repro.synth.profiles import PROFILES, get_profile
+from repro.synth.profiles import BENCHMARK_NAMES, PROFILES, get_profile
 from tests.helpers import assert_same_program, target_byte_offset
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -473,6 +476,60 @@ class TestProgramImage:
         warm = workloads.load_workload(name, n_tasks=3000)
         assert warm.program is not cold.program
         assert results(warm) == expected
+
+    def test_older_format_image_is_rebuilt(self, cache_dir):
+        first = workloads.load_workload("compress", n_tasks=1500)
+        (path,) = cache_dir.glob("*.msx")
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<H", blob, 4, 2)  # format version 2
+        blob[-32:] = hashlib.sha256(bytes(blob[:-32])).digest()
+        path.write_bytes(bytes(blob))
+
+        workloads.clear_caches()
+        before = workloads.cache_counters()
+        second = workloads.load_workload("compress", n_tasks=1500)
+        after = workloads.cache_counters()
+        assert after["program_builds"] == before["program_builds"] + 1
+        assert_same_program(second.program, first.program)
+        assert_same_program(
+            decode_program(path.read_bytes(), "compress"), first.program
+        )
+
+    def test_warm_grid_builds_no_task_objects(self, cache_dir, monkeypatch):
+        """What a warm paper grid runs reads every program's task table
+        and never builds its task objects."""
+        from repro.evalx.experiments import table2, table3, table4
+        from repro.sim.functional import checked_trace, exit_count_column
+        from repro.sim.timing import TimingConfig
+        from repro.synth.stats_view import compute_stats
+
+        for name in BENCHMARK_NAMES:
+            workloads.load_workload(name, n_tasks=1500)
+        workloads.clear_caches()
+        built = []
+        check = StaticTask.__post_init__
+
+        def counting(task):
+            built.append(task.address)
+            check(task)
+
+        monkeypatch.setattr(StaticTask, "__post_init__", counting)
+        before = workloads.cache_counters()
+        loaded = []
+        for name in BENCHMARK_NAMES:
+            workload = workloads.load_workload(name, n_tasks=1500)
+            loaded.append(workload)
+            trace = checked_trace(workload, None)
+            exit_count_column(workload, trace.task_addr)
+            compute_stats(workload)
+            table2._cell(name, 1500)
+        table3._cell("gcc", 1500)
+        table4._cell("gcc", "PATH", 1500, TimingConfig())
+        after = workloads.cache_counters()
+        assert after["program_disk_hits"] == before["program_disk_hits"] + 5
+        assert after["program_builds"] == before["program_builds"]
+        assert built == []
+        assert not any("tfg" in vars(w.program) for w in loaded)
 
 
 class TestSourceDigest:

@@ -10,7 +10,10 @@ committed files:
 * ``results/paper.txt`` and ``results/extensions.txt`` — each result as
   ``python -m repro.evalx`` prints it, without the timing lines;
 * the claims table (:mod:`repro.evalx.claims` evaluated on that data),
-  between the two markers in EXPERIMENTS.md.
+  between the claims markers in EXPERIMENTS.md;
+* the two frontier tables of the default design-space search
+  (``python -m repro.evalx.tune --benchmarks gcc xlisp``), between the
+  tune markers in EXPERIMENTS.md.
 
 Exits nonzero when any of them differs.
 
@@ -38,12 +41,39 @@ from repro.evalx.registry import (  # noqa: E402
     EXTENSION_IDS,
     run_experiment,
 )
+from repro.evalx.report import render_frontier  # noqa: E402
+from repro.evalx.tune import TuneSpec, run_search  # noqa: E402
 
 TASKS = 300_000
 RESULTS = ROOT / "results"
 EXPERIMENTS_MD = ROOT / "EXPERIMENTS.md"
-BEGIN = "<!-- claims:begin (tools/results.py writes this block) -->"
-END = "<!-- claims:end -->"
+CLAIMS = ("<!-- claims:begin (tools/results.py writes this block) -->",
+          "<!-- claims:end -->")
+TUNE = ("<!-- tune:begin (tools/results.py writes this block) -->",
+        "<!-- tune:end -->")
+#: The benchmarks of the design-space search EXPERIMENTS.md quotes.
+TUNE_BENCHMARKS = ("gcc", "xlisp")
+
+
+def frontier_tables() -> str:
+    """The default search's frontier tables, as ``repro-tune`` prints them."""
+    artifact = run_search(TuneSpec(benchmarks=TUNE_BENCHMARKS))
+    return "\n\n".join(
+        render_frontier(
+            artifact["frontier"][name],
+            title=f"{name.upper()} accuracy-vs-storage frontier",
+        )
+        for name in TUNE_BENCHMARKS
+    )
+
+
+def with_block(text: str, markers: tuple[str, str], body: str) -> str:
+    """``text`` with the lines between ``markers`` replaced by ``body``
+    in a fenced text block."""
+    begin, end = markers
+    head, rest = text.split(begin, 1)
+    tail = rest.split(end, 1)[1]
+    return f"{head}{begin}\n```text\n{body}\n```\n{end}{tail}"
 
 
 def regenerate() -> dict[Path, str]:
@@ -57,12 +87,9 @@ def regenerate() -> dict[Path, str]:
             {r.experiment_id: r.data for r in results}, indent=1, default=str
         ) + "\n"
         files[RESULTS / f"{name}.txt"] = "\n\n".join(map(str, results)) + "\n"
-    head, rest = EXPERIMENTS_MD.read_text(encoding="utf-8").split(BEGIN, 1)
-    table = scoreboard(data)[0]
-    files[EXPERIMENTS_MD] = "".join(
-        (head, BEGIN, f"\n```text\n{table}\n```\n", END,
-         rest.split(END, 1)[1])
-    )
+    text = EXPERIMENTS_MD.read_text(encoding="utf-8")
+    text = with_block(text, CLAIMS, scoreboard(data)[0])
+    files[EXPERIMENTS_MD] = with_block(text, TUNE, frontier_tables())
     return files
 
 
