@@ -39,7 +39,8 @@ from repro.sim.functional import (
     simulate_indirect_target_prediction,
 )
 from repro.sim.relaxed import simulate_speculative_exit_prediction
-from repro.sim.timing import simulate_timing
+from repro.sim.timing import machine, simulate_timing
+from repro.sim.timing.scan import max_plus_timing_scan
 from repro.synth.workloads import load_workload
 from repro.utils.rng import DeterministicRng
 
@@ -191,6 +192,30 @@ def test_table4_sweep_speedup():
     assert warm == serial
     _report("table4_sweep_cold[100k]", serial_s, cold_s)
     _report("table4_sweep_warm[100k]", serial_s, warm_s)
+
+
+def test_timing_scan_speedup(monkeypatch):
+    """The max-plus timing scan vs the stepped recurrence it replaces.
+
+    The columns are the ones Table 4's PATH cell scans on gcc: one
+    ``simulate_timing`` run records the scan's arguments. The scan is
+    timed warm (its cycle-column layout built by that run), best of
+    three; the stepped recurrence once.
+    """
+    workload = load_workload("gcc", n_tasks=_TASKS)
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return max_plus_timing_scan(*args)
+
+    monkeypatch.setattr(machine, "max_plus_timing_scan", record)
+    simulate_timing(workload, _make_predictor("PATH", workload))
+    (args,) = calls
+    stepped, slow = _time(lambda: reference.stepped_timing(*args))
+    runs = [_time(lambda: max_plus_timing_scan(*args)) for _ in range(3)]
+    assert all(scanned == stepped for scanned, _ in runs)
+    _report("timing_scan[gcc-100k]", slow, min(fast for _, fast in runs))
 
 
 def test_speculative_repair_speedup():

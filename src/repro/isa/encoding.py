@@ -49,16 +49,26 @@ class _BitWriter:
         self.width += width
 
 
+def header_bits(n_exits, n_targets, n_return_addresses):
+    """Encoded size in bits of a header with these field counts.
+
+    Takes ints, or integer arrays of one header per element.
+    """
+    return (
+        _COUNT_BITS + _CREATE_MASK_BITS
+        + n_exits * EXIT_SPECIFIER_BITS
+        + (n_targets + n_return_addresses) * _ADDRESS_BITS
+    )
+
+
 def header_size_bits(header: TaskHeader) -> int:
     """Return the encoded size of ``header`` in bits."""
-    size = _COUNT_BITS + _CREATE_MASK_BITS
-    for task_exit in header.exits:
-        size += EXIT_SPECIFIER_BITS
-        if task_exit.target is not None:
-            size += _ADDRESS_BITS
-        if task_exit.return_address is not None:
-            size += _ADDRESS_BITS
-    return size
+    exits = header.exits
+    return header_bits(
+        len(exits),
+        sum(task_exit.target is not None for task_exit in exits),
+        sum(task_exit.return_address is not None for task_exit in exits),
+    )
 
 
 def encode_header(header: TaskHeader) -> tuple[int, int]:

@@ -78,7 +78,7 @@ def compute_program_metrics(program: MultiscalarProgram) -> ProgramMetrics:
             if successor not in reachable:
                 stack.append(successor)
         # Call exits also make their return point statically known.
-        for task_exit in program.task(address).header.exits:
+        for task_exit in program.tfg.task(address).header.exits:
             return_address = task_exit.return_address
             if (
                 return_address is not None

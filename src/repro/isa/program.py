@@ -8,8 +8,8 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.errors import TaskFormatError
-from repro.isa.encoding import header_size_bits
-from repro.isa.table import TaskTable
+from repro.isa.encoding import header_bits
+from repro.isa.table import NO_ADDRESS, TaskTable
 from repro.isa.task import StaticTask
 from repro.isa.tfg import TaskFlowGraph
 
@@ -55,8 +55,11 @@ class MultiscalarProgram:
         return len(self.table)
 
     def task(self, address: int) -> StaticTask:
-        """Return the static task starting at ``address``."""
-        return self.tfg.task(address)
+        """Return the static task starting at ``address``, built from its
+        table row."""
+        if address not in self.table:
+            raise TaskFormatError(f"no task at address {address:#x}")
+        return self.table.task(int(np.searchsorted(self.table.addrs, address)))
 
     def __contains__(self, address: int) -> bool:
         return address in self.table
@@ -67,7 +70,14 @@ class MultiscalarProgram:
         Quantifies the header overhead that the CTTB-only scheme of §5.4
         eliminates.
         """
-        return sum(header_size_bits(task.header) for task in self.tfg)
+        table = self.table
+        return int(
+            header_bits(
+                table.n_exits,
+                (table.targets != NO_ADDRESS).sum(axis=1),
+                (table.return_addrs != NO_ADDRESS).sum(axis=1),
+            ).sum()
+        )
 
     def exit_arity_histogram(self) -> dict[int, int]:
         """Static histogram {n_exits: task count} (Figure 3, 'static' bars)."""

@@ -72,6 +72,24 @@ def _fits(column: np.ndarray) -> np.ndarray:
     return (column >= 0) & (column <= ADDRESS_MASK)
 
 
+def _static_task(
+    address: int, count: int, branches: int, use_mask: int,
+    create_mask: int, n_exits: int, codes: list[int], targets: list[int],
+    returns: list[int], name: str,
+) -> StaticTask:
+    """One table row, as Python values in :data:`COLUMNS` order and its
+    name, as a :class:`StaticTask`."""
+    exits = tuple(
+        TaskExit(CF_TYPE_FROM_CODE[code], _optional(target),
+                 _optional(return_address))
+        for code, target, return_address in zip(
+            codes[:n_exits], targets[:n_exits], returns[:n_exits]
+        )
+    )
+    return StaticTask(address, TaskHeader(exits, create_mask), count,
+                      branches, use_mask, name)
+
+
 class TaskTable:
     """Every static task of a program, one row per task in address order.
 
@@ -141,25 +159,21 @@ class TaskTable:
             for task in tasks
         )
 
+    def task(self, row: int) -> StaticTask:
+        """Row ``row`` as a :class:`StaticTask`."""
+        return _static_task(
+            *(getattr(self, c)[row].tolist() for c in COLUMNS),
+            self.names[row],
+        )
+
     def tasks(self) -> list[StaticTask]:
         """Every row as a :class:`StaticTask`, in row order."""
-        tasks = []
-        for (
-            address, count, branches, use_mask, create_mask, n, codes,
-            targets, returns, name,
-        ) in zip(*(getattr(self, c).tolist() for c in COLUMNS), self.names):
-            exits = tuple(
-                TaskExit(CF_TYPE_FROM_CODE[code], _optional(target),
-                         _optional(return_address))
-                for code, target, return_address in zip(
-                    codes[:n], targets[:n], returns[:n]
-                )
+        return [
+            _static_task(*row)
+            for row in zip(
+                *(getattr(self, c).tolist() for c in COLUMNS), self.names
             )
-            tasks.append(
-                StaticTask(address, TaskHeader(exits, create_mask), count,
-                           branches, use_mask, name)
-            )
-        return tasks
+        ]
 
     def _check(self) -> None:
         """Every rule :class:`TaskExit`, :class:`TaskHeader` and

@@ -12,8 +12,10 @@ simulator of the same name:
   its stepped loop is shared, since it is also the production kernel of
   the ``"squash"`` and ``"none"`` repair policies);
 * :func:`simulate_confidence` (:mod:`repro.predictors.confidence`);
-* :func:`simulate_timing` (:mod:`repro.sim.timing.machine`), on the
-  :class:`ProcessingRing` it steps.
+* :func:`simulate_timing` (:mod:`repro.sim.timing.machine`), whose
+  per-task recurrence :func:`stepped_timing` (the oracle of
+  :func:`repro.sim.timing.scan.max_plus_timing_scan`) steps a
+  :class:`ProcessingRing`.
 
 :func:`simulate_timing_detailed` is a cycle-stepped model of the same
 machine that cross-validates the analytic timing model.
@@ -50,6 +52,11 @@ from repro.sim.result import (
 )
 from repro.sim.timing.config import TimingConfig
 from repro.sim.timing.machine import TimingResult
+from repro.sim.timing.scan import (
+    CODE_CORRECT,
+    CODE_GATED,
+    CODE_MISPREDICT,
+)
 from repro.synth.workloads import Workload
 
 
@@ -254,6 +261,55 @@ class ProcessingRing:
                 self._unit_free_at[unit] = restart_time
 
 
+def stepped_timing(
+    exec_cycles,
+    forward_stalls,
+    codes,
+    n_units: int,
+    dispatch_interval: int,
+    mispredict_penalty: int,
+    commit_interval: int,
+) -> tuple[int, int]:
+    """Stepped :func:`repro.sim.timing.scan.max_plus_timing_scan`.
+
+    Steps start, finish and commit one task at a time on a
+    :class:`ProcessingRing`, dispatching the next task by each task's
+    outcome code (correct, gated or mispredicted), and returns
+    ``(total_cycles, mispredict_stall_cycles)``.
+    """
+    ring = ProcessingRing(n_units)
+    dispatch = 0
+    prev_finish = 0
+    prev_commit = 0
+    mispredict_stalls = 0
+    for exec_cycles_i, forward_stall, code in zip(
+        np.asarray(exec_cycles).tolist(),
+        np.asarray(forward_stalls).tolist(),
+        np.asarray(codes).tolist(),
+    ):
+        start = max(dispatch, ring.unit_free_time())
+        finish = max(start + exec_cycles_i, prev_finish + forward_stall)
+        commit = max(finish, prev_commit + commit_interval)
+        ring.occupy_and_commit(commit)
+        if code == CODE_GATED:
+            # Speculation control: don't act on a low-confidence
+            # prediction — wait for the task to resolve. No squash and no
+            # redirect penalty, but all overlap with the successor is lost.
+            dispatch = finish
+        elif code == CODE_CORRECT:
+            dispatch = dispatch + dispatch_interval
+        else:
+            restart = finish + mispredict_penalty
+            ring.squash_speculative(restart)
+            mispredict_stalls += max(
+                0, restart - (dispatch + dispatch_interval)
+            )
+            dispatch = restart
+        prev_finish = finish
+        prev_commit = commit
+    return prev_commit, mispredict_stalls
+
+
 def simulate_timing(
     workload: Workload,
     predictor: NextTaskPredictor,
@@ -263,8 +319,9 @@ def simulate_timing(
 ) -> TimingResult:
     """Stepped :func:`repro.sim.timing.simulate_timing`.
 
-    ``confidence_gate`` is driven through ``is_high_confidence`` and
-    ``update``, one task at a time.
+    ``predictor`` and ``confidence_gate`` (through ``is_high_confidence``
+    and ``update``) are driven one task at a time; the cycle columns and
+    outcome codes they yield run through :func:`stepped_timing`.
     """
     config = config or TimingConfig()
     trace = _trace(workload, limit)
@@ -275,7 +332,6 @@ def simulate_timing(
     instructions = trace.instructions.tolist()
     intra_misses = trace.internal_mispredicts.tolist()
 
-    ring = ProcessingRing(config.n_units)
     predict = predictor.predict
     update = predictor.update
 
@@ -289,37 +345,24 @@ def simulate_timing(
             )
         )
 
-    issue_width = config.issue_width
-    startup = config.task_startup_cycles
-    intra_penalty = config.intra_mispredict_penalty
-    forward_fraction = config.forward_fraction
-    dispatch_interval = config.dispatch_interval
-    mispredict_penalty = config.task_mispredict_penalty
-    commit_interval = config.commit_interval
-
-    dispatch = 0
-    prev_finish = 0
-    prev_commit = 0
     prev_create_mask = 0xFFFF  # the pre-trace machine state feeds task 0
-    task_mispredicts = 0
-    mispredict_stalls = 0
-
+    exec_col: list[int] = []
+    forward_col: list[int] = []
+    codes: list[int] = []
     for i, addr in enumerate(task_addrs):
         exec_cycles = (
-            startup
-            + -(-instructions[i] // issue_width)  # ceil division
-            + intra_misses[i] * intra_penalty
+            config.task_startup_cycles
+            + -(-instructions[i] // config.issue_width)  # ceil division
+            + intra_misses[i] * config.intra_mispredict_penalty
         )
-        start = max(dispatch, ring.unit_free_time())
-        forward_stall = int(forward_fraction * exec_cycles)
+        forward_stall = int(config.forward_fraction * exec_cycles)
         if dependence_masks is not None:
             create_mask, use_mask = dependence_masks[addr]
             if not prev_create_mask & use_mask:
                 forward_stall = 0
             prev_create_mask = create_mask
-        finish = max(start + exec_cycles, prev_finish + forward_stall)
-        commit = max(finish, prev_commit + commit_interval)
-        ring.occupy_and_commit(commit)
+        exec_col.append(exec_cycles)
+        forward_col.append(forward_stall)
 
         next_addr = next_addrs[i]
         predicted = predict(addr)
@@ -329,29 +372,26 @@ def simulate_timing(
         if confidence_gate is not None:
             gated = not confidence_gate.is_high_confidence(addr)
             confidence_gate.update(addr, correct)
-        if gated:
-            # Speculation control: don't act on a low-confidence
-            # prediction — wait for the task to resolve. No squash and no
-            # redirect penalty, but all overlap with the successor is lost.
-            dispatch = finish
-        elif correct:
-            dispatch = dispatch + dispatch_interval
-        else:
-            task_mispredicts += 1
-            restart = finish + mispredict_penalty
-            ring.squash_speculative(restart)
-            mispredict_stalls += max(
-                0, restart - (dispatch + dispatch_interval)
-            )
-            dispatch = restart
-        prev_finish = finish
-        prev_commit = commit
+        codes.append(
+            CODE_GATED if gated
+            else CODE_CORRECT if correct
+            else CODE_MISPREDICT
+        )
 
+    cycles, mispredict_stalls = stepped_timing(
+        exec_col,
+        forward_col,
+        codes,
+        config.n_units,
+        config.dispatch_interval,
+        config.task_mispredict_penalty,
+        config.commit_interval,
+    )
     return TimingResult(
-        cycles=prev_commit,
+        cycles=cycles,
         instructions=sum(instructions),
         tasks=len(task_addrs),
-        task_mispredicts=task_mispredicts,
+        task_mispredicts=codes.count(CODE_MISPREDICT),
         intra_mispredicts=sum(intra_misses),
         mispredict_stall_cycles=mispredict_stalls,
     )

@@ -14,8 +14,6 @@ batched predictors supply them as a column — the whole chain is linear in
 the *max-plus semiring*, so it can be evaluated without a per-task Python
 loop.
 
-Two exact reductions make that possible:
-
 * **Ring elimination.** ``unit_free_i`` is the commit time of the task
   that last ran on the same unit, ``commit_{i-N}`` for an ``N``-unit
   ring, *except* that a squash clamps the unit-free times down to the
@@ -25,27 +23,63 @@ Two exact reductions make that possible:
   ``dispatch_{j+1} = finish_j + penalty``, an upper bound of every
   clamped entry), so ``start_i = dispatch_i``; otherwise no clamp was
   live in the window and ``start_i = max(dispatch_i, commit_{i-N})``.
-  The window condition is one cumulative-sum mask.
+  The window is ``N`` shifted ORs of the mispredict column.
 
-* **Chunked scan.** With state vector ``(dispatch, finish, commit,
-  commit_{last N steps})`` each task is a max-plus matrix. Composing
-  ``K`` of them per chunk *columnwise across all chunks at once* (pass
-  1), propagating chunk-entry states sequentially (pass 2, ``n/K`` cheap
-  steps), then re-running values inside chunks (pass 3) costs
-  ``O(n * (3+N))`` numpy work with only ``K + n/K + K`` Python
-  iterations — minimised at ``K ≈ sqrt(n)``.
+* **State.** After task ``i`` the state is the ``2 + N`` vector
+  ``(dispatch_{i+1}, finish_i, u_0 .. u_{N-1})``, where unit slot
+  ``u_s`` holds the commit time of the last task with ``index % N ==
+  s``. Task ``i`` reads ``commit_{i-N}`` from ``u_{i % N}`` and
+  ``commit_{i-1}`` from ``u_{(i-1) % N}``, then overwrites
+  ``u_{i % N}`` with ``commit_i``; no separate commit component is
+  needed. The machine starts with every component 0.
 
-The scan's equivalence proof is the hypothesis property in
-``tests/test_sim_timing_vectorized.py``: for every profile and Table 4
-scheme it draws a trace prefix, every
-:class:`~repro.sim.timing.config.TimingConfig` field and an
-optional confidence gate, and requires results equal to the stepped
-reference (:func:`repro.sim.reference.simulate_timing`).
+* **Chunks.** The ``n`` tasks are cut into ``n_chunks`` chunks of ``K``
+  steps, ``K`` a multiple of ``N`` near ``sqrt(n / 6)`` (so a chunk
+  starts on slot 0), and the last chunk is padded at its tail with
+  zero-cycle correct tasks. Per-step columns are laid out steps-major,
+  ``(K, n_chunks)``: row ``k`` holds step ``k`` of every chunk,
+  contiguously, so every numpy operation below runs over whole rows.
+  The exec and forward layouts are cached per cycle column, so every
+  scheme swept over one trace shares them.
+
+* **Three passes.** Pass 1 composes each chunk's max-plus matrix: one
+  ``(2 + N, n_chunks)`` coefficient array per output component, row
+  ``j`` holding the coefficient of entry component ``j``, updated by
+  ``K`` row-wide steps. Pass 2 propagates the entry state from chunk to
+  chunk, ``n_chunks - 1`` steps of one ``(2 + N, 2 + N)`` matrix each.
+  Pass 3 re-runs the recurrence on values inside every chunk at once,
+  reads the final commit at the last real task, and sums the stalls.
+
+* **Sentinel.** :data:`_NEG` is the semiring's minus infinity. Every
+  coefficient starts at 0 or ``_NEG`` and stays ``>= _NEG`` after every
+  step: the finish coefficient is a max that includes ``finish +
+  forward``, with ``forward >= 0``; dispatch adds a non-negative
+  interval or penalty to a coefficient ``>= _NEG``; a unit slot takes a
+  max that includes finish. A masked unit term adds ``_NEG`` to a
+  coefficient ``>= _NEG``, so no sum adds more than two sentinels, and
+  two land exactly on ``INT64_MIN`` without wrapping. Cycle counts and
+  intervals are non-negative and far below ``2**62``.
+
+* **Stalls.** A mispredict at task ``i`` costs ``max(0, finish_i +
+  penalty - dispatch_i - interval)`` cycles, which is ``max(F - D, d -
+  p) + (p - d)`` with ``F, D`` the task's finish and dispatch and ``d,
+  p`` the interval and penalty. Pass 3 sums the first term over the
+  mispredicted steps and adds ``count * (p - d)`` once.
+
+The scan's equivalence proofs are the hypothesis properties in
+``tests/test_sim_timing_vectorized.py``: one draws raw columns (lengths
+up to 30,000, every ring size and outcome mix) against the stepped
+recurrence :func:`repro.sim.reference.stepped_timing`, the other draws
+trace prefixes, every :class:`~repro.sim.timing.config.TimingConfig`
+field and a confidence gate against
+:func:`repro.sim.reference.simulate_timing`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.utils.memo import DerivedColumnCache
 
 #: "Minus infinity" of the max-plus semiring. Chosen so one addition of
 #: two sentinels lands exactly on INT64_MIN without wrapping.
@@ -56,20 +90,20 @@ CODE_CORRECT = 0
 CODE_GATED = 1
 CODE_MISPREDICT = 2
 
+#: Steps-major layouts of cycle columns, per (column, chunk length).
+_LAYOUTS = DerivedColumnCache()
 
-def mispredict_window_mask(codes: np.ndarray, n_units: int) -> np.ndarray:
-    """True where any of the previous ``n_units`` steps mispredicted.
 
-    This is the ring-elimination condition: inside the mask the unit-free
-    time is dominated by the dispatch chain, outside it the unit frees
-    exactly at ``commit_{i-n_units}``.
-    """
-    n = len(codes)
-    mispredicts = (codes == CODE_MISPREDICT).astype(np.int64)
-    cumulative = np.concatenate(([0], np.cumsum(mispredicts)))
-    positions = np.arange(n)
-    window_lo = np.maximum(positions - n_units, 0)
-    return (cumulative[positions] - cumulative[window_lo]) > 0
+def _steps_major(column: np.ndarray, chunk: int) -> np.ndarray:
+    """``column`` as ``(chunk, n_chunks)`` rows, zero-padded at the tail
+    of the last chunk."""
+    n = len(column)
+    n_chunks = -(-n // chunk)
+    full = (n_chunks - 1) * chunk
+    rows = np.zeros((chunk, n_chunks), dtype=column.dtype)
+    rows[:, :-1] = column[:full].reshape(n_chunks - 1, chunk).T
+    rows[: n - full, -1] = column[full:]
+    return rows
 
 
 def max_plus_timing_scan(
@@ -83,8 +117,8 @@ def max_plus_timing_scan(
 ) -> tuple[int, int]:
     """Evaluate the timing recurrences over a whole trace at once.
 
-    ``exec_cycles`` and ``forward_stalls`` are per-task cycle columns;
-    ``codes`` holds :data:`CODE_CORRECT` / :data:`CODE_GATED` /
+    ``exec_cycles`` and ``forward_stalls`` are per-task int64 cycle
+    columns; ``codes`` holds :data:`CODE_CORRECT` / :data:`CODE_GATED` /
     :data:`CODE_MISPREDICT` per task. Returns ``(total_cycles,
     mispredict_stall_cycles)``, bit-identical to the stepped model.
     """
@@ -95,136 +129,89 @@ def max_plus_timing_scan(
     d_step = np.int64(dispatch_interval)
     penalty = np.int64(mispredict_penalty)
     c_step = np.int64(commit_interval)
-    masked = mispredict_window_mask(codes, ring)
-
-    # Chunk geometry: K a multiple of n_units (the unit-slot rotation
-    # must stay aligned at chunk boundaries), sized near sqrt(n).
-    chunk = int(round((n / 6) ** 0.5)) // ring * ring
-    chunk = max(chunk, ring)
+    chunk = max(int(round((n / 6) ** 0.5)) // ring * ring, ring)
     n_chunks = -(-n // chunk)
-    padded = n_chunks * chunk
-    state_dim = 3 + ring  # (dispatch, finish, commit, u_0 .. u_{N-1})
+    last = n - 1 - (n_chunks - 1) * chunk  # final real step of the last chunk
+    state = 2 + ring
 
-    # Padding steps are exact no-ops: exec = -inf kills the start term,
-    # zero forward/commit/dispatch increments freeze the chains, and the
-    # mask guards the unit term against sentinel arithmetic.
-    exec_col = np.full(padded, _NEG, dtype=np.int64)
-    exec_col[:n] = exec_cycles
-    forward_col = np.zeros(padded, dtype=np.int64)
-    forward_col[:n] = forward_stalls
-    code_col = np.full(padded, CODE_CORRECT, dtype=np.int64)
-    code_col[:n] = codes
-    mask_col = np.ones(padded, dtype=bool)
-    mask_col[:n] = masked
-    commit_step_col = np.zeros(padded, dtype=np.int64)
-    commit_step_col[:n] = c_step
-    dispatch_step_col = np.zeros(padded, dtype=np.int64)
-    dispatch_step_col[:n] = d_step
-
-    # Per-step derived columns, computed once so the scan loops touch the
-    # minimum operation count. ``exec_unit_col`` folds the window mask
-    # into the unit term (masked steps contribute -inf); ``penalty_col``
-    # folds the outcome codes into the dispatch update.
-    exec_unit_col = np.where(mask_col, _NEG, exec_col)
-    correct_col = code_col == CODE_CORRECT
-    penalty_col = np.where(
-        code_col == CODE_MISPREDICT, penalty, np.int64(0)
+    exec_rows = _LAYOUTS.get(
+        (exec_cycles,), chunk, lambda: _steps_major(exec_cycles, chunk)
     )
-
-    shape_2d = (n_chunks, chunk)
-
-    def cols(values: np.ndarray, width: int) -> list[np.ndarray]:
-        # Pre-sliced per-step views: list indexing inside the scan loops
-        # is much cheaper than repeated 2-D slicing.
-        grid = values.reshape(n_chunks, chunk, 1)
-        if width == 1:
-            return [grid[:, k] for k in range(chunk)]
-        return [grid[:, k, 0] for k in range(chunk)]
-
-    exec_b, exec_unit_b = cols(exec_col, 1), cols(exec_unit_col, 1)
-    forward_b = cols(forward_col, 1)
-    commit_step_b = cols(commit_step_col, 1)
-    dispatch_step_b = cols(dispatch_step_col, 1)
-    correct_b, penalty_b = cols(correct_col, 1), cols(penalty_col, 1)
-
-    # Pass 1: compose each chunk's max-plus coefficients, columnwise
-    # across all chunks. coef[j] maps entry-state component j to the
-    # output; a "unit vector" is the max-plus identity row.
-    def unit(component: int) -> np.ndarray:
-        row = np.full((n_chunks, state_dim), _NEG, dtype=np.int64)
-        row[:, component] = 0
-        return row
-
-    coef_d, coef_f, coef_c = unit(0), unit(1), unit(2)
-    unit_coefs = [unit(3 + slot) for slot in range(ring)]
-    for k in range(chunk):
-        slot = k % ring
-        new_f = np.maximum(
-            np.maximum(
-                coef_d + exec_b[k], unit_coefs[slot] + exec_unit_b[k]
-            ),
-            coef_f + forward_b[k],
-        )
-        new_c = np.maximum(new_f, coef_c + commit_step_b[k])
-        new_d = np.where(
-            correct_b[k],
-            coef_d + dispatch_step_b[k],
-            new_f + penalty_b[k],
-        )
-        coef_d, coef_f, coef_c = new_d, new_f, new_c
-        unit_coefs[slot] = new_c
-
-    # Pass 2: propagate the entry state of each chunk sequentially.
-    coefs = np.stack([coef_d, coef_f, coef_c] + unit_coefs, axis=1)
-    mats = list(coefs)
-    states = np.empty((n_chunks + 1, state_dim), dtype=np.int64)
-    states[0] = 0
-    scratch = np.empty((state_dim, state_dim), dtype=np.int64)
-    for chunk_index, mat in enumerate(mats):
-        np.add(mat, states[chunk_index], out=scratch)
-        scratch.max(axis=1, out=states[chunk_index + 1])
-
-    # Pass 3: re-run the recurrence on values inside every chunk at once
-    # to recover the per-step dispatch/finish needed for stall accounting.
-    exec_v, exec_unit_v = cols(exec_col, 0), cols(exec_unit_col, 0)
-    forward_v = cols(forward_col, 0)
-    commit_step_v = cols(commit_step_col, 0)
-    dispatch_step_v = cols(dispatch_step_col, 0)
-    correct_v, penalty_v = cols(correct_col, 0), cols(penalty_col, 0)
-    dispatch = states[:n_chunks, 0].copy()
-    finish = states[:n_chunks, 1].copy()
-    commit = states[:n_chunks, 2].copy()
-    unit_vals = [states[:n_chunks, 3 + slot].copy() for slot in range(ring)]
-    finish_all = np.empty(shape_2d, dtype=np.int64)
-    dispatch_all = np.empty(shape_2d, dtype=np.int64)
-    for k in range(chunk):
-        slot = k % ring
-        dispatch_all[:, k] = dispatch
-        new_f = np.maximum(
-            np.maximum(
-                dispatch + exec_v[k], unit_vals[slot] + exec_unit_v[k]
-            ),
-            finish + forward_v[k],
-        )
-        new_c = np.maximum(new_f, commit + commit_step_v[k])
-        new_d = np.where(
-            correct_v[k], dispatch + dispatch_step_v[k], new_f + penalty_v[k]
-        )
-        finish_all[:, k] = new_f
-        dispatch, finish, commit = new_d, new_f, new_c
-        unit_vals[slot] = new_c
-
-    total_cycles = int(states[n_chunks, 2])
-    finish_flat = finish_all.reshape(-1)[:n]
-    dispatch_flat = dispatch_all.reshape(-1)[:n]
+    forward_rows = _LAYOUTS.get(
+        (forward_stalls,), chunk, lambda: _steps_major(forward_stalls, chunk)
+    )
     missed = codes == CODE_MISPREDICT
-    stalls = int(
-        np.maximum(
-            0,
-            finish_flat[missed]
-            + penalty
-            - dispatch_flat[missed]
-            - d_step,
-        ).sum()
-    )
-    return total_cycles, stalls
+    masked = np.zeros(n, dtype=bool)
+    for shift in range(1, min(ring + 1, n)):
+        np.logical_or(masked[shift:], missed[: n - shift], out=masked[shift:])
+    redirect_rows = _steps_major(codes != CODE_CORRECT, chunk)
+    missed_rows = _steps_major(missed, chunk)
+    masked_rows = _steps_major(masked, chunk)
+
+    row = np.empty(n_chunks, dtype=np.int64)  # exec, or -inf if masked
+    pen = np.empty(n_chunks, dtype=np.int64)  # penalty, or 0 if not missed
+
+    # Pass 1: coef[c] maps the chunk's entry state to output component c
+    # (0 dispatch, 1 finish, 2 + s unit slot s); row j of it is the
+    # coefficient of entry component j. The identity starts every chunk.
+    coef = np.full((state, state, n_chunks), _NEG, dtype=np.int64)
+    coef[np.arange(state), np.arange(state)] = 0
+    dispatch, finish, units = coef[0], coef[1], list(coef[2:])
+    spare = np.empty((state, n_chunks), dtype=np.int64)
+    tmp = np.empty((state, n_chunks), dtype=np.int64)
+    for k in range(chunk):
+        slot, prev = k % ring, (k - 1) % ring
+        np.copyto(row, exec_rows[k])
+        np.copyto(row, _NEG, where=masked_rows[k])
+        np.multiply(missed_rows[k], penalty, out=pen)
+        np.add(dispatch, exec_rows[k], out=spare)
+        np.add(units[slot], row, out=tmp)
+        np.maximum(spare, tmp, out=spare)
+        np.add(finish, forward_rows[k], out=tmp)
+        np.maximum(spare, tmp, out=spare)  # the new finish
+        finish, spare = spare, finish
+        np.add(units[prev], c_step, out=tmp)
+        np.maximum(finish, tmp, out=units[slot])
+        np.add(dispatch, d_step, out=dispatch)
+        np.add(finish, pen, out=tmp)
+        np.copyto(dispatch, tmp, where=redirect_rows[k])
+
+    # Pass 2: the entry state of every chunk, in chunk order.
+    mats = np.stack([dispatch, finish, *units]).transpose(2, 0, 1).copy()
+    entry = np.zeros((n_chunks, state), dtype=np.int64)
+    scratch = np.empty((state, state), dtype=np.int64)
+    for j in range(n_chunks - 1):
+        np.add(mats[j], entry[j], out=scratch)
+        np.maximum.reduce(scratch, axis=1, out=entry[j + 1])
+
+    # Pass 3: values inside every chunk at once, from its entry state.
+    values = entry.T.copy()
+    dispatch, finish, units = values[0], values[1], list(values[2:])
+    spare = np.empty(n_chunks, dtype=np.int64)
+    tmp = np.empty(n_chunks, dtype=np.int64)
+    stalls = np.zeros(n_chunks, dtype=np.int64)
+    floor = d_step - penalty
+    total_cycles = 0
+    for k in range(chunk):
+        slot, prev = k % ring, (k - 1) % ring
+        np.copyto(row, exec_rows[k])
+        np.copyto(row, _NEG, where=masked_rows[k])
+        np.add(dispatch, exec_rows[k], out=spare)
+        np.add(units[slot], row, out=tmp)
+        np.maximum(spare, tmp, out=spare)
+        np.add(finish, forward_rows[k], out=tmp)
+        np.maximum(spare, tmp, out=finish)
+        np.add(units[prev], c_step, out=tmp)
+        np.maximum(finish, tmp, out=units[slot])
+        if k == last:
+            total_cycles = int(units[slot][-1])
+        np.subtract(finish, dispatch, out=tmp)
+        np.maximum(tmp, floor, out=tmp)
+        np.add(stalls, tmp, out=stalls, where=missed_rows[k])
+        np.multiply(missed_rows[k], penalty, out=pen)
+        np.add(dispatch, d_step, out=dispatch)
+        np.add(finish, pen, out=tmp)
+        np.copyto(dispatch, tmp, where=redirect_rows[k])
+
+    count = int(np.count_nonzero(missed))
+    return total_cycles, int(stalls.sum()) + count * int(penalty - d_step)

@@ -3,10 +3,14 @@
 import pytest
 
 from repro.errors import TaskFormatError
+from repro.evalx.experiments.common import BENCHMARKS
 from repro.isa.controlflow import ControlFlowType
+from repro.isa.display import format_program_summary
+from repro.isa.encoding import header_size_bits
 from repro.isa.program import MultiscalarProgram
 from repro.isa.task import StaticTask, TaskExit, TaskHeader
 from repro.isa.tfg import TaskFlowGraph
+from repro.synth.workloads import load_workload
 
 
 def make_task(address, targets=(), with_return=False):
@@ -99,3 +103,25 @@ class TestMultiscalarProgram:
         program = MultiscalarProgram("p", [make_task(0x100)], entry=0x100)
         assert 0x100 in program
         assert 0x500 not in program
+
+    def test_unknown_task_address_rejected(self):
+        program = MultiscalarProgram("p", [make_task(0x100)], entry=0x100)
+        with pytest.raises(TaskFormatError, match="no task at address 0x500"):
+            program.task(0x500)
+
+
+class TestAnswersFromTheTable:
+    """A task lookup or the header sum builds no task flow graph."""
+
+    @pytest.mark.parametrize("name", BENCHMARKS)
+    def test_lookup_and_header_bits_equal_the_object_walk(self, name):
+        shared = load_workload(name, n_tasks=4_000).program
+        program = MultiscalarProgram(shared.name, shared.table, shared.entry)
+        summary = format_program_summary(program)
+        assert "tfg" not in program.__dict__
+        tasks = program.table.tasks()
+        bits = sum(header_size_bits(task.header) for task in tasks)
+        assert program.total_header_bits() == bits
+        assert f"total header bits: {bits} " in summary
+        assert [program.task(task.address) for task in tasks] == tasks
+        assert "tfg" not in program.__dict__

@@ -3,10 +3,12 @@
 The performance contract: the timing model's max-plus scan, the
 realistic predictors' batched columns and the speculative-history replay
 must produce results *equal* to the stepped loops of
-:mod:`repro.sim.reference`, not merely close. A hypothesis property
-checks the timing kernel for every Table 4 scheme on all five synthetic
+:mod:`repro.sim.reference`, not merely close. Two hypothesis properties
+check the timing kernel: one on raw drawn columns against the stepped
+recurrence, at lengths up to 30,000 tasks, every ring size and every
+outcome mix; one for every Table 4 scheme on all five synthetic
 workload profiles, drawing the trace prefix, every machine parameter
-and an optional confidence gate; fixed grids check the speculative
+and an optional confidence gate. Fixed grids check the speculative
 replay; one checkpoint-resumed sweep shows records served from a
 checkpoint store match a fresh run.
 
@@ -30,6 +32,12 @@ from repro.predictors.speculative import SpeculativePathPredictor
 from repro.sim import reference
 from repro.sim.relaxed import simulate_speculative_exit_prediction
 from repro.sim.timing import TimingConfig, simulate_timing
+from repro.sim.timing.scan import (
+    CODE_CORRECT,
+    CODE_GATED,
+    CODE_MISPREDICT,
+    max_plus_timing_scan,
+)
 from repro.synth.workloads import load_workload
 from repro.utils.memo import (
     _PRUNE_THRESHOLD,
@@ -67,6 +75,89 @@ def _gate(drawn):
     return ResettingConfidenceEstimator(
         DolcSpec.parse(spec), threshold=threshold, counter_max=counter_max
     )
+
+
+#: Outcome mixes as {code: probability}: all correct, all mispredicted,
+#: all gated, and mixtures.
+_MIXES = (
+    {CODE_CORRECT: 1.0},
+    {CODE_MISPREDICT: 1.0},
+    {CODE_GATED: 1.0},
+    {CODE_CORRECT: 0.88, CODE_MISPREDICT: 0.12},
+    {CODE_CORRECT: 0.6, CODE_GATED: 0.2, CODE_MISPREDICT: 0.2},
+    {CODE_GATED: 0.5, CODE_MISPREDICT: 0.5},
+)
+
+#: Largest per-task exec or forward cycle count, 0 included.
+_CYCLE_CAPS = st.sampled_from([0, 1, 8, 60, 5_000])
+
+
+def _scan_columns(n, seed, exec_cap, forward_cap, mix, mean_run):
+    """Cycle columns and outcome codes in runs of about ``mean_run``
+    tasks, each run's outcome drawn from ``_MIXES[mix]``."""
+    rng = np.random.default_rng(seed)
+    exec_cycles = rng.integers(0, exec_cap + 1, n)
+    forward_stalls = rng.integers(0, forward_cap + 1, n)
+    outcomes, weights = zip(*_MIXES[mix].items())
+    run_codes = rng.choice(outcomes, n + 1, p=weights)
+    runs = np.cumsum(rng.random(n) < 1 / mean_run)
+    return exec_cycles, forward_stalls, run_codes[runs].astype(np.int64)
+
+
+class TestScanMatchesSteppedRecurrence:
+    """The scan against :func:`reference.stepped_timing` on raw columns.
+
+    Lengths reach 30,000 tasks (about 420 chunks of about 70 steps),
+    so the padded tail of the last chunk, every chunk-boundary hand-off
+    and every ring rotation are exercised.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(0, 30_000),
+        seed=st.integers(0, 2**32 - 1),
+        exec_cap=_CYCLE_CAPS,
+        forward_cap=_CYCLE_CAPS,
+        mix=st.integers(0, len(_MIXES) - 1),
+        mean_run=st.sampled_from([1, 16, 1_000]),
+        n_units=st.integers(1, 8),
+        dispatch_interval=st.integers(0, 6),
+        mispredict_penalty=st.integers(0, 6),
+        commit_interval=st.integers(0, 3),
+    )
+    # Zero intervals and cycles, every task mispredicted.
+    @example(
+        n=5_001, seed=0, exec_cap=0, forward_cap=0, mix=1, mean_run=1,
+        n_units=3, dispatch_interval=0, mispredict_penalty=0,
+        commit_interval=0,
+    )
+    # Dispatch slower than a redirect: the stall term clips at zero.
+    @example(
+        n=30_000, seed=1, exec_cap=8, forward_cap=1, mix=4, mean_run=16,
+        n_units=4, dispatch_interval=6, mispredict_penalty=1,
+        commit_interval=1,
+    )
+    # Every task gated, on a one-unit ring.
+    @example(
+        n=997, seed=2, exec_cap=60, forward_cap=60, mix=2, mean_run=1,
+        n_units=1, dispatch_interval=1, mispredict_penalty=3,
+        commit_interval=1,
+    )
+    def test_scan_equals_stepped_recurrence(
+        self, n, seed, exec_cap, forward_cap, mix, mean_run, n_units,
+        dispatch_interval, mispredict_penalty, commit_interval,
+    ):
+        exec_cycles, forward_stalls, codes = _scan_columns(
+            n, seed, exec_cap, forward_cap, mix, mean_run
+        )
+        machine = (
+            n_units, dispatch_interval, mispredict_penalty, commit_interval
+        )
+        assert max_plus_timing_scan(
+            exec_cycles, forward_stalls, codes, *machine
+        ) == reference.stepped_timing(
+            exec_cycles, forward_stalls, codes, *machine
+        )
 
 
 class TestTimingBitIdentity:

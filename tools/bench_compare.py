@@ -52,6 +52,7 @@ DEFAULT_FLOORS = {
     "speculative_perfect[gcc-100k]": 5.0,
     "exit_kernel[gcc-100k]": 1.5,
     "vc_kernel[gcc-100k]": 1.5,
+    "timing_scan[gcc-100k]": 3.0,
 }
 
 
