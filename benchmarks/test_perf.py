@@ -2,7 +2,8 @@
 
 Each test times a batched kernel against the step-by-step reference of
 :mod:`repro.sim.reference` (or a parallel experiment run against the
-serial one) on a fixed workload and emits a machine-readable line::
+serial one, or the grouping layer's dense codes against ``np.unique``)
+on a fixed workload and emits a machine-readable line::
 
     BENCH {"name": ..., "serial_s": ..., "fast_s": ..., "speedup": ...}
 
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 import json
 import time
+
+import numpy as np
 
 from repro.evalx.experiments.common import BENCHMARKS, CTTB_DOLC_CONFIGS
 from repro.evalx.experiments.table4 import SCHEMES, _make_predictor
@@ -42,6 +45,8 @@ from repro.sim.relaxed import simulate_speculative_exit_prediction
 from repro.sim.timing import machine, simulate_timing
 from repro.sim.timing.scan import max_plus_timing_scan
 from repro.synth.workloads import load_workload
+from repro.utils import windows
+from repro.utils.memo import DerivedColumnCache, int64_column
 from repro.utils.rng import DeterministicRng
 
 _TASKS = 100_000
@@ -216,6 +221,52 @@ def test_timing_scan_speedup(monkeypatch):
     runs = [_time(lambda: max_plus_timing_scan(*args)) for _ in range(3)]
     assert all(scanned == stepped for scanned, _ in runs)
     _report("timing_scan[gcc-100k]", slow, min(fast for _, fast in runs))
+
+
+def test_grouping_speedup(monkeypatch):
+    """Dense codes for Figure 7's ideal groupings vs ``np.unique``.
+
+    One pass over the three ideal groupings (GLOBAL, PER, PATH) at
+    depths 1-7 on gcc, from an empty grouping memo, records every column
+    ``windows.factorize`` codes: the raw address and outcome columns,
+    the bit-packed history keys and the path-window pairs. Each column
+    is then coded by ``np.unique(..., return_inverse=True)`` and by
+    ``factorize``, each timed best of three; the codes and counts must
+    agree.
+    """
+    workload = load_workload("gcc", n_tasks=_TASKS)
+    # The int64 columns the ideal predictors group by.
+    addrs = int64_column(workload.trace.task_addr)
+    outcomes = int64_column(workload.trace.exit_index)
+    columns = []
+    original = windows.factorize
+
+    def record(values):
+        columns.append(values)
+        return original(values)
+
+    monkeypatch.setattr(windows, "_GROUPINGS", DerivedColumnCache())
+    monkeypatch.setattr(windows, "factorize", record)
+    for depth in range(1, 8):
+        windows.group_by_global_history(addrs, outcomes, depth)
+        windows.group_by_per_key_history(addrs, outcomes, depth)
+        windows.group_by_path(addrs, depth)
+    monkeypatch.undo()
+
+    def unique_all():
+        return [np.unique(values, return_inverse=True) for values in columns]
+
+    def factorize_all():
+        return [original(values) for values in columns]
+
+    slow = min(_time(unique_all)[1] for _ in range(3))
+    fast = min(_time(factorize_all)[1] for _ in range(3))
+    for (codes, count), (unique, inverse) in zip(
+        factorize_all(), unique_all()
+    ):
+        assert count == len(unique)
+        assert np.array_equal(codes, inverse.reshape(-1))
+    _report("grouping[gcc-100k]", slow, fast)
 
 
 def test_speculative_repair_speedup():

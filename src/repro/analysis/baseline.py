@@ -13,8 +13,8 @@ File format (JSON, sorted, newline-terminated — diff-friendly)::
       "entries": [
         {
           "rule": "VEC001",
-          "path": "src/repro/utils/scan.py",
-          "symbol": "sorted_fsm_scan",
+          "path": "src/repro/sim/timing/scan.py",
+          "symbol": "max_plus_timing_scan",
           "justification": "pass 2 propagates chunk-entry states ..."
         }
       ]

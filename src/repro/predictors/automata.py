@@ -16,6 +16,8 @@ this library) adopts it as the default automaton.
 from __future__ import annotations
 
 import abc
+import functools
+import weakref
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -218,7 +220,9 @@ def make_automaton_factory(
     """Return a zero-argument factory for the named automaton.
 
     ``rng`` is required for the random tie-break variants; all entries of a
-    predictor share the stream, as hardware would share one LFSR.
+    predictor share the stream, as hardware would share one LFSR. Every
+    other name returns one shared factory object per name, so the
+    predictors built from it share one table (:func:`automaton_table`).
 
     The hysteresis family generalises beyond the paper's two points: any
     ``LEH-<k>`` with ``k >= 1`` names a last-exit automaton with a k-bit
@@ -228,6 +232,17 @@ def make_automaton_factory(
     :data:`~repro.utils.scan.MAX_SCAN_STATES`: a predictor built around a
     wider one is rejected (:func:`batch_automaton`).
     """
+    if spec in ("VC2-RANDOM", "VC3-RANDOM"):
+        if rng is None:
+            rng = DeterministicRng(0).fork("vc-random")
+        bits = 2 if spec.startswith("VC2") else 3
+        return lambda: VotingCounters(bits, tie_break="random", rng=rng)
+    return _shared_factory(spec)
+
+
+@functools.cache
+def _shared_factory(spec: str) -> Callable[[], MultiwayAutomaton]:
+    """The factory of a name that needs no rng, built once per name."""
     if spec == "LE":
         return LastExit
     if spec.startswith("LEH-"):
@@ -236,15 +251,10 @@ def make_automaton_factory(
         except ValueError:
             hysteresis_bits = 0
         if hysteresis_bits >= 1:
-            return lambda: LastExitHysteresis(hysteresis_bits)
+            return functools.partial(LastExitHysteresis, hysteresis_bits)
     if spec in ("VC2-MRU", "VC3-MRU"):
         bits = 2 if spec.startswith("VC2") else 3
-        return lambda: VotingCounters(bits, tie_break="mru")
-    if spec in ("VC2-RANDOM", "VC3-RANDOM"):
-        if rng is None:
-            rng = DeterministicRng(0).fork("vc-random")
-        bits = 2 if spec.startswith("VC2") else 3
-        return lambda: VotingCounters(bits, tie_break="random", rng=rng)
+        return functools.partial(VotingCounters, bits, tie_break="mru")
     raise PredictorConfigError(
         f"unknown automaton {spec!r}; known: {AUTOMATON_SPECS}"
     )
@@ -335,6 +345,29 @@ def tabulate_automaton(
         transitions=np.array(transitions, dtype=np.int8),
         predictions=np.array(predictions, dtype=np.int64),
     )
+
+
+#: :func:`automaton_table` results, per factory object. The keys are weak,
+#: so a caller's own factory and its table are freed together.
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def automaton_table(
+    factory: Callable[[], MultiwayAutomaton],
+) -> AutomatonTable | None:
+    """:func:`tabulate_automaton` over the exit inputs, once per factory.
+
+    Predictors built from one factory (every predictor built from one
+    automaton name shares one, see :func:`make_automaton_factory`) share
+    the table. It is shared: do not mutate it.
+    """
+    try:
+        return _TABLES[factory]
+    except KeyError:
+        table = _TABLES[factory] = tabulate_automaton(
+            factory, MAX_EXITS_PER_TASK
+        )
+        return table
 
 
 #: Bit of each exit in a tie mask.
@@ -462,7 +495,7 @@ def batch_automaton(
     sample = factory()
     if type(sample) is VotingCounters:
         return sample.batch_replay(draw_on_first_touch)
-    table = tabulate_automaton(factory, MAX_EXITS_PER_TASK)
+    table = automaton_table(factory)
     if table is None:
         raise PredictorConfigError(
             f"{type(sample).__name__} has no exact batched form: it "

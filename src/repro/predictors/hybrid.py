@@ -167,13 +167,14 @@ class TournamentExitPredictor(ExitPredictor):
             np.where(second_right, _SECOND_RIGHT, _BOTH_WRONG),
         )
         order, starts = group_segments(slots)
-        counters = np.empty(steps.size, dtype=np.int64)
-        counters[order] = sorted_fsm_scan(
+        sorted_counters = sorted_fsm_scan(
             starts,
             inputs[order],
             _CHOOSER_TRANSITIONS,
             np.full(int(starts.sum()), _CHOOSER_INIT),
         )
+        counters = np.empty(steps.size, dtype=np.int64)
+        counters[order] = sorted_counters
         predicted[steps] = np.where(
             counters >= 2, first[steps], second[steps]
         )

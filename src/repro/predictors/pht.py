@@ -9,7 +9,7 @@ Two representations coexist:
 * :class:`PatternHistoryTable` — the object-per-entry reference used by
   the step-by-step simulators.
 * :class:`PackedPatternTable` — a struct-of-arrays twin for the batched
-  kernels: all entry state lives in one flat int8 column (one tabulated
+  kernels: all entry state lives in one flat int64 column (one tabulated
   automaton state id per touched entry), advanced whole-trace-at-a-time
   by the segmented FSM scan. Bit-identical to the reference by
   construction, since its transition table is enumerated from live
@@ -98,7 +98,7 @@ class PatternHistoryTable:
 
 
 class PackedPatternTable:
-    """Struct-of-arrays PHT: one int8 automaton-state id per entry.
+    """Struct-of-arrays PHT: one automaton-state id per entry.
 
     Entries are addressed by *dense group ids* (``0..n_groups-1``), the
     factorized form of whatever index the owning predictor computes.

@@ -34,11 +34,10 @@ from __future__ import annotations
 from collections import deque
 
 from repro.errors import PredictorConfigError
-from repro.isa.controlflow import MAX_EXITS_PER_TASK
 from repro.predictors.automata import (
     AutomatonTable,
+    automaton_table,
     make_automaton_factory,
-    tabulate_automaton,
 )
 from repro.predictors.folding import DolcSpec
 from repro.predictors.pht import PatternHistoryTable
@@ -79,7 +78,7 @@ class SpeculativePathPredictor:
         self._pht = PatternHistoryTable(
             spec.index_bits, make_automaton_factory(automaton)
         )
-        table = tabulate_automaton(self._pht.factory, MAX_EXITS_PER_TASK)
+        table = automaton_table(self._pht.factory)
         if table is None:
             raise PredictorConfigError(
                 f"automaton {automaton!r} does not tabulate, so the "

@@ -30,7 +30,7 @@ from repro.predictors.ttb import (
 )
 from repro.synth.trace import TaskTrace
 from repro.utils.memo import DerivedColumnCache, int64_column
-from repro.utils.scan import stable_argsort
+from repro.utils.sort import stable_argsort
 
 #: Columns derived from (trace, program) pairs that every scheme in a
 #: sweep re-derives identically: the per-task header dict of the stepped

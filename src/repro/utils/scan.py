@@ -12,12 +12,18 @@ an entry is in just before step ``i`` is the composition of every earlier
 Representing each function as a length-``S`` lookup vector makes
 composition a gather (``(g ∘ f)[s] = g[f[s]]``). A segment start is a
 *constant* function pinning the state to its group's initial value, so
-compositions may cross segment boundaries freely — which lets the whole
-sorted trace be evaluated by a chunked three-pass scan (compose ``K``
-functions per chunk columnwise across all chunks, propagate chunk-entry
-states sequentially, re-run values inside chunks) in ``O(n · S)`` numpy
-work with ``O(K + n/K)`` Python iterations — no log factor and no
-per-step Python.
+compositions may cross segment boundaries freely. Every step is one row
+of a small step table — row ``x`` applies input ``x``, row
+``n_inputs + s`` pins the state to ``s`` — stored as one code, the row's
+offset in the flat table, so applying a step to a state is one gather.
+The whole sorted trace is then evaluated by a chunked three-pass scan
+over the code column cut into chunks of ``K`` steps: compose each
+chunk's ``K`` steps as ``S``-wide rows across all chunks at once,
+propagate chunk-entry states sequentially, re-run values inside every
+chunk, writing each step's state over its code. That is ``O(n · S)``
+numpy work with ``O(K + n/K)`` Python iterations — no log factor and no
+per-step Python — and the code column is the scan's only ``n``-sized
+array.
 
 The scan is *exact*: transition tables are enumerated by driving a real
 automaton object through every reachable state
@@ -30,25 +36,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.utils.memo import REUSE_BYTES, DerivedColumnCache
+from repro.utils.sort import stable_argsort
 
 _SEGMENTS = DerivedColumnCache(max_bytes=REUSE_BYTES)
 
-#: State-space ceiling for tabulation. It keeps every state id inside the
-#: scan's int8 function table, and above it a scan's memory traffic (an
-#: ``(n, S)`` composition array) outweighs the Python loop it replaces.
+#: State-space ceiling for tabulation. It keeps every state id inside an
+#: automaton table's int8 transitions, and above it the scan's ``n · S``
+#: composition work outweighs the Python loop it replaces.
 MAX_SCAN_STATES = 64
-
-
-def stable_argsort(keys: np.ndarray) -> np.ndarray:
-    """Stable argsort, radix-friendly: narrow nonnegative keys to 16 bits.
-
-    Radix sort cost scales with key width; table indices almost always
-    fit 16 bits, which sorts ~5x faster than the same keys as int64.
-    """
-    keys = np.asarray(keys)
-    if keys.size and 0 <= int(keys.min()) and int(keys.max()) < (1 << 16):
-        keys = keys.astype(np.uint16)
-    return np.argsort(keys, kind="stable")
 
 
 def group_segments(group_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,11 +98,12 @@ def segmented_fsm_scan(
     order, starts = group_segments(group_ids)
     start_states: np.ndarray | None = None
     if initial_states is not None:
-        start_states = initial_states[group_ids[order][starts]]
-    states = np.empty(n, dtype=np.int64)
-    states[order] = sorted_fsm_scan(
+        start_states = initial_states[group_ids[order[starts]]]
+    sorted_states = sorted_fsm_scan(
         starts, inputs[order], transitions, start_states
     )
+    states = np.empty(n, dtype=np.int64)
+    states[order] = sorted_states
     return states
 
 
@@ -121,63 +117,92 @@ def sorted_fsm_scan(
 
     ``starts`` and ``inputs`` are in the sorted order of
     :func:`group_segments`; ``start_states`` holds each segment's initial
-    state, one per True in ``starts`` (state 0 when omitted). Returns the
-    pre-update states in the same sorted order.
+    state, one per True in ``starts`` (state 0 when omitted). The first
+    step must open a segment (``starts[0]``), every input must name a
+    column of ``transitions`` and every start state one of its rows.
+    Returns the pre-update states in the same sorted order.
     """
     n = len(starts)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    n_states = transitions.shape[0]
+    if not starts[0]:
+        raise ValueError(
+            "sorted_fsm_scan needs starts[0] True: the first sorted step "
+            "must open a segment"
+        )
+    n_states, n_inputs = transitions.shape
+    _require_ids("inputs", inputs, n_inputs)
+    if start_states is not None:
+        _require_ids("start_states", start_states, n_states)
 
-    # Chunk geometry: the Python-iteration count is 2K + n/K, but each
-    # pass-1/3 iteration also moves O(n/K) data, so the optimum sits
-    # well below sqrt(n).
+    # Step table: row x applies input x, row n_inputs + s pins the state
+    # to s. Step k of the sorted trace maps the state before step k - 1's
+    # update to the state before step k's: it applies input k - 1, or
+    # pins the segment's initial state where step k opens a segment.
+    table = np.empty((n_inputs + n_states, n_states), dtype=np.int64)
+    table[:n_inputs] = transitions.T
+    table[n_inputs:] = np.arange(n_states)[:, None]
+    flat = table.reshape(-1)
+
+    # Chunk geometry: K = sqrt(n / 8) steps per chunk, so pass 1 and
+    # pass 3 run K row-wide steps each and pass 2 one Python step per
+    # chunk, about sqrt(8n).
     chunk = max(int((n / 8) ** 0.5), 1)
     n_chunks = -(-n // chunk)
-    padded = n_chunks * chunk
 
-    # Per-step functions in sorted order: funcs[k] maps the state before
-    # step k-1's update to the state before step k's update. A segment
-    # start is a constant function (the group's initial state), so a
-    # composition never leaks state across segments; pads are identity.
-    funcs = np.empty((padded, n_states), dtype=np.int8)
-    if n > 1:
-        funcs[1:n] = transitions[:, inputs[:-1]].T
-    start_rows = np.flatnonzero(starts)
+    # Each step as one code, its table row times n_states, so applying
+    # it to a state s is flat[code + s]. Pads pin state 0; nothing reads
+    # their states. Pass 3 writes every step's state over its code, so
+    # this column is also the result.
+    codes = np.full(n_chunks * chunk, n_inputs, dtype=np.int64)
+    codes[1:n] = inputs[: n - 1]
     if start_states is None:
-        funcs[start_rows] = 0
+        codes[:n][starts] = n_inputs
     else:
-        funcs[start_rows] = start_states.astype(np.int8)[:, None]
-    funcs[n:] = np.arange(n_states, dtype=np.int8)
+        codes[:n][starts] = np.add(start_states, n_inputs, dtype=np.int64)
+    codes *= n_states
+    # steps[k] views step k of every chunk.
+    steps = codes.reshape(n_chunks, chunk).T
 
-    # Gathers below address funcs flat: element (m, k, s) lives at
-    # (m * chunk + k) * n_states + s.
-    flat = funcs.reshape(-1)
-    base = np.arange(n_chunks, dtype=np.int64) * (chunk * n_states)
-
-    # Pass 1: compose each chunk's functions, columnwise across chunks.
-    composed = funcs.reshape(n_chunks, chunk, n_states)[:, 0, :].astype(
-        np.int64
-    )
+    # Pass 1: composed[s, m] is chunk m's state after its steps so far,
+    # entered in state s. Each step's codes are copied to one contiguous
+    # row before the S-row add reads them. Every index is in range, so
+    # take's "clip" never clips; unlike the default mode, it writes to
+    # ``out`` unbuffered.
+    row = np.empty(n_chunks, dtype=np.int64)
+    composed = flat.take(steps[0] + np.arange(n_states)[:, None])
+    index = np.empty_like(composed)
     for k in range(1, chunk):
-        composed = flat.take((base + k * n_states)[:, None] + composed)
+        row[...] = steps[k]
+        np.add(row, composed, out=index)
+        flat.take(index, out=composed, mode="clip")
 
-    # Pass 2: propagate the entry state of each chunk sequentially (the
-    # first chunk opens with a constant function, so 0 is a safe seed).
-    entries = np.empty(n_chunks, dtype=np.int64)
+    # Pass 2: the state each chunk is entered in, sequentially (the first
+    # chunk opens with a segment start, so 0 is a safe seed).
+    by_state = composed.tolist()
+    entries = []
     state = 0
-    for index, row in enumerate(composed.tolist()):
-        entries[index] = state
-        state = row[state]
+    for m in range(n_chunks):
+        entries.append(state)
+        state = by_state[state][m]
 
-    # Pass 3: re-run the per-step functions on values inside every chunk
-    # at once to recover each step's pre-update state.
-    current = entries
-    states_sorted = np.empty((n_chunks, chunk), dtype=np.int64)
+    # Pass 3: re-run every chunk's steps on values, from its entry state;
+    # each step's codes are read for the last time here and take its
+    # states.
+    current = np.array(entries, dtype=np.int64)
     for k in range(chunk):
-        current = flat.take(base + k * n_states + current)
-        states_sorted[:, k] = current
-    return states_sorted.reshape(-1)[:n]
+        np.add(steps[k], current, out=row)
+        flat.take(row, out=current, mode="clip")
+        steps[k] = current
+    return codes[:n]
+
+
+def _require_ids(name: str, ids: np.ndarray, count: int) -> None:
+    """Reject a column of :func:`sorted_fsm_scan` ids outside ``0..count-1``."""
+    if len(ids) and not 0 <= int(ids.min()) <= int(ids.max()) < count:
+        raise ValueError(
+            f"sorted_fsm_scan needs every one of {name} in 0..{count - 1}"
+        )
 
 
 def final_fsm_states(

@@ -8,8 +8,10 @@ ids usable as flat-array indices.
 
 The pipeline, chosen for speed on hundreds of thousands of steps:
 
-1. **Factorize** each value domain once (:func:`factorize`): one sort of
-   the base sequence maps arbitrary addresses to dense codes.
+1. **Factorize** each value domain once (:func:`factorize`, from
+   :mod:`repro.utils.sort`): a presence table, or one sort where the
+   values span too wide a range, maps arbitrary addresses to dense
+   codes.
 2. Build **trailing-window columns** of shifted codes
    (:func:`lag_columns`, which also builds the real GLOBAL/PER history
    registers and the D-O-L-C path). Codes are offset by one so 0 can
@@ -20,7 +22,7 @@ The pipeline, chosen for speed on hundreds of thousands of steps:
 3. **Bit-pack** the columns into as few int64 words as possible
    (:func:`group_columns`): with dense codes, a depth-7 exit history plus
    the task address usually fits one word, so grouping costs a single
-   argsort instead of a lexicographic sort over eight columns.
+   factorize instead of a lexicographic sort over eight columns.
 
 The three ideal groupings are memoised per (trace columns, depth), and
 so are their building blocks (each column's codes, every trailing
@@ -37,30 +39,9 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.utils.memo import REUSE_BYTES, DerivedColumnCache
-from repro.utils.scan import stable_argsort
+from repro.utils.sort import factorize, stable_argsort
 
 _GROUPINGS = DerivedColumnCache(max_bytes=REUSE_BYTES)
-
-
-def factorize(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Map a 1-D sequence to dense codes ``0..K-1``; returns ``(codes, K)``.
-
-    Equal values share a code. Codes are assigned in sorted-value order,
-    but callers should treat them as opaque group labels.
-    """
-    values = np.asarray(values)
-    n = len(values)
-    if n == 0:
-        return np.empty(0, dtype=np.int64), 0
-    order = np.argsort(values, kind="stable")
-    ranked = values[order]
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    change[1:] = ranked[1:] != ranked[:-1]
-    ranked_codes = np.cumsum(change, dtype=np.int64) - 1
-    codes = np.empty(n, dtype=np.int64)
-    codes[order] = ranked_codes
-    return codes, int(ranked_codes[-1]) + 1
 
 
 def _field_bits(cardinality: int) -> int:

@@ -1,17 +1,28 @@
 """Tests for the multi-way prediction automata (§5.1)."""
 
+import gc
+import weakref
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import PredictorConfigError
+from repro.evalx.registry import run_experiment
+from repro.isa.controlflow import MAX_EXITS_PER_TASK
+from repro.predictors import automata
 from repro.predictors.automata import (
     AUTOMATON_SPECS,
     LastExit,
     LastExitHysteresis,
     VotingCounters,
+    automaton_table,
     make_automaton_factory,
+    tabulate_automaton,
 )
+from repro.predictors.folding import DolcSpec
+from repro.predictors.speculative import SpeculativePathPredictor
 from repro.utils.rng import DeterministicRng
 
 EXITS = st.integers(min_value=0, max_value=3)
@@ -158,3 +169,82 @@ class TestFactory:
         a, b = factory(), factory()
         a.update(3)
         assert b.predict() == 0
+
+
+class TestTableMemo:
+    """``automaton_table`` tabulates once per factory object, and every
+    name that needs no rng maps to one shared factory."""
+
+    @pytest.fixture
+    def tabulations(self, monkeypatch):
+        """Each tabulation's automaton label, starting from an empty memo
+        (labels, not factories: the list must not keep a factory alive)."""
+        calls = []
+
+        def counting(factory, n_inputs):
+            sample = factory()
+            calls.append((type(sample).__name__, sample.bits_per_entry()))
+            return tabulate_automaton(factory, n_inputs)
+
+        monkeypatch.setattr(automata, "_TABLES", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(automata, "tabulate_automaton", counting)
+        return calls
+
+    def test_names_share_one_factory(self):
+        for spec in ("LE", "LEH-1", "LEH-2", "LEH-4", "VC2-MRU", "VC3-MRU"):
+            assert make_automaton_factory(spec) is make_automaton_factory(
+                spec, DeterministicRng(3)
+            )
+        rng = DeterministicRng(3)
+        assert make_automaton_factory(
+            "VC2-RANDOM", rng
+        ) is not make_automaton_factory("VC2-RANDOM", rng)
+
+    def test_a_memo_hit_equals_a_fresh_tabulation(self, tabulations):
+        factory = make_automaton_factory("LEH-2")
+        first = automaton_table(factory)
+        again = automaton_table(make_automaton_factory("LEH-2"))
+        fresh = tabulate_automaton(factory, MAX_EXITS_PER_TASK)
+        assert again is first
+        assert len(tabulations) == 1
+        assert np.array_equal(again.transitions, fresh.transitions)
+        assert again.transitions.dtype == fresh.transitions.dtype
+        assert np.array_equal(again.predictions, fresh.predictions)
+
+    def test_a_new_lambda_factory_still_tabulates(self, tabulations):
+        shared = automaton_table(make_automaton_factory("LEH-2"))
+
+        def build():
+            return lambda: LastExitHysteresis(2)
+
+        factory = build()
+        table = automaton_table(factory)
+        assert len(tabulations) == 2
+        assert table is not shared
+        assert np.array_equal(table.transitions, shared.transitions)
+        # The memo holds the factory weakly: dropping it drops its entry.
+        alive = weakref.ref(factory)
+        del factory
+        gc.collect()
+        assert alive() is None
+        assert len(automata._TABLES) == 1
+
+    def test_speculative_predictor_reads_the_memo(self, tabulations):
+        spec = DolcSpec.parse("7-5-7-8(3)")
+        first = SpeculativePathPredictor(spec, automaton="LEH-2")
+        second = SpeculativePathPredictor(spec, automaton="LEH-2")
+        assert first.pht_table is second.pht_table
+        assert len(tabulations) == 1
+
+    def test_figures_6_and_7_tabulate_each_automaton_once(
+        self, tabulations
+    ):
+        for experiment in ("figure6", "figure7"):
+            run_experiment(experiment, n_tasks=2_000, quick=True)
+        # LE, LEH-1 and LEH-2, one table each; voting counters replay
+        # factored and tabulate nothing.
+        assert sorted(tabulations) == [
+            ("LastExit", 2),
+            ("LastExitHysteresis", 3),
+            ("LastExitHysteresis", 4),
+        ]

@@ -53,6 +53,7 @@ DEFAULT_FLOORS = {
     "exit_kernel[gcc-100k]": 1.5,
     "vc_kernel[gcc-100k]": 1.5,
     "timing_scan[gcc-100k]": 3.0,
+    "grouping[gcc-100k]": 0.9,
 }
 
 
