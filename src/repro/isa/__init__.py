@@ -16,12 +16,7 @@ from repro.isa.controlflow import (
     is_indirect_type,
     target_known_at_compile_time,
 )
-from repro.isa.encoding import (
-    EXIT_SPECIFIER_BITS,
-    decode_header,
-    encode_header,
-    header_size_bits,
-)
+from repro.isa.encoding import EXIT_SPECIFIER_BITS, header_size_bits
 from repro.isa.image import load_program, save_program
 from repro.isa.program import MultiscalarProgram
 from repro.isa.table import TaskTable
@@ -35,8 +30,6 @@ __all__ = [
     "is_indirect_type",
     "target_known_at_compile_time",
     "EXIT_SPECIFIER_BITS",
-    "encode_header",
-    "decode_header",
     "header_size_bits",
     "StaticTask",
     "TaskExit",

@@ -176,7 +176,11 @@ def max_plus_timing_scan(
         np.add(finish, pen, out=tmp)
         np.copyto(dispatch, tmp, where=redirect_rows[k])
 
-    # Pass 2: the entry state of every chunk, in chunk order.
+    # Pass 2: the entry state of every chunk, in chunk order. A Python
+    # loop, but of about sqrt(6n) steps, each one whole (2 + N, 2 + N)
+    # matrix operation; chunk j + 1's entry needs chunk j's, and a
+    # log-depth composition of the chunk matrices measured no faster at
+    # 200k tasks.
     mats = np.stack([dispatch, finish, *units]).transpose(2, 0, 1).copy()
     entry = np.zeros((n_chunks, state), dtype=np.int64)
     scratch = np.empty((state, state), dtype=np.int64)

@@ -19,8 +19,9 @@ A temp left behind by a killed process is reaped by
 :func:`repro.synth.workloads.sweep_orphan_tmp_files`, which every
 experiment run calls before its first cell.
 
-The CKP003 analysis rule forbids ``os.replace``/``os.rename`` everywhere
-else in ``repro``, and an ``os.environ`` write anywhere, this module
+The tier-1 test ``tests/test_utils_fsio.py::TestPublicationSource``
+reads the source of ``repro`` and fails on ``os.replace``/``os.rename``
+anywhere else, and on an ``os.environ`` write anywhere, this module
 included: no engine state reaches a worker through the environment.
 """
 

@@ -1,60 +1,11 @@
-"""Round-trip and size tests for the task-header binary encoding."""
-
-import pytest
-from hypothesis import given
-from hypothesis import strategies as st
+"""Size tests for the task-header layout of §2.1."""
 
 from repro.isa.controlflow import ControlFlowType
-from repro.isa.encoding import (
-    EXIT_SPECIFIER_BITS,
-    decode_header,
-    encode_header,
-    header_size_bits,
-)
+from repro.isa.encoding import EXIT_SPECIFIER_BITS, header_size_bits
 from repro.isa.task import TaskExit, TaskHeader
-
-_ADDRESSES = st.integers(min_value=0, max_value=(1 << 32) - 1)
-
-
-@st.composite
-def task_exits(draw):
-    cf_type = draw(st.sampled_from(list(ControlFlowType)))
-    if cf_type in (ControlFlowType.BRANCH, ControlFlowType.CALL):
-        target = draw(_ADDRESSES)
-    else:
-        target = None
-    if cf_type in (ControlFlowType.CALL, ControlFlowType.INDIRECT_CALL):
-        return_address = draw(_ADDRESSES)
-    else:
-        return_address = None
-    return TaskExit(
-        cf_type=cf_type, target=target, return_address=return_address
-    )
-
-
-@st.composite
-def task_headers(draw):
-    exits = draw(st.lists(task_exits(), min_size=1, max_size=4))
-    create_mask = draw(st.integers(min_value=0, max_value=0xFFFF))
-    return TaskHeader(exits=tuple(exits), create_mask=create_mask)
 
 
 class TestHeaderEncoding:
-    @given(task_headers())
-    def test_round_trip(self, header):
-        value, width = encode_header(header)
-        assert decode_header(value, width) == header
-
-    @given(task_headers())
-    def test_encoded_width_matches_size_accounting(self, header):
-        _, width = encode_header(header)
-        assert width == header_size_bits(header)
-
-    @given(task_headers())
-    def test_value_fits_declared_width(self, header):
-        value, width = encode_header(header)
-        assert 0 <= value < (1 << width)
-
     def test_specifier_is_five_bits(self):
         # The paper: "This information is encoded in 5 bits."
         assert EXIT_SPECIFIER_BITS == 5
@@ -83,13 +34,3 @@ class TestHeaderEncoding:
             )
         )
         assert header_size_bits(header) == 2 + 16 + 5 + 64
-
-    def test_decode_truncated_stream_fails(self):
-        header = TaskHeader(
-            exits=(TaskExit(cf_type=ControlFlowType.BRANCH, target=0x44),)
-        )
-        value, width = encode_header(header)
-        from repro.errors import EncodingError
-
-        with pytest.raises(EncodingError):
-            decode_header(value, width - 8)

@@ -85,9 +85,13 @@ class TestSimulateTiming:
         assert perfect.task_mispredicts == 0
         assert real.tasks == perfect.tasks
 
-    def test_better_exit_prediction_gives_higher_ipc(self, gcc_workload):
-        """PATH beats the Simple (task-address-indexed) predictor on gcc —
-        the mechanism behind Table 4."""
+    def test_path_takes_fewer_task_mispredicts_than_simple(
+        self, gcc_workload
+    ):
+        """A fixture-level mechanism check: on the gcc fixture, PATH
+        exit prediction leaves the timing model fewer task mispredicts to
+        squash than the Simple (task-address-indexed) predictor. The
+        paper's IPC finding is the claim ``table4.path_gains``."""
         simple_predictor = HeaderTaskPredictor(
             program=gcc_workload.program,
             exit_predictor=SimpleExitPredictor(index_bits=14),
@@ -96,7 +100,6 @@ class TestSimulateTiming:
         )
         simple = simulate_timing(gcc_workload, simple_predictor)
         path = simulate_timing(gcc_workload, header_predictor(gcc_workload))
-        assert path.ipc > simple.ipc
         assert path.task_mispredicts < simple.task_mispredicts
 
     def test_instructions_match_trace(self, compress_workload):

@@ -20,7 +20,8 @@ ratios, two ways:
 * **absolute**: when the snapshot records a ``floor`` for a benchmark,
   the current speedup must meet it regardless of what the snapshot's
   own ratio was. Floors encode hard acceptance criteria (the Table 4
-  sweep must stay >= 8x) and survive snapshot refreshes.
+  sweep must stay >= 8x) and survive snapshot refreshes: ``--update``
+  copies each one from the ``--snapshot`` file it refreshes.
 
 A benchmark present in the snapshot but missing from the run is a
 failure (a silently-skipped benchmark is how gates rot); a new
@@ -43,18 +44,6 @@ import sys
 from pathlib import Path
 
 SNAPSHOT_VERSION = 1
-
-#: Hard speedup floors (acceptance criteria), re-applied on --update so
-#: a refreshed snapshot cannot silently drop a gate.
-DEFAULT_FLOORS = {
-    "table4_sweep_cold[100k]": 8.0,
-    "table4_sweep_warm[100k]": 8.0,
-    "speculative_perfect[gcc-100k]": 5.0,
-    "exit_kernel[gcc-100k]": 1.5,
-    "vc_kernel[gcc-100k]": 1.5,
-    "timing_scan[gcc-100k]": 3.0,
-    "grouping[gcc-100k]": 0.9,
-}
 
 
 def parse_bench_lines(text: str) -> dict[str, dict]:
@@ -82,17 +71,16 @@ def load_snapshot(path: Path) -> dict:
     return snapshot
 
 
-def write_snapshot(path: Path, records: dict[str, dict]) -> None:
+def write_snapshot(
+    path: Path, records: dict[str, dict], floors: dict[str, float]
+) -> None:
+    """Write the run's numbers to ``path``, keeping each benchmark's floor."""
     benchmarks = {
         name: {
             "serial_s": rec["serial_s"],
             "fast_s": rec["fast_s"],
             "speedup": rec["speedup"],
-            **(
-                {"floor": DEFAULT_FLOORS[name]}
-                if name in DEFAULT_FLOORS
-                else {}
-            ),
+            **({"floor": floors[name]} if name in floors else {}),
         }
         for name, rec in sorted(records.items())
     }
@@ -178,7 +166,10 @@ def main(argv: list[str] | None = None) -> int:
         "--update",
         type=Path,
         default=None,
-        help="write the run's numbers to this snapshot path and exit",
+        help=(
+            "write the run's numbers, with the --snapshot file's "
+            "floors, to this snapshot path and exit"
+        ),
     )
     args = parser.parse_args(argv)
 
@@ -192,12 +183,17 @@ def main(argv: list[str] | None = None) -> int:
         print("no BENCH lines found in input", file=sys.stderr)
         return 2
 
+    snapshot = load_snapshot(args.snapshot)
     if args.update is not None:
-        write_snapshot(args.update, records)
+        floors = {
+            name: entry["floor"]
+            for name, entry in snapshot["benchmarks"].items()
+            if "floor" in entry
+        }
+        write_snapshot(args.update, records, floors)
         print(f"snapshot written: {args.update} ({len(records)} benchmarks)")
         return 0
 
-    snapshot = load_snapshot(args.snapshot)
     failures = compare(snapshot, records, args.tolerance)
     if failures:
         print(
